@@ -50,6 +50,8 @@ _KEYS = {
     "seed": ("seed", int),
 }
 _ATTR_TO_KEY = {attr: key for key, (attr, _) in _KEYS.items()}
+_ATTR_TO_KEY.update(file_bytes="ftp3_file_bytes",
+                    lambda_per_s="ftp3_lambda_per_s")
 
 
 @dataclass(frozen=True)
@@ -116,11 +118,13 @@ def parse_config(path: str) -> ExperimentPlan:
             except ValueError:
                 raise ConfigurationError(
                     f"{path}:{ln}: bad value for {key}: {val!r}") from None
-    if traffic_kind == "ftp3":
-        values["traffic"] = Ftp3(file_bytes or 500_000, lam or 0.5)
-    elif traffic_kind == "full_buffer":
-        values["traffic"] = FullBuffer()
     try:
+        if traffic_kind == "ftp3":
+            ftp = {"file_bytes": file_bytes, "lambda_per_s": lam}
+            values["traffic"] = Ftp3(**{k: v for k, v in ftp.items()
+                                        if v is not None})
+        elif traffic_kind == "full_buffer":
+            values["traffic"] = FullBuffer()
         cfg = ScenarioConfig(**values)
     except ConfigurationError as exc:
         msg = str(exc)

@@ -6,12 +6,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
-from . import phy
-from .phy import LinkReport, Precoder
+from .phy import LinkReport
 
 
 class Provenance(Enum):
@@ -157,68 +155,3 @@ def case_select_semistatic(direct_quality_fl_db: float,
     """Semi-static network decision: collaborate when the high band is too
     weak for direct use; the boundary stays legacy."""
     return "collaborate" if direct_quality_fh_db < threshold_db else "legacy_2ca"
-
-
-# ---------------------------------------------------------------------------
-# drop-state driven builders
-# ---------------------------------------------------------------------------
-
-@dataclass
-class GroupLinkState:
-    """Per-group slice of a drop: the channels and covariances needed to
-    compose the direct, relayed, and stacked links (all (S, ., .) arrays)."""
-    h_direct: np.ndarray            # BS -> primary, low band
-    r_direct: np.ndarray
-    h_bs_helper: np.ndarray         # BS -> helper, low band
-    r_helper: np.ndarray
-    h_local: np.ndarray             # helper -> primary, high band
-    r_primary_high: np.ndarray      # interference+noise at primary, high band
-    tx_power_w: float               # serving transmitter budget
-    relay_cap_dbm: float = 14.0
-    n_relay_out: int = 1
-    max_rank: int = 4
-    n_beams: int = 4
-
-
-def _precoded_report(h: np.ndarray, r: np.ndarray, power: float,
-                     max_rank: int, n_beams: int) -> LinkReport:
-    rank = phy.select_rank(h, r, power, max_rank)
-    pre = phy.type2_like_precoder(h, max(n_beams, rank), rank, power)
-    return phy.link_report(_ensure3(h), pre, r)
-
-
-def build_relay_chain(state: GroupLinkState) -> RelayChain:
-    """Beamform at the helper against its own interference, then AGC the
-    forwarded signal to the relay output cap."""
-    w = relay_rx_beamformer(state.h_bs_helper, state.r_helper,
-                            state.n_relay_out)
-    # gain set against the dominant-direction first-hop precoding
-    pre = phy.svd_precoder(state.h_bs_helper, 1, state.tx_power_w)
-    p_in = relay_input_power_dbm(state.h_bs_helper, w, pre.matrix,
-                                 pre.power_per_layer, state.r_helper)
-    g = relay_gain(p_in, state.relay_cap_dbm)
-    return RelayChain(_ensure3(state.h_bs_helper), w, g,
-                      _ensure3(state.h_local)[:, :, :state.n_relay_out],
-                      _ensure3(state.r_helper), _ensure3(state.r_primary_high),
-                      state.relay_cap_dbm)
-
-
-def build_diversity_arms(state: GroupLinkState) -> dict:
-    """Direct arm (low band) and relayed arm (AF chain into the high band),
-    each with its own precoder adapted to the arm's effective channel."""
-    direct = _precoded_report(state.h_direct, state.r_direct,
-                              state.tx_power_w, state.max_rank, state.n_beams)
-    chain = build_relay_chain(state)
-    eff = compose_af_link(chain)
-    relayed = _precoded_report(eff.h_eff, eff.r_nn, state.tx_power_w,
-                               state.n_relay_out, state.n_beams)
-    return {"direct": direct, "relayed": relayed, "chain": chain}
-
-
-def build_rank_augmented_link(state: GroupLinkState) -> EffectiveLink:
-    """DL stacked link: direct rows plus relay-forwarded rows."""
-    chain = build_relay_chain(state)
-    eff = compose_af_link(chain)
-    direct = EffectiveLink(_ensure3(state.h_direct),
-                           _ensure3(state.r_direct), Provenance.DIRECT)
-    return stack_rx(direct, eff)

@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channel as ch
-from .scenario import (BS_HEIGHT_M, UE_HEIGHT_M, Case, ScenarioConfig,
-                       SiteLayout, bs_port_array, build_hex_layout,
-                       build_bs_nodes, drop_ues, rot_y, rot_z, ue_array,
+from .phy import AMP_LEVELS, SE_CAP_BPS_HZ
+from .scenario import (BS_DOWNTILT_DEG, BS_HEIGHT_M, UE_HEIGHT_M,
+                       ScenarioConfig, SiteLayout, bs_port_array,
+                       build_hex_layout, drop_ues, rot_y, rot_z, ue_array,
                        wraparound_vectors)
 
 NF_BS_DB = 5.0
@@ -144,8 +145,8 @@ def build_drop_geometry(cfg: ScenarioConfig, seed: int) -> DropGeometry:
     help_pos = np.array([d.position for d in helpers])
     help_rot = np.array([d.rotation for d in helpers])
 
-    cell_rot = np.array([rot_z(layout.cell_azimuth_deg[c]) @ rot_y(12.0)
-                         for c in range(layout.n_cells)])
+    cell_rot = np.array([rot_z(az) @ rot_y(BS_DOWNTILT_DEG)
+                         for az in layout.cell_azimuth_deg])
 
     vp, d2p, d3p, los_p, loss_p, bs_p = _device_tables(
         layout, cfg, prim_pos[:, :2], UE_HEIGHT_M, rng)
@@ -281,14 +282,12 @@ def batched_rank_select(h: np.ndarray, power: np.ndarray, noise_w: float,
         t = np.eye(r) + g
         diag = np.real(np.einsum("uskk->usk", np.linalg.inv(t)))
         sinr = np.maximum(1.0 / np.maximum(diag, 1e-300) - 1.0, 0.0)
-        se = np.sum(np.mean(np.minimum(np.log2(1.0 + sinr), 7.4), axis=1), axis=1)
+        se = np.sum(np.mean(np.minimum(np.log2(1.0 + sinr), SE_CAP_BPS_HZ),
+                            axis=1), axis=1)
         ok = (r <= num_rank) & (se > best_se + 1e-12)
         ranks[ok] = r
         best_se[ok] = se[ok]
     return ranks, v
-
-
-_AMP_LEVELS = np.concatenate([[0.0], np.sqrt(2.0) ** -(np.arange(6, -1, -1))])
 
 
 def batched_beam_precoder(h: np.ndarray, ranks: np.ndarray,
@@ -324,8 +323,8 @@ def batched_beam_precoder(h: np.ndarray, ranks: np.ndarray,
     ref = np.argmax(mag, axis=1)                               # (U, rmax)
     mx = np.take_along_axis(mag, ref[:, None, :], axis=1)      # (U, 1, rmax)
     mx = np.maximum(mx, 1e-300)
-    lev = _AMP_LEVELS[np.argmin(np.abs(mag[..., None] / mx[..., None]
-                                       - _AMP_LEVELS), axis=-1)]
+    lev = AMP_LEVELS[np.argmin(np.abs(mag[..., None] / mx[..., None]
+                                      - AMP_LEVELS), axis=-1)]
     ref_ph = np.take_along_axis(np.angle(coef), ref[:, None, :], axis=1)
     ph = np.round((np.angle(coef) - ref_ph) / (math.pi / 4.0)) * (math.pi / 4.0)
     coef_q = mx * lev * np.exp(1j * (ph + ref_ph))
@@ -344,7 +343,7 @@ def batched_beam_precoder(h: np.ndarray, ranks: np.ndarray,
 
 
 def batched_mmse_se(h: np.ndarray, p: np.ndarray, p_layer: np.ndarray,
-                    r_nn: np.ndarray, cap: float = 7.4) -> np.ndarray:
+                    r_nn: np.ndarray, cap: float = SE_CAP_BPS_HZ) -> np.ndarray:
     """Per-subband capped SE for batched links.
 
     h (U,S,m,n), p (U,n,r) orthonormal-or-zero columns, p_layer (U,),

@@ -70,7 +70,7 @@ def _dft_beams(n_tx: int, shift: int, oversampling: int) -> np.ndarray:
     return np.exp(2j * math.pi * n * (m + shift / oversampling) / n_tx) / math.sqrt(n_tx)
 
 
-_AMP_LEVELS = np.concatenate([[0.0], np.sqrt(2.0) ** -(np.arange(6, -1, -1))])
+AMP_LEVELS = np.concatenate([[0.0], np.sqrt(2.0) ** -(np.arange(6, -1, -1))])
 
 
 def type2_like_precoder(h_est: np.ndarray, n_beams: int, rank: int,
@@ -111,8 +111,8 @@ def type2_like_precoder(h_est: np.ndarray, n_beams: int, rank: int,
             mx = np.abs(c[ref])
             if mx <= 0:
                 continue
-            amp = _AMP_LEVELS[np.argmin(
-                np.abs(np.abs(c[:, None]) / mx - _AMP_LEVELS[None, :]), axis=1)]
+            amp = AMP_LEVELS[np.argmin(
+                np.abs(np.abs(c[:, None]) / mx - AMP_LEVELS[None, :]), axis=1)]
             ph = np.angle(c) - np.angle(c[ref])
             ph = np.round(ph / (math.pi / 4.0)) * (math.pi / 4.0)
             qc[:, l] = mx * amp * np.exp(1j * (ph + np.angle(c[ref])))

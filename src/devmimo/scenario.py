@@ -54,6 +54,12 @@ class Ftp3:
     file_bytes: int = 500_000
     lambda_per_s: float = 0.5
 
+    def __post_init__(self):
+        if not self.file_bytes >= 1:
+            raise ConfigurationError("file_bytes must be >= 1")
+        if not (math.isfinite(self.lambda_per_s) and self.lambda_per_s > 0):
+            raise ConfigurationError("lambda_per_s must be positive and finite")
+
 
 Traffic = Union[FullBuffer, Ftp3]
 
@@ -122,6 +128,12 @@ class ScenarioConfig:
             raise ConfigurationError("ue_dl_config counts must be >= 1")
         if self.ue_ul_config[0] < 1 or self.ue_ul_config[1] < 1:
             raise ConfigurationError("ue_ul_config counts must be >= 1")
+        for name in ("scs_khz", "sim_duration_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(f"{name} must be positive and finite")
+        if self.channel_update_slots < 1:
+            raise ConfigurationError("channel_update_slots must be >= 1")
         if self.n_prb < 1:
             raise ConfigurationError(
                 "bandwidth too small for a single PRB at this SCS")
@@ -369,17 +381,6 @@ def _sample_sector_point(rng: np.random.Generator, azimuth_deg: float,
         if abs(rel) <= 60.0:
             return p
     raise ConfigurationError("sector point rejection sampling exhausted")
-
-
-def build_bs_nodes(layout: SiteLayout, cfg: ScenarioConfig) -> list:
-    """One BS node per cell: sector azimuth plus mechanical downtilt."""
-    nodes = []
-    for ci in range(layout.n_cells):
-        pos = np.array([*layout.cell_position(ci), BS_HEIGHT_M])
-        rot = rot_z(layout.cell_azimuth_deg[ci]) @ rot_y(BS_DOWNTILT_DEG)
-        nodes.append(DeviceNode(ci, DeviceKind.BS, pos, rot,
-                                bs_port_array(cfg.bs_ports, cfg.f_low_ghz)))
-    return nodes
 
 
 def drop_ues(layout: SiteLayout, cfg: ScenarioConfig,

@@ -9,6 +9,7 @@ same geometry, channel randomness and traffic arrivals.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -86,19 +87,17 @@ def pf_schedule(rates_bps: np.ndarray, avg_bps: np.ndarray,
                 backlogged: np.ndarray) -> np.ndarray:
     """Pick the PF winner per subband among backlogged users.
 
-    rates_bps is (n_ues, n_subbands); returns (n_subbands,) UE indices,
-    -1 where nothing is scheduled.
+    rates_bps is (..., n_ues, n_subbands), avg_bps and backlogged are
+    (..., n_ues); returns (..., n_subbands) UE indices, -1 where nothing is
+    scheduled.  Leading axes are independent schedulers (e.g. cells).
     """
-    n_ues, n_sb = rates_bps.shape
-    out = np.full(n_sb, -1, dtype=int)
-    idx = np.flatnonzero(backlogged)
-    if idx.size == 0:
-        return out
-    metric = rates_bps[idx] / avg_bps[idx, None]
-    win = np.argmax(metric, axis=0)
-    best = metric[win, np.arange(n_sb)]
-    out[best > 0.0] = idx[win[best > 0.0]]
-    return out
+    if rates_bps.shape[-2] == 0:
+        return np.full(rates_bps.shape[:-2] + rates_bps.shape[-1:], -1)
+    metric = np.where(backlogged[..., None],
+                      rates_bps / avg_bps[..., None], -np.inf)
+    win = np.argmax(metric, axis=-2)
+    best = np.take_along_axis(metric, win[..., None, :], axis=-2)[..., 0, :]
+    return np.where(best > 0.0, win, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -176,170 +175,105 @@ def upt_stats(records) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# drop driver
+# drop driver: channel stage, then one scheduling loop
 # ---------------------------------------------------------------------------
 
-def _slot_plan(cfg: ScenarioConfig):
-    n_slots = max(int(round(cfg.sim_duration_s / cfg.slot_s)), 1)
-    return n_slots, cfg.channel_update_slots
+def _channel_stage(cfg: ScenarioConfig, geo: engine.DropGeometry, seed: int):
+    """Refresh the channel once per call to next().
+
+    Yields ({arm: per-band (U, S) rate tables [bps]}, relayed) where the
+    first arm is the reference and `relayed` (U,) marks the treatment
+    arm's users that take the relay path: per-subband path selection on
+    the DL (ties go direct), the semi-static weak-user set on the UL.
+    """
+    def rng(key):
+        return np.random.default_rng(np.random.SeedSequence((seed, key)))
+
+    if cfg.case is Case.RANK_AUG:
+        eng = engine.make_ul_engine(geo, rng(0xC5))
+        for rr in itertools.count():
+            yield eng.refresh(rr), eng.weak
+    want_relay = cfg.case is Case.DIVERSITY
+    eng = engine.make_dl_engine(geo, rng(0xC4))
+    for rr in itertools.count():
+        tab = eng.refresh(rr, want_relay)
+        arms = {"baseline": (tab["direct"],)}
+        relayed = np.zeros(geo.n_ues, dtype=bool)
+        if want_relay:
+            sel = tab["relayed"] > tab["direct"]
+            arms["diversity"] = (np.where(sel, tab["relayed"], tab["direct"]),)
+            relayed = sel.any(axis=1)
+        yield arms, relayed
 
 
-def _run_dl(cfg: ScenarioConfig, geo: engine.DropGeometry, seed: int,
-            want_relay: bool) -> dict:
-    rng_ch = np.random.default_rng(np.random.SeedSequence((seed, 0xC4)))
-    rng_tr = np.random.default_rng(np.random.SeedSequence((seed, 0x7A)))
-    eng = engine.make_dl_engine(geo, rng_ch)
-    n_slots, refresh = _slot_plan(cfg)
+def run_drop(cfg: ScenarioConfig, seed: int) -> dict:
+    """Simulate one drop; returns {arm_name: DropStats}, reference arm first.
+
+    Every arm sees the same geometry, channel stream and arrivals.  Under
+    full buffer the diversity arm is served under the baseline arm's PF
+    allocation, so its per-user dominance over the baseline is exact.
+    """
+    if cfg.case not in (Case.BASELINE, Case.DIVERSITY, Case.RANK_AUG):
+        raise ConfigurationError(f"case {cfg.case} has no drop program")
+    geo = engine.build_drop_geometry(cfg, seed)
     n_ues = geo.n_ues
+    n_slots = max(int(round(cfg.sim_duration_s / cfg.slot_s)), 1)
     full_buffer = isinstance(cfg.traffic, FullBuffer)
+    shared = full_buffer and cfg.case is Case.DIVERSITY
 
-    arms = {"baseline": _ArmState(n_ues, full_buffer)}
-    if want_relay:
-        arms["diversity"] = _ArmState(n_ues, full_buffer)
+    # (cells x widest cell) UE index; padding is never backlogged
+    cells = [ues for ues in geo.ue_of_cell if len(ues)]
+    pad = np.zeros((len(cells), max(map(len, cells))), dtype=int)
+    valid = np.zeros(pad.shape, dtype=bool)
+    for c, ues in enumerate(cells):
+        pad[c, :len(ues)] = ues
+        valid[c, :len(ues)] = True
 
+    tables = _channel_stage(cfg, geo, seed)
+    rates, relayed = next(tables)
+    arms = {name: _ArmState(n_ues, full_buffer) for name in rates}
+    rng_tr = np.random.default_rng(np.random.SeedSequence((seed, 0x7A)))
     events = [] if full_buffer else ftp3_arrivals(
         cfg.traffic, n_ues, cfg.sim_duration_s, rng_tr)
     ev_i = 0
-
-    rates = {}
-    choice_rel = np.zeros(n_ues, dtype=bool)
     rel_slots = 0
-    cells = [c for c in range(geo.n_cells) if len(geo.ue_of_cell[c])]
     slot_bytes = cfg.slot_s / 8.0
 
     for slot in range(n_slots):
-        if slot % refresh == 0:
-            tab = eng.refresh(slot // refresh, want_relay)
-            rates["baseline"] = tab["direct"]
-            if want_relay:
-                # dynamic per-subband path selection (ties -> direct)
-                sel = tab["relayed"] > tab["direct"]
-                rates["diversity"] = np.where(sel, tab["relayed"],
-                                              tab["direct"])
-                choice_rel = sel.any(axis=1)
+        if slot and slot % cfg.channel_update_slots == 0:
+            rates, relayed = next(tables)
         t_end = (slot + 1) * cfg.slot_s
         while ev_i < len(events) and events[ev_i].t_arrival_s <= slot * cfg.slot_s:
             for arm in arms.values():
                 arm.admit(events[ev_i])
             ev_i += 1
-        rel_slots += int(choice_rel.sum())
+        rel_slots += int(relayed.sum())
 
-        if full_buffer and want_relay:
-            # shared allocation: schedule on the baseline arm's rates, serve
-            # both arms under identical assignments so the per-UE dominance
-            # of max(direct, relayed) over direct is exact.
-            share_arms = [("baseline", rates["baseline"]),
-                          ("diversity", rates["diversity"])]
-            for c in cells:
-                ues = geo.ue_of_cell[c]
-                base = arms["baseline"]
-                alloc = pf_schedule(rates["baseline"][ues], base.sched.avg_bps[ues],
-                                    base.backlogged()[ues])
-                for name, tab_a in share_arms:
-                    arm = arms[name]
-                    served = np.zeros(n_ues)
-                    for s, j in enumerate(alloc):
-                        if j >= 0:
-                            u = ues[j]
-                            arm.serve(u, tab_a[u, s] * slot_bytes, t_end)
-                            served[u] += tab_a[u, s]
-                    arm.sched.update(served)
-                    arm.busy_res += int(np.sum(alloc >= 0))
-                    arm.total_res += alloc.size
-            continue
-
+        allocs = None
         for name, arm in arms.items():
-            tab_a = rates[name]
-            back = arm.backlogged()
+            if allocs is None or not shared:
+                back = arm.backlogged()[pad] & valid
+                allocs = [pf_schedule(tab[pad], arm.sched.avg_bps[pad], back)
+                          for tab in rates[name]]
             served = np.zeros(n_ues)
-            for c in cells:
-                ues = geo.ue_of_cell[c]
-                alloc = pf_schedule(tab_a[ues], arm.sched.avg_bps[ues],
-                                    back[ues])
-                for s, j in enumerate(alloc):
-                    if j >= 0:
-                        u = ues[j]
-                        arm.serve(u, tab_a[u, s] * slot_bytes, t_end)
-                        served[u] += tab_a[u, s]
+            for tab, alloc in zip(rates[name], allocs):
+                for c, s in zip(*np.nonzero(alloc >= 0)):
+                    u = pad[c, alloc[c, s]]
+                    arm.serve(u, tab[u, s] * slot_bytes, t_end)
+                    served[u] += tab[u, s]
                 arm.busy_res += int(np.sum(alloc >= 0))
                 arm.total_res += alloc.size
             arm.sched.update(served)
 
     out = {}
-    for name, arm in arms.items():
+    for i, (name, arm) in enumerate(arms.items()):
         if full_buffer:
             arm.finish_full_buffer(n_slots * cfg.slot_s)
         ru = arm.busy_res / arm.total_res if arm.total_res else 0.0
-        share = rel_slots / (n_slots * n_ues) if name == "diversity" else 0.0
+        share = rel_slots / (n_slots * n_ues) if i else 0.0
         out[name] = DropStats(tuple(arm.records), ru, arm.served_bytes.copy(),
                               share)
     return out
-
-
-def _run_ul(cfg: ScenarioConfig, geo: engine.DropGeometry, seed: int) -> dict:
-    rng_ch = np.random.default_rng(np.random.SeedSequence((seed, 0xC5)))
-    rng_tr = np.random.default_rng(np.random.SeedSequence((seed, 0x7A)))
-    eng = engine.make_ul_engine(geo, rng_ch)
-    n_slots, refresh = _slot_plan(cfg)
-    n_ues = geo.n_ues
-    full_buffer = isinstance(cfg.traffic, FullBuffer)
-
-    arm_names = ("legacy_2ca", "collab")
-    arms = {a: _ArmState(n_ues, full_buffer) for a in arm_names}
-    events = [] if full_buffer else ftp3_arrivals(
-        cfg.traffic, n_ues, cfg.sim_duration_s, rng_tr)
-    ev_i = 0
-    cells = [c for c in range(geo.n_cells) if len(geo.ue_of_cell[c])]
-    slot_bytes = cfg.slot_s / 8.0
-    rates = {}
-
-    for slot in range(n_slots):
-        if slot % refresh == 0:
-            rates = eng.refresh(slot // refresh)
-        t_end = (slot + 1) * cfg.slot_s
-        while ev_i < len(events) and events[ev_i].t_arrival_s <= slot * cfg.slot_s:
-            for arm in arms.values():
-                arm.admit(events[ev_i])
-            ev_i += 1
-
-        for name, arm in arms.items():
-            back = arm.backlogged()
-            served = np.zeros(n_ues)
-            for band in (0, 1):
-                tab = rates[name][band]
-                for c in cells:
-                    ues = geo.ue_of_cell[c]
-                    alloc = pf_schedule(tab[ues], arm.sched.avg_bps[ues],
-                                        back[ues])
-                    for s, j in enumerate(alloc):
-                        if j >= 0:
-                            u = ues[j]
-                            arm.serve(u, tab[u, s] * slot_bytes, t_end)
-                            served[u] += tab[u, s]
-                    arm.busy_res += int(np.sum(alloc >= 0))
-                    arm.total_res += alloc.size
-            arm.sched.update(served)
-
-    out = {}
-    weak_share = float(np.mean(eng.weak))
-    for name, arm in arms.items():
-        if full_buffer:
-            arm.finish_full_buffer(n_slots * cfg.slot_s)
-        ru = arm.busy_res / arm.total_res if arm.total_res else 0.0
-        share = weak_share if name == "collab" else 0.0
-        out[name] = DropStats(tuple(arm.records), ru, arm.served_bytes.copy(),
-                              share)
-    return out
-
-
-def run_drop(cfg: ScenarioConfig, seed: int) -> dict:
-    """Simulate one drop; returns {arm_name: DropStats}."""
-    geo = engine.build_drop_geometry(cfg, seed)
-    if cfg.case in (Case.BASELINE, Case.DIVERSITY):
-        return _run_dl(cfg, geo, seed, want_relay=cfg.case is Case.DIVERSITY)
-    if cfg.case is Case.RANK_AUG:
-        return _run_ul(cfg, geo, seed)
-    raise ConfigurationError(f"case {cfg.case} has no drop program")
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +282,8 @@ def run_drop(cfg: ScenarioConfig, seed: int) -> dict:
 
 def measure_ru(cfg: ScenarioConfig, seeds) -> float:
     """Mean resource utilization of the reference arm across seeds."""
-    ref = "baseline" if cfg.case in (Case.BASELINE, Case.DIVERSITY) \
-        else "legacy_2ca"
-    vals = [run_drop(cfg, s)[ref].resource_utilization for s in seeds]
+    vals = [next(iter(run_drop(cfg, s).values())).resource_utilization
+            for s in seeds]
     return float(np.mean(vals))
 
 

@@ -46,9 +46,14 @@ ftp3_lambda_per_s = 0.5
     assert plan.scenario.traffic.lambda_per_s == 0.5
 
 
-def test_invalid_value_names_the_config_key(tmp_path):
-    with pytest.raises(ConfigurationError, match="isd_m"):
-        parse_config(_write(tmp_path, "isd_m = -5\n"))
+@pytest.mark.parametrize("line", [
+    "isd_m = -5", "channel_update_slots = 0", "scs_khz = 0",
+    "sim_duration_s = nan", "ftp3_lambda_per_s = 0", "ftp3_file_bytes = 0",
+], ids=lambda line: line.split()[0])
+def test_invalid_value_names_the_config_key(tmp_path, line):
+    key = line.split()[0]
+    with pytest.raises(ConfigurationError, match=key):
+        parse_config(_write(tmp_path, f"traffic = ftp3\n{line}\n"))
 
 
 def test_unknown_key_named_with_line(tmp_path):

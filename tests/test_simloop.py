@@ -1,6 +1,7 @@
 """Traffic, scheduling, and drop-loop statistics."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from scipy import stats
 from devmimo import (Case, Ftp3, FullBuffer, ScenarioConfig, ThroughputRecord,
                      calibrate_load, ftp3_arrivals, pf_schedule, run_drop,
                      upt_stats)
+from devmimo import engine, simloop
 from devmimo.simloop import (SchedulerState, measure_ru,
                              percentile_nearest_rank)
-from devmimo import engine
 
 
 TINY = dict(num_rings=0, ues_per_cell=2, sim_duration_s=0.05)
@@ -62,16 +63,38 @@ def test_scheduler_uses_rate_over_average_metric():
     assert out[0] == 1     # metrics 0.5 vs 1.0
 
 
+def _assert_stack_matches_2d(rates, avg, back):
+    """A (2, U, S) stack schedules like two 2-D calls."""
+    out = pf_schedule(np.stack(rates), np.stack(avg), np.stack(back))
+    assert out.shape == (2, rates[0].shape[1])
+    for k in range(2):
+        np.testing.assert_array_equal(
+            out[k], pf_schedule(rates[k], avg[k], back[k]))
+
+
 def test_single_backlogged_user_takes_every_subband():
     rates = np.ones((3, 6))
     out = pf_schedule(rates, np.ones(3), np.array([False, True, False]))
     assert np.all(out == 1)
+    # second cell: the strongest row is padding that is never backlogged
+    rng = np.random.default_rng(5)
+    other = rng.exponential(1.0, (3, 6))
+    other[2] = 100.0
+    _assert_stack_matches_2d(
+        [rates, other], [np.ones(3), rng.uniform(1.0, 2.0, 3)],
+        [np.array([False, True, False]), np.array([True, True, False])])
 
 
 def test_idle_cell_schedules_nobody():
     rates = np.ones((2, 4))
     out = pf_schedule(rates, np.ones(2), np.array([False, False]))
     assert np.all(out == -1)
+    # an idle cell and a backlogged cell with all-zero rates
+    _assert_stack_matches_2d([rates, np.zeros((2, 4))], [np.ones(2)] * 2,
+                             [np.array([False, False]),
+                              np.array([True, True])])
+    assert np.all(pf_schedule(np.zeros((2, 4)), np.ones(2),
+                              np.array([True, True])) == -1)
 
 
 def test_scheduler_long_run_fairness_jain_index():
@@ -145,6 +168,25 @@ def test_served_bytes_conservation_bound():
     assert float(np.sum(stats_["baseline"].served_bytes)) <= bound + 1e-6
 
 
+@pytest.mark.parametrize("traffic", [FullBuffer(), Ftp3(100_000, 20.0)],
+                         ids=["full_buffer", "ftp3"])
+@pytest.mark.parametrize("case", [Case.BASELINE, Case.DIVERSITY,
+                                  Case.RANK_AUG], ids=lambda c: c.value)
+def test_one_pf_update_per_arm_per_slot(monkeypatch, case, traffic):
+    calls = Counter()
+    update = SchedulerState.update
+
+    def counted(self, served_bps):
+        calls[id(self)] += 1
+        update(self, served_bps)
+
+    monkeypatch.setattr(SchedulerState, "update", counted)
+    cfg = ScenarioConfig(num_rings=0, ues_per_cell=2, case=case,
+                         traffic=traffic, sim_duration_s=0.005)   # 10 slots
+    out = run_drop(cfg, 0)
+    assert sorted(calls.values()) == [10] * len(out)
+
+
 def test_full_buffer_diversity_dominates_per_user():
     cfg = ScenarioConfig(case=Case.DIVERSITY, traffic=FullBuffer(), **TINY)
     stats_ = run_drop(cfg, 2)
@@ -161,13 +203,12 @@ def test_lone_file_throughput_matches_isolated_link_rate():
     out = run_drop(cfg, 3)
 
     geo = engine.build_drop_geometry(cfg, 3)
-    rng = np.random.default_rng(np.random.SeedSequence((3, 0xC4)))
-    eng = engine.make_dl_engine(geo, rng)
+    tables = simloop._channel_stage(cfg, geo, 3)
     n_slots = int(round(cfg.sim_duration_s / cfg.slot_s))
     n_refresh = (n_slots + cfg.channel_update_slots - 1) \
         // cfg.channel_update_slots
-    rate = np.mean([eng.refresh(rr, False)["direct"].sum(axis=1)
-                    for rr in range(n_refresh)], axis=0)
+    rate = np.mean([next(tables)[0]["baseline"][0].sum(axis=1)
+                    for _ in range(n_refresh)], axis=0)
 
     per_ue = {}
     for r in out["baseline"].records:
