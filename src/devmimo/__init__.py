@@ -14,8 +14,8 @@ from .errors import (CalibrationError, ConfigurationError, EstimationError,
                      RankDeficiencyError)
 from .localization import (build_virtual_array, localize, noncoherent_aoa,
                            run_loc_experiment, steering_vector)
-from .phy import (effective_se, link_report, mmse_irc_combine, select_rank,
-                  sinr_to_se, svd_precoder, type2_like_precoder)
+from .phy import (effective_se, mmse_irc_combine, select_rank, sinr_to_se,
+                  svd_precoder, type2_like_precoder)
 from .scenario import (Case, CollaborationGroup, DeviceNode, Ftp3, FullBuffer,
                        ScenarioConfig, SiteLayout, build_hex_layout, drop_ues,
                        wraparound_vector)
@@ -29,7 +29,7 @@ __all__ = [
     "ScenarioConfig", "SiteLayout", "ThroughputRecord", "build_hex_layout",
     "build_virtual_array", "calibrate_load", "compose_af_link",
     "diversity_select", "drop_ues", "effective_se", "friis_db",
-    "ftp3_arrivals", "link_report", "localize", "los_probability",
+    "ftp3_arrivals", "localize", "los_probability",
     "mmse_irc_combine", "noncoherent_aoa", "o2i_penetration",
     "o2i_wall_loss_db", "pathloss", "pf_schedule", "relay_gain",
     "relay_rx_beamformer", "run_drop", "run_loc_experiment", "select_rank",

@@ -102,11 +102,6 @@ def o2i_penetration(f_ghz: float, depth_m: float,
     return max(loss, 0.0)
 
 
-def shadowing_db(los: bool, rng: np.random.Generator) -> float:
-    sigma = SHADOWING_SIGMA_LOS_DB if los else SHADOWING_SIGMA_NLOS_DB
-    return float(rng.normal(0.0, sigma))
-
-
 def friis_db(d_m: float, f_ghz: float) -> float:
     """Free-space loss, 32.45 + 20 log10(d_km) + 20 log10(f_MHz)."""
     return 32.45 + 20.0 * math.log10(d_m) + 20.0 * math.log10(f_ghz)

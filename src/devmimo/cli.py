@@ -47,7 +47,6 @@ _KEYS = {
     "loc_snr_db": ("loc_snr_db", float),
     "loc_method": ("loc_method", str),
     "range_sigma_m": ("range_sigma_m", float),
-    "seed": ("seed", int),
 }
 _ATTR_TO_KEY = {attr: key for key, (attr, _) in _KEYS.items()}
 _ATTR_TO_KEY.update(file_bytes="ftp3_file_bytes",
@@ -85,7 +84,7 @@ def parse_config(path: str) -> ExperimentPlan:
     """
     values: dict = {}
     cases, seeds = None, None
-    traffic_kind, file_bytes, lam = None, None, None
+    traffic_kind, ftp = None, {}
     with open(path) as fh:
         for ln, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -105,9 +104,9 @@ def parse_config(path: str) -> ExperimentPlan:
                             "traffic must be full_buffer or ftp3")
                     traffic_kind = val
                 elif key == "ftp3_file_bytes":
-                    file_bytes = int(val)
+                    ftp["file_bytes"] = int(val)
                 elif key == "ftp3_lambda_per_s":
-                    lam = float(val)
+                    ftp["lambda_per_s"] = float(val)
                 elif key in _KEYS:
                     attr, conv = _KEYS[key]
                     values[attr] = conv(val)
@@ -118,11 +117,12 @@ def parse_config(path: str) -> ExperimentPlan:
             except ValueError:
                 raise ConfigurationError(
                     f"{path}:{ln}: bad value for {key}: {val!r}") from None
+    if ftp and traffic_kind != "ftp3":
+        keys = ", ".join(_ATTR_TO_KEY[attr] for attr in ftp)
+        raise ConfigurationError(f"{path}: {keys} needs traffic = ftp3")
     try:
         if traffic_kind == "ftp3":
-            ftp = {"file_bytes": file_bytes, "lambda_per_s": lam}
-            values["traffic"] = Ftp3(**{k: v for k, v in ftp.items()
-                                        if v is not None})
+            values["traffic"] = Ftp3(**ftp)
         elif traffic_kind == "full_buffer":
             values["traffic"] = FullBuffer()
         cfg = ScenarioConfig(**values)
@@ -260,8 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated drop seeds (default: 0)")
     ap.add_argument("--out", default="results",
                     help="output directory (default: results)")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="numpy thread hint (informational)")
     return ap
 
 

@@ -54,21 +54,26 @@ def relay_rx_beamformer(h_first: np.ndarray, r_int: np.ndarray,
 
     Rows are the top left singular vectors of R^-1/2 H, composed with the
     whitener, so strong interferers in R are nulled in the limit.
+    h_first is (..., S, m, n) and r_int (..., S, m, m) with any leading
+    batch axes, or (m, n) / (m, m) for a single subband; subbands are
+    stacked column-wise so the row space is wideband and R is their mean.
+    Returns (..., n_out, m).
     """
-    hw = np.asarray(h_first)
-    if hw.ndim == 3:
-        # stack subbands column-wise so the row space is wideband
-        hw = np.concatenate(list(hw), axis=1)
-    if n_out > hw.shape[0]:
+    h = np.asarray(h_first)
+    if h.ndim == 2:
+        h = h[None]
+    if n_out > h.shape[-2]:
         raise ValueError("n_out exceeds helper antenna count")
     r = np.asarray(r_int)
-    if r.ndim == 3:
-        r = r.mean(axis=0)
-    evals, evecs = np.linalg.eigh(r)
-    evals = np.maximum(evals, 1e-18 * max(float(evals[-1]), 1e-300))
-    r_isqrt = (evecs / np.sqrt(evals)) @ evecs.conj().T
+    if r.ndim == 2:
+        r = r[None]
+    hw = np.concatenate(list(np.moveaxis(h, -3, 0)), axis=-1)  # (..., m, S*n)
+    ev, evec = np.linalg.eigh(r.mean(axis=-3))
+    ev = np.maximum(ev, 1e-18 * np.maximum(ev[..., -1:], 1e-300))
+    r_isqrt = np.einsum("...ab,...b,...cb->...ac", evec, 1.0 / np.sqrt(ev),
+                        evec.conj())
     u, _, _ = np.linalg.svd(r_isqrt @ hw, full_matrices=False)
-    return u[:, :n_out].conj().T @ r_isqrt
+    return np.swapaxes(u[..., :n_out].conj(), -1, -2) @ r_isqrt
 
 
 def relay_gain(input_power_dbm: float, cap_dbm: float) -> float:
@@ -76,24 +81,6 @@ def relay_gain(input_power_dbm: float, cap_dbm: float) -> float:
     if not math.isfinite(input_power_dbm):
         raise ValueError("input power must be finite")
     return 10.0 ** ((cap_dbm - input_power_dbm) / 20.0)
-
-
-def relay_input_power_dbm(h_first: np.ndarray, w: np.ndarray,
-                          precoder_cols: np.ndarray, power_per_layer: float,
-                          r_first: np.ndarray) -> float:
-    """Mean combiner-output power (signal + noise + interference) in dBm."""
-    h = np.asarray(h_first)
-    if h.ndim == 2:
-        h = h[None]
-    r = np.asarray(r_first)
-    if r.ndim == 2:
-        r = np.broadcast_to(r, (h.shape[0],) + r.shape)
-    a = h @ (np.asarray(precoder_cols) * math.sqrt(power_per_layer))
-    sig = np.mean(np.sum(np.abs(np.einsum("om,smk->sok", w, a)) ** 2,
-                         axis=(1, 2)))
-    nse = np.mean(np.real(np.einsum("om,smn,on->s", w, r, w.conj())))
-    p = max(sig + nse, 1e-300)
-    return 10.0 * math.log10(p * 1e3)
 
 
 def compose_af_link(chain: RelayChain) -> EffectiveLink:
@@ -148,10 +135,3 @@ def stack_tx(h_direct: np.ndarray, relayed: EffectiveLink) -> EffectiveLink:
     return EffectiveLink(np.concatenate([hd, hr], axis=2),
                          _ensure3(relayed.r_nn), Provenance.STACKED)
 
-
-def case_select_semistatic(direct_quality_fl_db: float,
-                           direct_quality_fh_db: float,
-                           threshold_db: float = -3.0) -> str:
-    """Semi-static network decision: collaborate when the high band is too
-    weak for direct use; the boundary stays legacy."""
-    return "collaborate" if direct_quality_fh_db < threshold_db else "legacy_2ca"

@@ -1,9 +1,11 @@
 """Batched per-drop machinery: large-scale geometry tables, vectorized
-clustered-channel realization, and per-refresh rate tables for the DL
-diversity and UL rank-augmentation programs.
+clustered-channel realization, and the per-refresh orchestration that turns
+them into rate tables for the DL diversity and UL rank-augmentation
+programs.
 
-Everything here is internal to the drop loop; the public operation
-contracts live in scenario/channel/phy/collab/simloop.
+Everything here is internal to the drop loop; the link-adaptation kernels
+it calls (rank selection, beam codebook, MMSE SE, relay beamformer and
+gain) live in phy and collab.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channel as ch
-from .phy import AMP_LEVELS, SE_CAP_BPS_HZ
+from .collab import relay_gain, relay_rx_beamformer
+from .phy import (batched_beam_precoder, batched_mmse_se,
+                  batched_rank_select)
 from .scenario import (BS_DOWNTILT_DEG, BS_HEIGHT_M, UE_HEIGHT_M,
                        ScenarioConfig, SiteLayout, bs_port_array,
                        build_hex_layout, drop_ues, rot_y, rot_z, ue_array,
@@ -257,110 +261,6 @@ def realize_links(rng: np.random.Generator, f_ghz: float, subc_hz: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# batched precoding helpers
-# ---------------------------------------------------------------------------
-
-def batched_rank_select(h: np.ndarray, power: np.ndarray, noise_w: float,
-                        max_rank: int):
-    """Rank selection under white noise for a batch of channels.
-
-    h is (U, S, m, n); returns (ranks (U,), v (U, n, max_rank)) where v holds
-    the top right singular vectors of the wideband channel.
-    """
-    u_n, s_n, m, n = h.shape
-    hw = h.reshape(u_n, s_n * m, n)
-    _, sv, vh = np.linalg.svd(hw, full_matrices=False)
-    v = vh[:, :max_rank].conj().transpose(0, 2, 1)             # (U, n, rmax)
-    num_rank = np.sum(sv > 1e-10 * np.maximum(sv[:, :1], 1e-300), axis=1)
-
-    best_se = np.full(u_n, -1.0)
-    ranks = np.ones(u_n, dtype=int)
-    for r in range(1, max_rank + 1):
-        p = v[:, :, :r] * np.sqrt(power / r)[:, None, None]
-        a = h @ p[:, None]                                     # (U, S, m, r)
-        g = a.conj().transpose(0, 1, 3, 2) @ a / noise_w
-        t = np.eye(r) + g
-        diag = np.real(np.einsum("uskk->usk", np.linalg.inv(t)))
-        sinr = np.maximum(1.0 / np.maximum(diag, 1e-300) - 1.0, 0.0)
-        se = np.sum(np.mean(np.minimum(np.log2(1.0 + sinr), SE_CAP_BPS_HZ),
-                            axis=1), axis=1)
-        ok = (r <= num_rank) & (se > best_se + 1e-12)
-        ranks[ok] = r
-        best_se[ok] = se[ok]
-    return ranks, v
-
-
-def batched_beam_precoder(h: np.ndarray, ranks: np.ndarray,
-                          n_beams: int = 4, oversampling: int = 4):
-    """Batched simplified beam-combination precoder.
-
-    Returns (U, n_tx, rmax) with orthonormal columns; columns beyond each
-    UE's rank are zeroed.
-    """
-    u_n = h.shape[0]
-    hw = h.reshape(u_n, -1, h.shape[-1])
-    n_tx = hw.shape[-1]
-    n_beams = min(n_beams, n_tx)
-    rmax = int(ranks.max())
-
-    _, _, vh = np.linalg.svd(hw, full_matrices=False)
-    v = vh[:, :rmax].conj().transpose(0, 2, 1)                 # (U, n, rmax)
-
-    n = np.arange(n_tx)[:, None]
-    m = np.arange(n_tx)[None, :]
-    bases = np.stack([np.exp(2j * math.pi * n * (m + q / oversampling) / n_tx)
-                      / math.sqrt(n_tx) for q in range(oversampling)])
-    pw = np.stack([np.sum(np.abs(hw @ bases[q]) ** 2, axis=1)
-                   for q in range(oversampling)])              # (O, U, n)
-    top = -np.sort(-pw, axis=2)[:, :, :n_beams].sum(axis=2)    # (O, U)
-    qsel = np.argmax(top, axis=0)                              # (U,)
-    pw_sel = pw[qsel, np.arange(u_n)]                          # (U, n)
-    idx = np.sort(np.argsort(-pw_sel, axis=1)[:, :n_beams], axis=1)
-    basis = np.take_along_axis(bases[qsel], idx[:, None, :], axis=2)  # (U,n,nb)
-
-    coef = np.einsum("unb,unr->ubr", basis.conj(), v)          # (U, nb, rmax)
-    mag = np.abs(coef)
-    ref = np.argmax(mag, axis=1)                               # (U, rmax)
-    mx = np.take_along_axis(mag, ref[:, None, :], axis=1)      # (U, 1, rmax)
-    mx = np.maximum(mx, 1e-300)
-    lev = AMP_LEVELS[np.argmin(np.abs(mag[..., None] / mx[..., None]
-                                      - AMP_LEVELS), axis=-1)]
-    ref_ph = np.take_along_axis(np.angle(coef), ref[:, None, :], axis=1)
-    ph = np.round((np.angle(coef) - ref_ph) / (math.pi / 4.0)) * (math.pi / 4.0)
-    coef_q = mx * lev * np.exp(1j * (ph + ref_ph))
-
-    p = basis @ coef_q                                         # (U, n, rmax)
-    # pad rank-deficient columns with SVD directions for a stable QR
-    col = np.arange(rmax)[None, :]
-    dead = col >= ranks[:, None]
-    p = np.where(dead[:, None, :], v, p)
-    qm, rm = np.linalg.qr(p)
-    bad = np.min(np.abs(np.einsum("ukk->uk", rm)), axis=1) < 1e-9
-    if np.any(bad):
-        qm[bad] = v[bad]
-    qm = np.where(dead[:, None, :], 0.0, qm)
-    return qm
-
-
-def batched_mmse_se(h: np.ndarray, p: np.ndarray, p_layer: np.ndarray,
-                    r_nn: np.ndarray, cap: float = SE_CAP_BPS_HZ) -> np.ndarray:
-    """Per-subband capped SE for batched links.
-
-    h (U,S,m,n), p (U,n,r) orthonormal-or-zero columns, p_layer (U,),
-    r_nn (U,S,m,m).  Returns (U, S) summed over layers.
-    """
-    a = h @ (p[:, None] * np.sqrt(p_layer)[:, None, None, None])
-    ra = np.linalg.solve(r_nn, a)
-    g = a.conj().transpose(0, 1, 3, 2) @ ra
-    t = np.eye(p.shape[-1]) + g
-    diag = np.real(np.einsum("uskk->usk", np.linalg.inv(t)))
-    active = np.real(np.einsum("unk,unk->uk", p.conj(), p)) > 0.5  # (U, r)
-    sinr = np.maximum(1.0 / np.maximum(diag, 1e-300) - 1.0, 0.0)
-    se = np.minimum(np.log2(1.0 + sinr), cap) * active[:, None, :]
-    return np.sum(se, axis=2)
-
-
-# ---------------------------------------------------------------------------
 # DL refresh (baseline + diversity arms)
 # ---------------------------------------------------------------------------
 
@@ -483,15 +383,9 @@ class DlEngine:
         # whitened-MRC combiner per helper (wideband); each output stream is
         # forwarded on its own spare f_H chunk, so streams stay orthogonal
         # and the forwarded first-hop noise is white across streams
-        n_str = min(cfg.relay_streams, self.help_elem.shape[0])
-        r_wb = r_help.mean(axis=1)
-        ev, evec = np.linalg.eigh(r_wb)
-        ev = np.maximum(ev, 1e-18 * np.maximum(ev[:, -1:], 1e-300))
-        r_isqrt = np.einsum("uab,ub,ucb->uac", evec, 1.0 / np.sqrt(ev),
-                            evec.conj())
-        hw = np.concatenate(list(np.moveaxis(h_sh, 1, 0)), axis=2)  # (U,4,S*n)
-        uvec, _, _ = np.linalg.svd(r_isqrt @ hw, full_matrices=False)
-        w = uvec[:, :, :n_str].conj().transpose(0, 2, 1) @ r_isqrt  # (U,o,4)
+        # (the relay cannot forward more streams than the BS transmits)
+        n_str = min(cfg.relay_streams, self.help_elem.shape[0], cfg.bs_ports)
+        w = relay_rx_beamformer(h_sh, r_help, n_str)                # (U,o,4)
 
         # f_H interference at the primary: legacy co-channel transmissions
         # at the configured duty cycle
@@ -682,8 +576,7 @@ class UlEngine:
         p_split = p_tot / 2.0
         p_in = self.local_amp ** 2 * p_split + max_ul * thermal_noise_w(
             cfg.subband_hz, NF_HELPER_DB)
-        g = 10.0 ** ((cfg.relay_max_tx_dbm
-                      - 10.0 * math.log10(p_in * 1e3)) / 20.0)
+        g = relay_gain(10.0 * math.log10(p_in * 1e3), cfg.relay_max_tx_dbm)
         a_rel = self.local_amp * g
         h_stack = np.concatenate([h_fl, a_rel * h_rel], axis=3)
         r_stack = r_fl[serving] + (g ** 2) * thermal_noise_w(

@@ -57,13 +57,6 @@ def steering_vector(va: VirtualArray, az_deg, el_deg,
     return np.exp(1j * k * np.einsum("na,...a->n...", va.element_pos, u))
 
 
-@dataclass
-class DeviceResponse:
-    """Per-device snapshot matrix (n_elem_d, n_snapshots)."""
-    device: int
-    snapshots: np.ndarray
-
-
 def estimate_device_response(rx: np.ndarray, pilots: np.ndarray) -> np.ndarray:
     """Least-squares channel estimate per pilot tone, h_hat = y / s."""
     pilots = np.asarray(pilots)

@@ -74,55 +74,23 @@ AMP_LEVELS = np.concatenate([[0.0], np.sqrt(2.0) ** -(np.arange(6, -1, -1))])
 
 
 def type2_like_precoder(h_est: np.ndarray, n_beams: int, rank: int,
-                        power: float, oversampling: int = 4,
-                        quantize: bool = True) -> Precoder:
-    """Beam-combination codebook precoder.
+                        power: float, oversampling: int = 4) -> Precoder:
+    """Beam-combination codebook precoder (a batch of one of
+    `batched_beam_precoder`).
 
     Per layer, a linear combination of the strongest orthogonal grid-DFT
     beams (one oversampling rotation) with 3-bit wideband amplitudes and
     8-PSK co-phasing, chosen to track the top singular directions of the
-    channel estimate.  With n_beams == n_tx and quantization off this
-    reduces to the SVD precoder up to a unitary basis change.
+    channel estimate.
     """
     hw = _wideband(h_est)
-    n_tx = hw.shape[1]
-    n_beams = min(n_beams, n_tx)
-    if n_beams < rank:
+    if min(n_beams, hw.shape[1]) < rank:
         raise ValueError("n_beams must be >= rank")
-
-    best = None
-    for q in range(oversampling):
-        basis = _dft_beams(n_tx, q, oversampling)
-        pwr = np.sum(np.abs(hw @ basis) ** 2, axis=0)
-        idx = np.argsort(pwr)[::-1][:n_beams]
-        cap = float(np.sum(pwr[idx]))
-        if best is None or cap > best[0]:
-            best = (cap, basis[:, np.sort(idx)])
-    b_sel = best[1]
-
-    _, s, vh = np.linalg.svd(hw, full_matrices=False)
-    v = vh[:rank].conj().T                       # (n_tx, rank)
-    coef = b_sel.conj().T @ v                    # (n_beams, rank)
-    if quantize:
-        qc = np.zeros_like(coef)
-        for l in range(rank):
-            c = coef[:, l]
-            ref = np.argmax(np.abs(c))
-            mx = np.abs(c[ref])
-            if mx <= 0:
-                continue
-            amp = AMP_LEVELS[np.argmin(
-                np.abs(np.abs(c[:, None]) / mx - AMP_LEVELS[None, :]), axis=1)]
-            ph = np.angle(c) - np.angle(c[ref])
-            ph = np.round(ph / (math.pi / 4.0)) * (math.pi / 4.0)
-            qc[:, l] = mx * amp * np.exp(1j * (ph + np.angle(c[ref])))
-        coef = qc
-    p = b_sel @ coef
-    # re-orthonormalize; fall back to untouched columns on degeneracy
-    qmat, rmat = np.linalg.qr(p)
-    if np.min(np.abs(np.diag(rmat))) < 1e-12:
-        return svd_precoder(h_est, rank, power)
-    return Precoder(qmat, power / rank)
+    if rank > hw.shape[0]:
+        raise RankDeficiencyError(f"rank {rank} infeasible for shape {hw.shape}")
+    p = batched_beam_precoder(hw[None], np.array([rank]), n_beams,
+                              oversampling)
+    return Precoder(p[0], power / rank)
 
 
 def _solve_psd(r: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -133,6 +101,14 @@ def _solve_psd(r: np.ndarray, b: np.ndarray) -> np.ndarray:
         n = r.shape[-1]
         eps = 1e-12 * np.trace(r).real / n + 1e-300
         return np.linalg.solve(r + eps * np.eye(n), b)
+
+
+def _layer_sinr(g: np.ndarray) -> np.ndarray:
+    """Per-layer MMSE SINR 1 / [(I + G)^-1]_kk - 1 from G = A^H R^-1 A,
+    for any leading batch axes (..., r, r) -> (..., r)."""
+    t = np.eye(g.shape[-1]) + g
+    diag = np.real(np.einsum("...kk->...k", np.linalg.inv(t)))
+    return np.maximum(1.0 / np.maximum(diag, 1e-300) - 1.0, 0.0)
 
 
 def mmse_irc_combine(h_eff: np.ndarray, precoder: Precoder,
@@ -154,10 +130,7 @@ def mmse_irc_combine(h_eff: np.ndarray, precoder: Precoder,
         r = np.broadcast_to(r, (h.shape[0],) + r.shape)
     a = h @ (precoder.matrix * math.sqrt(precoder.power_per_layer))
     w = _solve_psd(a @ a.conj().transpose(0, 2, 1) + r, a)
-    t = np.eye(a.shape[2]) + a.conj().transpose(0, 2, 1) @ _solve_psd(r, a)
-    tinv = np.linalg.inv(t)
-    diag = np.real(np.einsum("skk->sk", tinv))
-    sinr = np.maximum(1.0 / np.maximum(diag, 1e-300) - 1.0, 0.0)
+    sinr = _layer_sinr(a.conj().transpose(0, 2, 1) @ _solve_psd(r, a))
     if squeeze:
         return w[0], sinr[0]
     return w, sinr
@@ -191,31 +164,112 @@ def mutual_information(a: np.ndarray, r_nn: np.ndarray) -> float:
     return float(logdet / math.log(2.0))
 
 
-def link_report(h_eff: np.ndarray, precoder: Precoder, r_nn: np.ndarray,
-                cap_bps_hz: float = SE_CAP_BPS_HZ) -> LinkReport:
-    h = np.asarray(h_eff)
-    if h.ndim == 2:
-        h = h[None]
-    _, sinr = mmse_irc_combine(h, precoder, r_nn)
-    return LinkReport(h, np.asarray(r_nn), sinr,
-                      effective_se(sinr, cap_bps_hz), precoder.n_layers)
-
-
-def select_rank(h_eff: np.ndarray, r_nn: np.ndarray, power: float,
-                max_rank: int, cap_bps_hz: float = SE_CAP_BPS_HZ) -> int:
+def select_rank(h_eff: np.ndarray, noise_w: float, power: float,
+                max_rank: int) -> int:
     """Rank in [1, max_rank] maximizing effective SE under SVD precoding
-    with an equal power split."""
+    with an equal power split and white noise of power noise_w (a batch of
+    one of `batched_rank_select`)."""
     if max_rank < 1:
         raise ValueError("max_rank must be >= 1")
     h = np.asarray(h_eff)
-    hw = _wideband(h)
-    s = np.linalg.svd(hw, compute_uv=False)
-    num_rank = int(np.sum(s > _RANK_TOL * max(s[0], 1e-300)))
-    best_r, best_se = 1, -1.0
-    for r in range(1, min(max_rank, num_rank) + 1):
-        pre = svd_precoder(h, r, power)
-        _, sinr = mmse_irc_combine(h if h.ndim == 3 else h[None], pre, r_nn)
-        se = effective_se(sinr, cap_bps_hz)
-        if se > best_se + 1e-12:
-            best_r, best_se = r, se
-    return best_r
+    if h.ndim == 2:
+        h = h[None]
+    ranks, _ = batched_rank_select(h[None], np.array([power]), noise_w,
+                                   max_rank)
+    return int(ranks[0])
+
+
+# ---------------------------------------------------------------------------
+# batched link-adaptation kernels (the drop path; the scalar API above is a
+# batch of one of these)
+# ---------------------------------------------------------------------------
+
+def batched_rank_select(h: np.ndarray, power: np.ndarray, noise_w: float,
+                        max_rank: int):
+    """Rank selection under white noise for a batch of channels.
+
+    h is (U, S, m, n); returns (ranks (U,), v (U, n, r)) where v holds the
+    top r <= max_rank right singular vectors of the wideband channel.
+    """
+    u_n, s_n, m, n = h.shape
+    hw = h.reshape(u_n, s_n * m, n)
+    _, sv, vh = np.linalg.svd(hw, full_matrices=False)
+    v = vh[:, :max_rank].conj().transpose(0, 2, 1)             # (U, n, r)
+    num_rank = np.sum(sv > _RANK_TOL * np.maximum(sv[:, :1], 1e-300), axis=1)
+
+    best_se = np.full(u_n, -1.0)
+    ranks = np.ones(u_n, dtype=int)
+    for r in range(1, min(max_rank, v.shape[-1]) + 1):
+        p = v[:, :, :r] * np.sqrt(power / r)[:, None, None]
+        a = h @ p[:, None]                                     # (U, S, m, r)
+        sinr = _layer_sinr(a.conj().transpose(0, 1, 3, 2) @ a / noise_w)
+        se = np.sum(np.mean(sinr_to_se(sinr), axis=1), axis=1)
+        ok = (r <= num_rank) & (se > best_se + 1e-12)
+        ranks[ok] = r
+        best_se[ok] = se[ok]
+    return ranks, v
+
+
+def batched_beam_precoder(h: np.ndarray, ranks: np.ndarray,
+                          n_beams: int = 4, oversampling: int = 4):
+    """Batched simplified beam-combination precoder.
+
+    Returns (U, n_tx, rmax) with orthonormal columns; columns beyond each
+    UE's rank are zeroed.
+    """
+    u_n = h.shape[0]
+    hw = h.reshape(u_n, -1, h.shape[-1])
+    n_tx = hw.shape[-1]
+    n_beams = min(n_beams, n_tx)
+    rmax = int(ranks.max())
+
+    _, _, vh = np.linalg.svd(hw, full_matrices=False)
+    v = vh[:, :rmax].conj().transpose(0, 2, 1)                 # (U, n, rmax)
+
+    bases = np.stack([_dft_beams(n_tx, q, oversampling)
+                      for q in range(oversampling)])
+    pw = np.stack([np.sum(np.abs(hw @ bases[q]) ** 2, axis=1)
+                   for q in range(oversampling)])              # (O, U, n)
+    top = -np.sort(-pw, axis=2)[:, :, :n_beams].sum(axis=2)    # (O, U)
+    qsel = np.argmax(top, axis=0)                              # (U,)
+    pw_sel = pw[qsel, np.arange(u_n)]                          # (U, n)
+    idx = np.sort(np.argsort(-pw_sel, axis=1)[:, :n_beams], axis=1)
+    basis = np.take_along_axis(bases[qsel], idx[:, None, :], axis=2)  # (U,n,nb)
+
+    coef = np.einsum("unb,unr->ubr", basis.conj(), v)          # (U, nb, rmax)
+    mag = np.abs(coef)
+    ref = np.argmax(mag, axis=1)                               # (U, rmax)
+    mx = np.take_along_axis(mag, ref[:, None, :], axis=1)      # (U, 1, rmax)
+    mx = np.maximum(mx, 1e-300)
+    lev = AMP_LEVELS[np.argmin(np.abs(mag[..., None] / mx[..., None]
+                                      - AMP_LEVELS), axis=-1)]
+    ref_ph = np.take_along_axis(np.angle(coef), ref[:, None, :], axis=1)
+    ph = np.round((np.angle(coef) - ref_ph) / (math.pi / 4.0)) * (math.pi / 4.0)
+    coef_q = mx * lev * np.exp(1j * (ph + ref_ph))
+
+    p = basis @ coef_q                                         # (U, n, rmax)
+    # pad rank-deficient columns with SVD directions for a stable QR
+    col = np.arange(rmax)[None, :]
+    dead = col >= ranks[:, None]
+    p = np.where(dead[:, None, :], v, p)
+    qm, rm = np.linalg.qr(p)
+    bad = np.min(np.abs(np.einsum("ukk->uk", rm)), axis=1) < 1e-9
+    if np.any(bad):
+        qm[bad] = v[bad]
+    qm = np.where(dead[:, None, :], 0.0, qm)
+    return qm
+
+
+def batched_mmse_se(h: np.ndarray, p: np.ndarray, p_layer: np.ndarray,
+                    r_nn: np.ndarray, cap: float = SE_CAP_BPS_HZ) -> np.ndarray:
+    """Per-subband capped SE for batched links.
+
+    h (U,S,m,n), p (U,n,r) orthonormal-or-zero columns, p_layer (U,),
+    r_nn (U,S,m,m).  Returns (U, S) summed over layers.
+    """
+    a = h @ (p[:, None] * np.sqrt(p_layer)[:, None, None, None])
+    ra = np.linalg.solve(r_nn, a)
+    sinr = _layer_sinr(a.conj().transpose(0, 1, 3, 2) @ ra)
+    active = np.real(np.einsum("unk,unk->uk", p.conj(), p)) > 0.5  # (U, r)
+    se = sinr_to_se(sinr, cap) * active[:, None, :]
+    return np.sum(se, axis=2)

@@ -7,7 +7,7 @@ numpy Generator, so drops can be reproduced bit-exactly from a seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Optional, Union
 
@@ -97,7 +97,6 @@ class ScenarioConfig:
     bs_tx_dbm: float = 44.0
     traffic: Traffic = field(default_factory=FullBuffer)
     case: Case = Case.BASELINE
-    seed: int = 0
 
     # simulation controls (documented config keys, not scenario physics)
     sim_duration_s: float = 1.0
@@ -111,27 +110,33 @@ class ScenarioConfig:
     loc_snr_db: float = 10.0
     loc_method: str = "bartlett"         # or "music"
     range_sigma_m: float = 1.0
-    pose_error_m: float = 0.0
 
     def __post_init__(self):
-        if self.isd <= 0:
-            raise ConfigurationError("isd must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigurationError(f"{f.name} must be finite")
         if self.num_rings < 0:
             raise ConfigurationError("num_rings must be >= 0")
         if self.f_low_ghz >= self.f_high_ghz:
             raise ConfigurationError("f_low_ghz must be below f_high_ghz")
         for name in ("cells_per_site", "ues_per_cell", "bs_ports",
-                     "helper_rx_antennas"):
+                     "helper_rx_antennas", "relay_streams", "loc_users"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
+        if self.max_interferers < 0:
+            raise ConfigurationError("max_interferers must be >= 0")
         if self.ue_dl_config[0] < 1 or self.ue_dl_config[1] < 1:
             raise ConfigurationError("ue_dl_config counts must be >= 1")
         if self.ue_ul_config[0] < 1 or self.ue_ul_config[1] < 1:
             raise ConfigurationError("ue_ul_config counts must be >= 1")
-        for name in ("scs_khz", "sim_duration_s"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigurationError(f"{name} must be positive and finite")
+        for name in ("isd", "scs_khz", "sim_duration_s", "helper_distance_m"):
+            if getattr(self, name) <= 0:
+                raise ConfigurationError(f"{name} must be positive")
+        if not 0.0 <= self.fh_activity <= 1.0:
+            raise ConfigurationError("fh_activity must be in [0, 1]")
+        if self.range_sigma_m < 0:
+            raise ConfigurationError("range_sigma_m must be >= 0")
         if self.channel_update_slots < 1:
             raise ConfigurationError("channel_update_slots must be >= 1")
         if self.n_prb < 1:

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from devmimo import (LargeScale, friis_db, los_probability, o2i_penetration,
                      o2i_wall_loss_db, pathloss)
 from devmimo.channel import (assemble_channel, gen_rays, local_link_channel)
-from devmimo.scenario import DeviceKind, DeviceNode, ula
+from devmimo.engine import realize_links
+from devmimo.scenario import (DeviceKind, DeviceNode, bs_port_array, rot_y,
+                              rot_z, ue_array, ula)
 
 
 def test_urban_macro_los_pathloss_reference_point():
@@ -151,3 +155,37 @@ def test_local_link_rejects_coincident_devices():
     helper = _device(1, DeviceKind.HELPER, [0.0, 0.0, 1.5], primary_id=0)
     with pytest.raises(ValueError):
         local_link_channel(prim, helper, 6.0, np.array([0.0]))
+
+
+_coord = st.floats(-300.0, 300.0)
+_angle = st.floats(-180.0, 180.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), los=st.booleans(),
+       tx_xy=st.tuples(_coord, _coord), rx_xy=st.tuples(_coord, _coord),
+       tx_az=_angle, tilt=st.floats(0.0, 20.0),
+       rx_az=_angle, rx_tilt=_angle, loss_db=st.floats(60.0, 160.0))
+def test_batched_realization_matches_ray_assembly(seed, los, tx_xy, rx_xy,
+                                                  tx_az, tilt, rx_az, rx_tilt,
+                                                  loss_db):
+    """engine.realize_links on a batch of one equals gen_rays followed by
+    assemble_channel drawn from the same generator state."""
+    f_ghz = 2.0
+    subc = (np.arange(6) - 2.5) * 1.44e6
+    bs, ue = bs_port_array(8, f_ghz), ue_array(4, f_ghz)
+    tx_pos = np.array([tx_xy[0], tx_xy[1], 25.0])
+    rx_pos = np.array([rx_xy[0], rx_xy[1], 1.5])
+    tx_rot = rot_z(tx_az) @ rot_y(tilt)
+    rx_rot = rot_z(rx_az) @ rot_y(rx_tilt)
+
+    h = realize_links(np.random.default_rng(seed), f_ghz, subc,
+                      tx_pos[None], rx_pos[None], tx_rot[None], rx_rot[None],
+                      bs.positions, ue.positions,
+                      np.array([10.0 ** (-loss_db / 20.0)]), np.array([los]),
+                      tx_sector=True)[0]
+    rays = gen_rays(tx_pos, rx_pos, los, np.random.default_rng(seed))
+    ref = assemble_channel(rays, bs, tx_rot, ue, rx_rot,
+                           LargeScale(loss_db, los=los), subc, f_ghz).h
+    assert h.shape == ref.shape == (6, 4, 8)
+    assert np.linalg.norm(h - ref) <= 1e-12 * np.linalg.norm(ref)

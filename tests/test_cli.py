@@ -46,19 +46,35 @@ ftp3_lambda_per_s = 0.5
     assert plan.scenario.traffic.lambda_per_s == 0.5
 
 
-@pytest.mark.parametrize("line", [
+def _last_key(text):
+    return text.splitlines()[-1].split()[0]
+
+
+@pytest.mark.parametrize("text", [
     "isd_m = -5", "channel_update_slots = 0", "scs_khz = 0",
-    "sim_duration_s = nan", "ftp3_lambda_per_s = 0", "ftp3_file_bytes = 0",
-], ids=lambda line: line.split()[0])
-def test_invalid_value_names_the_config_key(tmp_path, line):
+    "sim_duration_s = nan", "traffic = ftp3\nftp3_lambda_per_s = 0",
+    "traffic = ftp3\nftp3_file_bytes = 0", "relay_streams = 0",
+    "helper_distance_m = 0", "fh_activity = -1", "max_interferers = -1",
+    "loc_users = 0", "range_sigma_m = -1", "loc_snr_db = nan",
+    "bs_tx_dbm = nan", "relay_max_tx_dbm = nan", "f_high_ghz = inf",
+    "bandwidth_mhz = nan", "semistatic_threshold_db = nan",
+    pytest.param("isd_m = nan", id="isd_m-nan"),
+    pytest.param("ftp3_file_bytes = 1000", id="ftp3_file_bytes-full_buffer"),
+    pytest.param("traffic = full_buffer\nftp3_lambda_per_s = 1",
+                 id="ftp3_lambda_per_s-full_buffer"),
+], ids=_last_key)
+def test_invalid_value_names_the_config_key(tmp_path, text):
+    with pytest.raises(ConfigurationError, match=_last_key(text)):
+        parse_config(_write(tmp_path, text + "\n"))
+
+
+@pytest.mark.parametrize("line", ["fooo = 1", "seed = 7"],
+                         ids=lambda line: line.split()[0])
+def test_unknown_key_named_with_line(tmp_path, line):
     key = line.split()[0]
-    with pytest.raises(ConfigurationError, match=key):
-        parse_config(_write(tmp_path, f"traffic = ftp3\n{line}\n"))
-
-
-def test_unknown_key_named_with_line(tmp_path):
-    with pytest.raises(ConfigurationError, match="fooo"):
-        parse_config(_write(tmp_path, "fooo = 1\n"))
+    with pytest.raises(ConfigurationError,
+                       match=f":1: unknown config key '{key}'"):
+        parse_config(_write(tmp_path, line + "\n"))
 
 
 def test_malformed_line_reports_location(tmp_path):

@@ -195,6 +195,15 @@ def test_full_buffer_diversity_dominates_per_user():
     assert np.all(div >= base - 1e-6)
 
 
+def test_single_port_diversity_drop_runs():
+    # one BS port: the relay forwards at most one stream
+    cfg = ScenarioConfig(case=Case.DIVERSITY, bs_ports=1, **TINY)
+    stats_ = run_drop(cfg, 0)
+    for arm in ("baseline", "diversity"):
+        served = stats_[arm].served_bytes
+        assert np.all(np.isfinite(served)) and served.sum() > 0
+
+
 def test_lone_file_throughput_matches_isolated_link_rate():
     # one user per cell: every file is served with the entire band, so
     # its throughput approaches the user's full-band link rate
