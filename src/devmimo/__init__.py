@@ -8,8 +8,8 @@ operation in a multi-cell deployment.
 
 from .channel import (LargeScale, friis_db, los_probability, o2i_penetration,
                       o2i_wall_loss_db, pathloss)
-from .collab import (PathChoice, RelayChain, compose_af_link, diversity_select,
-                     relay_gain, relay_rx_beamformer, stack_rx, stack_tx)
+from .collab import (RelayChain, compose_af_link, relay_gain,
+                     relay_rx_beamformer, stack_rx, stack_tx)
 from .errors import (CalibrationError, ConfigurationError, EstimationError,
                      RankDeficiencyError)
 from .localization import (build_virtual_array, localize, noncoherent_aoa,
@@ -25,10 +25,9 @@ from .simloop import (DropStats, ThroughputRecord, calibrate_load,
 __all__ = [
     "CalibrationError", "Case", "CollaborationGroup", "ConfigurationError",
     "DeviceNode", "DropStats", "EstimationError", "Ftp3", "FullBuffer",
-    "LargeScale", "PathChoice", "RankDeficiencyError", "RelayChain",
+    "LargeScale", "RankDeficiencyError", "RelayChain",
     "ScenarioConfig", "SiteLayout", "ThroughputRecord", "build_hex_layout",
-    "build_virtual_array", "calibrate_load", "compose_af_link",
-    "diversity_select", "drop_ues", "effective_se", "friis_db",
+    "build_virtual_array", "calibrate_load", "compose_af_link", "drop_ues", "effective_se", "friis_db",
     "ftp3_arrivals", "localize", "los_probability",
     "mmse_irc_combine", "noncoherent_aoa", "o2i_penetration",
     "o2i_wall_loss_db", "pathloss", "pf_schedule", "relay_gain",

@@ -1,5 +1,5 @@
-"""Device-collaboration core: frequency-translation AF relay chains,
-diversity path selection, and rank-augmented stacked links."""
+"""Device-collaboration core: frequency-translation AF relay chains and
+rank-augmented stacked links."""
 
 from __future__ import annotations
 
@@ -9,18 +9,11 @@ from enum import Enum
 
 import numpy as np
 
-from .phy import LinkReport
-
 
 class Provenance(Enum):
     DIRECT = "direct"
     RELAYED = "relayed"
     STACKED = "stacked"
-
-
-class PathChoice(Enum):
-    DIRECT = "direct"
-    RELAYED = "relayed"
 
 
 @dataclass
@@ -102,13 +95,6 @@ def compose_af_link(chain: RelayChain) -> EffectiveLink:
 def _ensure3(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     return x[None] if x.ndim == 2 else x
-
-
-def diversity_select(direct: LinkReport, relayed: LinkReport) -> PathChoice:
-    """Pick the arm with the larger spectral efficiency; ties go direct."""
-    if relayed.se_bps_hz > direct.se_bps_hz:
-        return PathChoice.RELAYED
-    return PathChoice.DIRECT
 
 
 def stack_rx(direct: EffectiveLink, relayed: EffectiveLink) -> EffectiveLink:

@@ -33,15 +33,6 @@ class Precoder:
         return self.power_per_layer * self.n_layers
 
 
-@dataclass
-class LinkReport:
-    h_eff: np.ndarray           # (S, n_rx, n_tx) effective channel
-    r_nn: np.ndarray            # (S, n_rx, n_rx) noise covariance
-    sinr: np.ndarray            # (S, n_layers) linear
-    se_bps_hz: float
-    rank: int
-
-
 def _wideband(h: np.ndarray) -> np.ndarray:
     """Collapse an (S, m, n) channel to a single matrix for precoding by
     stacking subbands vertically (preserves the row space per subband)."""

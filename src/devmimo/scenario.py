@@ -168,6 +168,17 @@ class ScenarioConfig:
         """Slot duration from SCS (0.5 ms at 30 kHz)."""
         return 1e-3 * 15.0 / self.scs_khz
 
+    @property
+    def n_slots(self) -> int:
+        """Slots in one drop (at least one)."""
+        return max(round(self.sim_duration_s / self.slot_s), 1)
+
+    @property
+    def n_refreshes(self) -> int:
+        """Channel refreshes in one drop: at slot 0, then every
+        channel_update_slots slots."""
+        return -(-self.n_slots // self.channel_update_slots)
+
     def subband_centers_hz(self) -> np.ndarray:
         """Baseband subband center offsets, symmetric around the carrier."""
         n = self.n_subbands

@@ -206,30 +206,28 @@ def _channel_stage(cfg: ScenarioConfig, geo: engine.DropGeometry, seed: int):
         yield arms, relayed
 
 
-def run_drop(cfg: ScenarioConfig, seed: int) -> dict:
-    """Simulate one drop; returns {arm_name: DropStats}, reference arm first.
+def _scheduling_stage(cfg: ScenarioConfig, seed: int, ue_of_cell,
+                      tables) -> dict:
+    """Run the slot loop of one drop against per-refresh rate tables.
 
-    Every arm sees the same geometry, channel stream and arrivals.  Under
-    full buffer the diversity arm is served under the baseline arm's PF
-    allocation, so its per-user dominance over the baseline is exact.
+    `ue_of_cell` lists each cell's UEs (from the drop geometry) and
+    `tables` yields at least cfg.n_refreshes items of `_channel_stage`;
+    arrivals come from the drop's traffic stream.  Returns {arm_name:
+    DropStats}, reference arm first.
     """
-    if cfg.case not in (Case.BASELINE, Case.DIVERSITY, Case.RANK_AUG):
-        raise ConfigurationError(f"case {cfg.case} has no drop program")
-    geo = engine.build_drop_geometry(cfg, seed)
-    n_ues = geo.n_ues
-    n_slots = max(int(round(cfg.sim_duration_s / cfg.slot_s)), 1)
+    n_ues = sum(map(len, ue_of_cell))
     full_buffer = isinstance(cfg.traffic, FullBuffer)
     shared = full_buffer and cfg.case is Case.DIVERSITY
 
     # (cells x widest cell) UE index; padding is never backlogged
-    cells = [ues for ues in geo.ue_of_cell if len(ues)]
+    cells = [ues for ues in ue_of_cell if len(ues)]
     pad = np.zeros((len(cells), max(map(len, cells))), dtype=int)
     valid = np.zeros(pad.shape, dtype=bool)
     for c, ues in enumerate(cells):
         pad[c, :len(ues)] = ues
         valid[c, :len(ues)] = True
 
-    tables = _channel_stage(cfg, geo, seed)
+    tables = iter(tables)
     rates, relayed = next(tables)
     arms = {name: _ArmState(n_ues, full_buffer) for name in rates}
     rng_tr = np.random.default_rng(np.random.SeedSequence((seed, 0x7A)))
@@ -239,7 +237,7 @@ def run_drop(cfg: ScenarioConfig, seed: int) -> dict:
     rel_slots = 0
     slot_bytes = cfg.slot_s / 8.0
 
-    for slot in range(n_slots):
+    for slot in range(cfg.n_slots):
         if slot and slot % cfg.channel_update_slots == 0:
             rates, relayed = next(tables)
         t_end = (slot + 1) * cfg.slot_s
@@ -268,12 +266,30 @@ def run_drop(cfg: ScenarioConfig, seed: int) -> dict:
     out = {}
     for i, (name, arm) in enumerate(arms.items()):
         if full_buffer:
-            arm.finish_full_buffer(n_slots * cfg.slot_s)
+            arm.finish_full_buffer(cfg.n_slots * cfg.slot_s)
         ru = arm.busy_res / arm.total_res if arm.total_res else 0.0
-        share = rel_slots / (n_slots * n_ues) if i else 0.0
+        share = rel_slots / (cfg.n_slots * n_ues) if i else 0.0
         out[name] = DropStats(tuple(arm.records), ru, arm.served_bytes.copy(),
                               share)
     return out
+
+
+def _check_case(cfg: ScenarioConfig) -> None:
+    if cfg.case not in (Case.BASELINE, Case.DIVERSITY, Case.RANK_AUG):
+        raise ConfigurationError(f"case {cfg.case} has no drop program")
+
+
+def run_drop(cfg: ScenarioConfig, seed: int) -> dict:
+    """Simulate one drop; returns {arm_name: DropStats}, reference arm first.
+
+    Every arm sees the same geometry, channel stream and arrivals.  Under
+    full buffer the diversity arm is served under the baseline arm's PF
+    allocation, so its per-user dominance over the baseline is exact.
+    """
+    _check_case(cfg)
+    geo = engine.build_drop_geometry(cfg, seed)
+    return _scheduling_stage(cfg, seed, geo.ue_of_cell,
+                             _channel_stage(cfg, geo, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -287,23 +303,53 @@ def measure_ru(cfg: ScenarioConfig, seeds) -> float:
     return float(np.mean(vals))
 
 
+def _ru_of_load(cfg: ScenarioConfig, seeds):
+    """measure_ru as a function of the FTP arrival rate λ.
+
+    The channel stream never depends on traffic, so each seed's geometry
+    and rate tables are built once here; a call only reruns the
+    scheduling stage under Ftp3(file_bytes, λ).
+    """
+    drops = []
+    for s in seeds:
+        geo = engine.build_drop_geometry(cfg, s)
+        drops.append((s, geo.ue_of_cell, list(itertools.islice(
+            _channel_stage(cfg, geo, s), cfg.n_refreshes))))
+
+    def ru(lam: float) -> float:
+        c = cfg.replace(traffic=Ftp3(cfg.traffic.file_bytes, lam))
+        vals = [next(iter(_scheduling_stage(c, s, cells, tables).values()))
+                .resource_utilization for s, cells, tables in drops]
+        return float(np.mean(vals))
+
+    return ru
+
+
 def calibrate_load(cfg: ScenarioConfig, target_ru: float, tol: float = 0.02,
                    seeds=(0, 1, 2), max_iter: int = 12,
                    lam_init: float = 0.25) -> tuple:
     """Bisection on the per-user file arrival rate to hit a target RU.
 
-    Returns (lambda_per_s, achieved_ru).  Raises CalibrationError when the
-    target cannot be bracketed.
+    Returns (lambda_per_s, achieved_ru), where achieved_ru is
+    measure_ru(cfg with that rate, seeds).  Raises CalibrationError when
+    the target cannot be bracketed.
     """
     if not isinstance(cfg.traffic, Ftp3):
         raise ConfigurationError("load calibration requires FTP traffic")
+    _check_case(cfg)
     if not 0.0 < target_ru < 1.0:
-        raise ConfigurationError("target RU must lie in (0, 1)")
+        raise ConfigurationError("target_ru must lie in (0, 1)")
+    if not 0.0 <= tol < math.inf:
+        raise ConfigurationError("tol must be finite and >= 0")
+    if max_iter < 1:
+        raise ConfigurationError("max_iter must be >= 1")
+    if not 0.0 < lam_init < math.inf:
+        raise ConfigurationError("lam_init must be positive and finite")
+    seeds = tuple(seeds)
+    if not seeds:
+        raise ConfigurationError("seeds must not be empty")
 
-    def probe(lam):
-        c = cfg.replace(traffic=Ftp3(cfg.traffic.file_bytes, lam))
-        return measure_ru(c, seeds)
-
+    probe = _ru_of_load(cfg, seeds)
     lo, hi = 0.0, lam_init
     ru_hi = probe(hi)
     expansions = 0

@@ -1,25 +1,19 @@
-"""Relay-chain composition, path selection, and stacked-link checks."""
+"""Relay-chain composition and stacked-link checks."""
 
 import math
 
 import numpy as np
 import pytest
 
-from devmimo import (PathChoice, RelayChain, compose_af_link, diversity_select,
-                     relay_gain, relay_rx_beamformer, stack_rx, stack_tx)
+from devmimo import (RelayChain, compose_af_link, relay_gain,
+                     relay_rx_beamformer, stack_rx, stack_tx)
 from devmimo.collab import EffectiveLink, Provenance
-from devmimo.phy import LinkReport, Precoder, mmse_irc_combine, \
-    mutual_information
+from devmimo.phy import Precoder, mmse_irc_combine, mutual_information
 
 
 def _rand_h(rng, m, n):
     return (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) \
         / math.sqrt(2.0)
-
-
-def _report(se):
-    return LinkReport(np.zeros((1, 1, 1), complex), np.eye(1)[None],
-                      np.zeros((1, 1)), se, 1)
 
 
 # -- receive beamformer ------------------------------------------------------
@@ -134,14 +128,6 @@ def test_composed_sinr_never_exceeds_either_hop():
         eff = compose_af_link(chain)
         _, sinr = mmse_irc_combine(eff.h_eff, pre1, eff.r_nn)
         assert sinr[0, 0] <= min(sinr1, snr2) + 1e-9
-
-
-# -- path selection ----------------------------------------------------------
-
-def test_path_selection_argmax_and_tiebreak():
-    assert diversity_select(_report(2.0), _report(3.0)) is PathChoice.RELAYED
-    assert diversity_select(_report(3.0), _report(3.0)) is PathChoice.DIRECT
-    assert diversity_select(_report(3.0), _report(0.0)) is PathChoice.DIRECT
 
 
 # -- stacked links -----------------------------------------------------------

@@ -151,6 +151,10 @@ def test_config_derived_quantities():
     assert cfg.n_prb == 27        # 10 MHz at 30 kHz subcarriers
     assert cfg.n_subbands == 6
     assert abs(cfg.slot_s - 0.5e-3) < 1e-12
+    assert (cfg.n_slots, cfg.n_refreshes) == (2000, 400)   # 1 s, every 5
+    short = cfg.replace(sim_duration_s=0.0375, channel_update_slots=25)
+    assert (short.n_slots, short.n_refreshes) == (75, 3)
+    assert cfg.replace(sim_duration_s=1e-5).n_slots == 1
     centers = cfg.subband_centers_hz()
     assert len(centers) == cfg.n_subbands
     assert abs(float(np.mean(centers))) < 1e-6

@@ -10,7 +10,7 @@ from scipy import stats
 from devmimo import (Case, Ftp3, FullBuffer, ScenarioConfig, ThroughputRecord,
                      calibrate_load, ftp3_arrivals, pf_schedule, run_drop,
                      upt_stats)
-from devmimo import engine, simloop
+from devmimo import ConfigurationError, engine, simloop
 from devmimo.simloop import (SchedulerState, measure_ru,
                              percentile_nearest_rank)
 
@@ -160,10 +160,9 @@ def test_drop_is_deterministic():
 def test_served_bytes_conservation_bound():
     cfg = ScenarioConfig(case=Case.BASELINE, traffic=FullBuffer(), **TINY)
     stats_ = run_drop(cfg, 1)
-    n_slots = int(round(cfg.sim_duration_s / cfg.slot_s))
     n_cells = 3
     max_layers = cfg.ue_dl_config[1]
-    bound = (n_cells * n_slots * cfg.slot_s / 8.0 * cfg.n_subbands
+    bound = (n_cells * cfg.n_slots * cfg.slot_s / 8.0 * cfg.n_subbands
              * cfg.subband_hz * 7.4 * max_layers)
     assert float(np.sum(stats_["baseline"].served_bytes)) <= bound + 1e-6
 
@@ -213,11 +212,8 @@ def test_lone_file_throughput_matches_isolated_link_rate():
 
     geo = engine.build_drop_geometry(cfg, 3)
     tables = simloop._channel_stage(cfg, geo, 3)
-    n_slots = int(round(cfg.sim_duration_s / cfg.slot_s))
-    n_refresh = (n_slots + cfg.channel_update_slots - 1) \
-        // cfg.channel_update_slots
     rate = np.mean([next(tables)[0]["baseline"][0].sum(axis=1)
-                    for _ in range(n_refresh)], axis=0)
+                    for _ in range(cfg.n_refreshes)], axis=0)
 
     per_ue = {}
     for r in out["baseline"].records:
@@ -249,9 +245,68 @@ def test_utilization_monotone_in_offered_load():
 def test_calibration_rejects_bad_target():
     cfg = ScenarioConfig(case=Case.BASELINE, traffic=Ftp3(500_000, 1.0),
                          **TINY)
-    from devmimo import ConfigurationError
     with pytest.raises(ConfigurationError):
         calibrate_load(cfg, 1.5)
     with pytest.raises(ConfigurationError):
         calibrate_load(ScenarioConfig(case=Case.BASELINE,
                                       traffic=FullBuffer(), **TINY), 0.4)
+
+
+@pytest.mark.parametrize("arg, value", [
+    ("seeds", ()), ("tol", math.nan), ("max_iter", 0), ("lam_init", 0.0)],
+    ids=["seeds", "tol", "max_iter", "lam_init"])
+def test_calibration_rejects_bad_argument_by_name(arg, value):
+    cfg = ScenarioConfig(case=Case.BASELINE, traffic=Ftp3(500_000, 1.0),
+                         **TINY)
+    with pytest.raises(ConfigurationError, match=f"^{arg} "):
+        calibrate_load(cfg, 0.4, **{arg: value})
+
+
+CAL = ScenarioConfig(num_rings=0, ues_per_cell=2, sim_duration_s=0.2,
+                     channel_update_slots=25, case=Case.BASELINE,
+                     traffic=Ftp3(500_000, 1.0))
+
+
+def _measured_ru_of_load(cfg, seeds):
+    def ru(lam):
+        traffic = Ftp3(cfg.traffic.file_bytes, lam)
+        return measure_ru(cfg.replace(traffic=traffic), seeds)
+    return ru
+
+
+def test_calibration_with_reused_tables_matches_full_drops(monkeypatch):
+    seeds = (0, 1)
+    reused = simloop._ru_of_load(CAL, seeds)
+    measured = _measured_ru_of_load(CAL, seeds)
+    for lam in (0.3, 1.0, 4.0):
+        assert reused(lam) == measured(lam)
+
+    got = calibrate_load(CAL, 0.4, tol=0.02, seeds=seeds)
+    # reference: the same bisection, every probe rerunning whole drops
+    monkeypatch.setattr(simloop, "_ru_of_load", _measured_ru_of_load)
+    assert got == calibrate_load(CAL, 0.4, tol=0.02, seeds=seeds)
+
+
+def test_calibration_refreshes_each_channel_once(monkeypatch):
+    calls = Counter()
+    refresh = engine.DlEngine.refresh
+    stage = simloop._scheduling_stage
+
+    def counted_refresh(self, rr, want_relay):
+        calls["refresh"] += 1
+        return refresh(self, rr, want_relay)
+
+    def counted_stage(*args):
+        calls["schedule"] += 1
+        return stage(*args)
+
+    monkeypatch.setattr(engine.DlEngine, "refresh", counted_refresh)
+    monkeypatch.setattr(simloop, "_scheduling_stage", counted_stage)
+    run_drop(CAL, 0)
+    assert calls["refresh"] == CAL.n_refreshes
+
+    calls.clear()
+    seeds = (0, 1)
+    calibrate_load(CAL, 0.4, tol=0.02, seeds=seeds)
+    assert calls["schedule"] > len(seeds)           # more than one probe
+    assert calls["refresh"] == len(seeds) * CAL.n_refreshes
