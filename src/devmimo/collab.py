@@ -115,9 +115,11 @@ def stack_tx(h_direct: np.ndarray, relayed: EffectiveLink) -> EffectiveLink:
     """UL rank augmentation: horizontally stack direct transmit columns with
     the relayed effective columns; both signals land on the same receiver so
     the relayed covariance (which already includes the receiver noise) is
-    the stacked covariance."""
-    hd = _ensure3(h_direct)
-    hr = _ensure3(relayed.h_eff)
-    return EffectiveLink(np.concatenate([hd, hr], axis=2),
-                         _ensure3(relayed.r_nn), Provenance.STACKED)
-
+    the stacked covariance.  h_direct (..., m, n1) and relayed.h_eff
+    (..., m, n2) broadcast over their leading batch axes."""
+    hd = np.asarray(h_direct)
+    hr = np.asarray(relayed.h_eff)
+    lead = np.broadcast_shapes(hd.shape[:-1], hr.shape[:-1])
+    h = np.concatenate([np.broadcast_to(hd, lead + hd.shape[-1:]),
+                        np.broadcast_to(hr, lead + hr.shape[-1:])], axis=-1)
+    return EffectiveLink(h, relayed.r_nn, Provenance.STACKED)

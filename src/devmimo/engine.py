@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channel as ch
-from .collab import relay_gain, relay_rx_beamformer
+from .collab import (EffectiveLink, Provenance, relay_gain,
+                     relay_rx_beamformer, stack_tx)
 from .phy import (batched_beam_precoder, batched_mmse_se,
                   batched_rank_select)
 from .scenario import (BS_DOWNTILT_DEG, BS_HEIGHT_M, UE_HEIGHT_M,
@@ -335,10 +336,10 @@ class DlEngine:
         h_int = self._bs_batch(geo.interf_prim, geo.prim_pos, geo.prim_rot,
                                geo.loss_fl_prim, cfg.f_low_ghz, self.ue_elem)
 
-        ranks, _ = batched_rank_select(
+        ranks, v = batched_rank_select(
             h_serv, np.full(u_n, self.p_sb_w), self.noise_ue_w,
             min(cfg.ue_dl_config[1], cfg.bs_ports))
-        pmat = batched_beam_precoder(h_serv, ranks)
+        pmat = batched_beam_precoder(h_serv, ranks, v=v)
         p_layer = self.p_sb_w / ranks
 
         # per-cell transmit precoders (round-robin served UE)
@@ -532,17 +533,24 @@ class UlEngine:
                                            self.noise_bs_w, max_ul)
 
         def interference(h_links, vmat, rk, exclude_weak):
-            contrib = np.zeros((geo.n_cells, self.subc.shape[0],
-                                self.bs_elem.shape[0], self.bs_elem.shape[0]),
-                               dtype=complex)
-            for i in np.flatnonzero(ok):
-                u = flat_ues[i]
-                if exclude_weak and self.weak[u]:
-                    continue
-                c = flat_cells[i]
-                p = vmat[u][:, :rk[u]] * math.sqrt(p_tot / 2.0 / rk[u])
-                a = h_links[i] @ p
-                contrib[c] += a @ a.conj().transpose(0, 2, 1)
+            """Summed interferer covariance per (victim cell, subband).
+
+            Each rank's precoded links form one matmul (a padded one-column
+            precoder would change the bits); dead or excluded links stay
+            zero and neighbours accumulate in index order.
+            """
+            u = np.maximum(flat_ues, 0)
+            live = ok & ~(exclude_weak & self.weak[u])
+            a = np.zeros(h_links.shape[:3] + vmat.shape[-1:], dtype=complex)
+            for r in range(1, vmat.shape[-1] + 1):
+                sel = live & (rk[u] == r)
+                p = vmat[u[sel], :, :r] * math.sqrt(p_tot / 2.0 / r)
+                a[sel, :, :, :r] = h_links[sel] @ p[:, None]
+            aa = a @ a.conj().transpose(0, 1, 3, 2)      # (C*K, S, m, m)
+            aa = aa.reshape(nbr.shape + aa.shape[1:])
+            contrib = np.zeros((geo.n_cells,) + aa.shape[2:], dtype=complex)
+            for k in range(nbr.shape[1]):
+                contrib += aa[:, k]
             return contrib
 
         h_int_fl = self._ue_bs_links(np.maximum(flat_ues, 0), flat_cells,
@@ -558,41 +566,46 @@ class UlEngine:
         r_fh_col = interference(h_int_fh, v2h, ranks2h, True) \
             + self.noise_bs_w * eye
 
-        def band_rates(h, vmat, rk, r_cov, p_band):
-            p = np.zeros(vmat.shape, dtype=complex)
+        def band_rates(ues, h, vmat, rk, r_cov):
+            """Rates of UEs `ues` on one band: rank-rk white-noise precoder,
+            half the power, their serving cell's covariance."""
             col = np.arange(vmat.shape[-1])[None, :]
-            keep = col < rk[:, None]
-            p = np.where(keep[:, None, :], vmat, 0.0)
-            return batched_mmse_se(h, p, p_band / rk, r_cov[serving]) \
-                * cfg.subband_hz
+            p = np.where((col < rk[ues, None])[:, None, :], vmat[ues], 0.0)
+            return batched_mmse_se(h[ues], p, p_tot / 2.0 / rk[ues], r_cov,
+                                   owner=serving[ues]) * cfg.subband_hz
 
-        rate_leg_fl = band_rates(h_fl, v2, ranks2, r_fl,
-                                 np.full(u_n, p_tot / 2.0))
-        rate_leg_fh = band_rates(h_fh, v2h, ranks2h, r_fh_leg,
-                                 np.full(u_n, p_tot / 2.0))
+        rate_leg_fl = band_rates(all_u, h_fl, v2, ranks2, r_fl)
+        rate_leg_fh = band_rates(all_u, h_fh, v2h, ranks2h, r_fh_leg)
 
-        # collaboration: stacked direct + relay-forwarded columns in f_L
-        h_rel = h_hb[:, :, :, :max_ul]                  # helper tx subset
+        # collaboration: weak users stack their direct columns with the
+        # relay-forwarded helper columns in f_L and leave f_H; the others
+        # keep their legacy f_L rates and use f_H without the weak users'
+        # interference
+        weak = np.flatnonzero(self.weak)
+        strong = np.flatnonzero(~self.weak)
+        h_rel = h_hb[weak][:, :, :, :max_ul]            # helper tx subset
         p_split = p_tot / 2.0
-        p_in = self.local_amp ** 2 * p_split + max_ul * thermal_noise_w(
-            cfg.subband_hz, NF_HELPER_DB)
+        noise_help_w = thermal_noise_w(cfg.subband_hz, NF_HELPER_DB)
+        p_in = self.local_amp ** 2 * p_split + max_ul * noise_help_w
         g = relay_gain(10.0 * math.log10(p_in * 1e3), cfg.relay_max_tx_dbm)
         a_rel = self.local_amp * g
-        h_stack = np.concatenate([h_fl, a_rel * h_rel], axis=3)
-        r_stack = r_fl[serving] + (g ** 2) * thermal_noise_w(
-            cfg.subband_hz, NF_HELPER_DB) * (
-            h_rel @ h_rel.conj().transpose(0, 1, 3, 2))
-        ranks_s, v_s = batched_rank_select(h_stack, np.full(u_n, p_tot),
+        relayed = EffectiveLink(
+            a_rel * h_rel,
+            r_fl[serving[weak]] + (g ** 2) * noise_help_w * (
+                h_rel @ h_rel.conj().transpose(0, 1, 3, 2)),
+            Provenance.RELAYED)
+        stacked = stack_tx(h_fl[weak], relayed)
+        ranks_s, v_s = batched_rank_select(stacked.h_eff,
+                                           np.full(weak.size, p_tot),
                                            self.noise_bs_w, 2 * max_ul)
         col = np.arange(v_s.shape[-1])[None, :]
         p_s = np.where((col < ranks_s[:, None])[:, None, :], v_s, 0.0)
-        rate_col_fl = batched_mmse_se(h_stack, p_s, p_tot / ranks_s,
-                                      r_stack) * cfg.subband_hz
-
-        rate_col_fl = np.where(self.weak[:, None], rate_col_fl, rate_leg_fl)
-        rate_col_fh = band_rates(h_fh, v2h, ranks2h, r_fh_col,
-                                 np.full(u_n, p_tot / 2.0))
-        rate_col_fh = np.where(self.weak[:, None], 0.0, rate_col_fh)
+        rate_col_fl = rate_leg_fl.copy()
+        rate_col_fl[weak] = batched_mmse_se(stacked.h_eff, p_s,
+                                            p_tot / ranks_s,
+                                            stacked.r_nn) * cfg.subband_hz
+        rate_col_fh = np.zeros_like(rate_leg_fh)
+        rate_col_fh[strong] = band_rates(strong, h_fh, v2h, ranks2h, r_fh_col)
         return {"legacy_2ca": (rate_leg_fl, rate_leg_fh),
                 "collab": (rate_col_fl, rate_col_fh)}
 

@@ -202,11 +202,14 @@ def batched_rank_select(h: np.ndarray, power: np.ndarray, noise_w: float,
 
 
 def batched_beam_precoder(h: np.ndarray, ranks: np.ndarray,
-                          n_beams: int = 4, oversampling: int = 4):
+                          n_beams: int = 4, oversampling: int = 4,
+                          v: np.ndarray | None = None):
     """Batched simplified beam-combination precoder.
 
-    Returns (U, n_tx, rmax) with orthonormal columns; columns beyond each
-    UE's rank are zeroed.
+    `v` (U, n_tx, >= rmax) may pass the right singular vectors of the
+    wideband channel that `batched_rank_select` returned for the same h;
+    without it they are computed here.  Returns (U, n_tx, rmax) with
+    orthonormal columns; columns beyond each UE's rank are zeroed.
     """
     u_n = h.shape[0]
     hw = h.reshape(u_n, -1, h.shape[-1])
@@ -214,8 +217,10 @@ def batched_beam_precoder(h: np.ndarray, ranks: np.ndarray,
     n_beams = min(n_beams, n_tx)
     rmax = int(ranks.max())
 
-    _, _, vh = np.linalg.svd(hw, full_matrices=False)
-    v = vh[:, :rmax].conj().transpose(0, 2, 1)                 # (U, n, rmax)
+    if v is None:
+        _, _, vh = np.linalg.svd(hw, full_matrices=False)
+        v = vh[:, :rmax].conj().transpose(0, 2, 1)
+    v = v[..., :rmax]                                          # (U, n, rmax)
 
     bases = np.stack([_dft_beams(n_tx, q, oversampling)
                       for q in range(oversampling)])
@@ -252,14 +257,33 @@ def batched_beam_precoder(h: np.ndarray, ranks: np.ndarray,
 
 
 def batched_mmse_se(h: np.ndarray, p: np.ndarray, p_layer: np.ndarray,
-                    r_nn: np.ndarray, cap: float = SE_CAP_BPS_HZ) -> np.ndarray:
+                    r_nn: np.ndarray, owner: np.ndarray | None = None,
+                    cap: float = SE_CAP_BPS_HZ) -> np.ndarray:
     """Per-subband capped SE for batched links.
 
     h (U,S,m,n), p (U,n,r) orthonormal-or-zero columns, p_layer (U,),
-    r_nn (U,S,m,m).  Returns (U, S) summed over layers.
+    r_nn (C,S,m,m) shared covariances, UE u seeing r_nn[owner[u]]; the
+    default owner = arange(U) gives each UE its own.  Each covariance is
+    factored once: the columns of all its UEs are solved together, padded
+    with zero columns to the most-shared covariance.  Returns (U, S)
+    summed over layers.
     """
+    u_n, s_n, m, _ = h.shape
+    r_n = p.shape[-1]
+    if owner is None:
+        owner = np.arange(u_n)
     a = h @ (p[:, None] * np.sqrt(p_layer)[:, None, None, None])
-    ra = np.linalg.solve(r_nn, a)
+    # column block of each UE within its covariance's right-hand side
+    order = np.argsort(owner, kind="stable")
+    count = np.bincount(owner, minlength=r_nn.shape[0])
+    first = np.cumsum(count) - count
+    slot = np.empty(u_n, dtype=int)
+    slot[order] = np.arange(u_n) - first[owner[order]]
+    width = int(count.max(initial=0))
+    rhs = np.zeros((r_nn.shape[0], s_n, m, width, r_n), dtype=complex)
+    rhs[owner, :, :, slot] = a
+    x = np.linalg.solve(r_nn, rhs.reshape(rhs.shape[:3] + (width * r_n,)))
+    ra = x.reshape(rhs.shape)[owner, :, :, slot]              # (U, S, m, r)
     sinr = _layer_sinr(a.conj().transpose(0, 1, 3, 2) @ ra)
     active = np.real(np.einsum("unk,unk->uk", p.conj(), p)) > 0.5  # (U, r)
     se = sinr_to_se(sinr, cap) * active[:, None, :]

@@ -8,7 +8,9 @@ import pytest
 from devmimo import (RankDeficiencyError, effective_se, mmse_irc_combine,
                      select_rank, sinr_to_se, svd_precoder,
                      type2_like_precoder)
-from devmimo.phy import Precoder, _dft_beams, mutual_information
+from devmimo.phy import (Precoder, _dft_beams, batched_beam_precoder,
+                         batched_mmse_se, batched_rank_select,
+                         mutual_information)
 
 
 def _rand_h(rng, m, n):
@@ -144,3 +146,33 @@ def test_capacity_invariant_under_receive_unitary():
     a = h @ pre.matrix * math.sqrt(pre.power_per_layer)
     assert abs(mutual_information(a, np.eye(4))
                - mutual_information(q @ a, np.eye(4))) < 1e-9
+
+
+def test_shared_covariance_mmse_matches_per_ue_copies():
+    # cell 1 serves nobody, cell 2 one UE; ranks below 3 leave zero
+    # precoder columns
+    rng = np.random.default_rng(4)
+    owner = np.array([0, 3, 0, 2, 3, 0, 3, 0])
+    u_n, s_n, m, n, r = owner.size, 3, 6, 4, 3
+    h = np.stack([[_rand_h(rng, m, n) for _ in range(s_n)]
+                  for _ in range(u_n)])
+    p = np.stack([np.linalg.qr(_rand_h(rng, n, r))[0] for _ in range(u_n)])
+    ranks = np.array([1, 3, 2, 1, 2, 3, 1, 2])
+    p = np.where(np.arange(r)[None, None, :] < ranks[:, None, None], p, 0.0)
+    g = np.stack([[_rand_h(rng, m, m) for _ in range(s_n)] for _ in range(4)])
+    r_nn = g @ g.conj().transpose(0, 1, 3, 2) + np.eye(m)
+    p_layer = rng.uniform(0.5, 2.0, u_n) / ranks
+    shared = batched_mmse_se(h, p, p_layer, r_nn, owner=owner)
+    per_ue = batched_mmse_se(h, p, p_layer, r_nn[owner])
+    assert shared.shape == (u_n, s_n)
+    assert np.allclose(shared, per_ue, rtol=1e-12, atol=0.0)
+    assert np.all(per_ue > 0.0)
+
+
+def test_beam_precoder_reuses_rank_selection_svd():
+    rng = np.random.default_rng(5)
+    h = np.stack([[_rand_h(rng, 4, 8) for _ in range(3)] for _ in range(6)])
+    ranks, v = batched_rank_select(h, np.full(6, 0.3), 1.0, 4)
+    assert len(set(ranks)) > 1 and ranks.max() < v.shape[-1]
+    assert np.array_equal(batched_beam_precoder(h, ranks, v=v),
+                          batched_beam_precoder(h, ranks))

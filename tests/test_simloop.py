@@ -310,3 +310,25 @@ def test_calibration_refreshes_each_channel_once(monkeypatch):
     calibrate_load(CAL, 0.4, tol=0.02, seeds=seeds)
     assert calls["schedule"] > len(seeds)           # more than one probe
     assert calls["refresh"] == len(seeds) * CAL.n_refreshes
+
+
+@pytest.mark.parametrize("threshold_db", [-200.0, 200.0],
+                         ids=["no_weak_users", "all_weak_users"])
+def test_rank_drop_with_uniform_collaboration_decision(threshold_db):
+    cfg = ScenarioConfig(num_rings=0, case=Case.RANK_AUG,
+                         traffic=Ftp3(500_000, 2.0), sim_duration_s=0.05,
+                         semistatic_threshold_db=threshold_db)
+    out = run_drop(cfg, 0)
+    assert list(out) == ["legacy_2ca", "collab"]
+
+    geo = engine.build_drop_geometry(cfg, 0)
+    tables, weak = next(simloop._channel_stage(cfg, geo, 0))
+    (leg_fl, leg_fh), (col_fl, col_fh) = tables["legacy_2ca"], tables["collab"]
+    if threshold_db < 0:
+        assert not weak.any()
+        assert np.array_equal(col_fl, leg_fl)
+        assert np.array_equal(col_fh, leg_fh)
+    else:
+        assert weak.all()
+        assert np.all(col_fh == 0.0)
+        assert np.all(col_fl > 0.0)
