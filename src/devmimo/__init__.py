@@ -14,26 +14,23 @@ from .errors import (CalibrationError, ConfigurationError, EstimationError,
                      RankDeficiencyError)
 from .localization import (build_virtual_array, localize, noncoherent_aoa,
                            run_loc_experiment, steering_vector)
-from .phy import (effective_se, mmse_irc_combine, select_rank, sinr_to_se,
-                  svd_precoder, type2_like_precoder)
-from .scenario import (Case, CollaborationGroup, DeviceNode, Ftp3, FullBuffer,
-                       ScenarioConfig, SiteLayout, build_hex_layout, drop_ues,
-                       wraparound_vector)
+from .phy import effective_se, mmse_irc_combine, sinr_to_se, svd_precoder
+from .scenario import (Case, Ftp3, FullBuffer, ScenarioConfig, SiteLayout,
+                       build_hex_layout, drop_ues)
 from .simloop import (DropStats, ThroughputRecord, calibrate_load,
                       ftp3_arrivals, pf_schedule, run_drop, upt_stats)
 
 __all__ = [
-    "CalibrationError", "Case", "CollaborationGroup", "ConfigurationError",
-    "DeviceNode", "DropStats", "EstimationError", "Ftp3", "FullBuffer",
-    "LargeScale", "RankDeficiencyError", "RelayChain",
-    "ScenarioConfig", "SiteLayout", "ThroughputRecord", "build_hex_layout",
-    "build_virtual_array", "calibrate_load", "compose_af_link", "drop_ues", "effective_se", "friis_db",
-    "ftp3_arrivals", "localize", "los_probability",
+    "CalibrationError", "Case", "ConfigurationError", "DropStats",
+    "EstimationError", "Ftp3", "FullBuffer", "LargeScale",
+    "RankDeficiencyError", "RelayChain", "ScenarioConfig", "SiteLayout",
+    "ThroughputRecord", "build_hex_layout", "build_virtual_array",
+    "calibrate_load", "compose_af_link", "drop_ues", "effective_se",
+    "friis_db", "ftp3_arrivals", "localize", "los_probability",
     "mmse_irc_combine", "noncoherent_aoa", "o2i_penetration",
     "o2i_wall_loss_db", "pathloss", "pf_schedule", "relay_gain",
-    "relay_rx_beamformer", "run_drop", "run_loc_experiment", "select_rank",
-    "sinr_to_se", "stack_rx", "stack_tx", "steering_vector", "svd_precoder",
-    "type2_like_precoder", "upt_stats", "wraparound_vector",
+    "relay_rx_beamformer", "run_drop", "run_loc_experiment", "sinr_to_se",
+    "stack_rx", "stack_tx", "steering_vector", "svd_precoder", "upt_stats",
 ]
 
 __version__ = "0.1.0"

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .scenario import ArrayGeometry, DeviceNode, ElementPattern
+from .scenario import ArrayGeometry, ElementPattern
 
 C_LIGHT = 3e8
 
@@ -31,11 +30,6 @@ EL_SPREAD_DEG = 3.0
 DELAY_RMS_S = 300e-9
 K_FACTOR_DB = 9.0
 CLUSTER_SHADOW_STD_DB = 3.0
-
-
-class Band(Enum):
-    LOW = "low"
-    HIGH = "high"
 
 
 # ---------------------------------------------------------------------------
@@ -89,17 +83,21 @@ def o2i_wall_loss_db(f_ghz: float, high_loss: bool = False) -> float:
     return 5.0 - 10.0 * math.log10(mix)
 
 
-def o2i_penetration(f_ghz: float, depth_m: float,
+def o2i_penetration(f_ghz: float, depth_m,
                     rng: np.random.Generator | None = None,
-                    high_loss: bool = False) -> float:
-    """Wall loss + 0.5 dB/m inside loss + optional log-normal spread [dB]."""
-    if depth_m < 0:
+                    high_loss: bool = False):
+    """Wall loss + 0.5 dB/m inside loss + optional log-normal spread [dB].
+
+    Accepts scalar or array depth_m (one spread draw per element)."""
+    depth = np.asarray(depth_m, dtype=float)
+    if np.any(depth < 0):
         raise ValueError("depth_m must be >= 0")
-    loss = o2i_wall_loss_db(f_ghz, high_loss) + INSIDE_LOSS_DB_PER_M * depth_m
+    loss = o2i_wall_loss_db(f_ghz, high_loss) + INSIDE_LOSS_DB_PER_M * depth
     if rng is not None:
         sigma = 6.5 if high_loss else 4.4
-        loss += rng.normal(0.0, sigma)
-    return max(loss, 0.0)
+        loss = loss + rng.normal(0.0, sigma, depth.shape)
+    loss = np.maximum(loss, 0.0)
+    return loss if loss.ndim else float(loss)
 
 
 def friis_db(d_m: float, f_ghz: float) -> float:
@@ -273,14 +271,13 @@ class ChannelRealization:
     h: np.ndarray              # (n_subbands, n_rx, n_tx)
     large: LargeScale
     rays: RaySet
-    band: Band = Band.LOW
 
 
 def assemble_channel(rays: RaySet,
                      tx_array: ArrayGeometry, tx_rotation: np.ndarray,
                      rx_array: ArrayGeometry, rx_rotation: np.ndarray,
                      large: LargeScale, subcarriers_hz: np.ndarray,
-                     f_ghz: float, band: Band = Band.LOW) -> ChannelRealization:
+                     f_ghz: float) -> ChannelRealization:
     """Per-subband channel H[s] = sqrt(lin) sum_r sqrt(p_r) e^{j phi_r}
     e^{-j 2 pi f_s tau_r} a_rx(aoa_r) a_tx(aod_r)^H."""
     sc = np.asarray(subcarriers_hz, dtype=float)
@@ -290,25 +287,29 @@ def assemble_channel(rays: RaySet,
     dly = np.exp(-2j * math.pi * sc[:, None] * rays.delay[None, :])  # (S, R)
     amp = math.sqrt(large.linear)
     h = amp * np.einsum("sr,nr,mr->snm", g[None, :] * dly, a_rx, a_tx.conj())
-    return ChannelRealization(h, large, rays, band)
+    return ChannelRealization(h, large, rays)
 
 
-def local_link_channel(primary: DeviceNode, helper: DeviceNode,
-                       f_ghz: float, subcarriers_hz: np.ndarray,
-                       tx_is_helper: bool = True) -> ChannelRealization:
-    """Pure-LOS free-space channel between a primary and its helper.
+def local_link(tx_pos: np.ndarray, tx_rot: np.ndarray, tx_elem: np.ndarray,
+               rx_pos: np.ndarray, rx_rot: np.ndarray, rx_elem: np.ndarray,
+               f_ghz: float, distance_m: float) -> np.ndarray:
+    """Pure-LOS narrowband channels (L, n_rx, n_tx) between L device pairs.
 
-    Rank 1 for any array sizes (single ray outer product).
+    Positions are (L, 3), rotations (L, 3, 3) local -> global and element
+    positions (n, 3) local; the single geometric ray makes each link a
+    rank-1 outer product with the free-space amplitude at distance_m.
     """
-    tx, rx = (helper, primary) if tx_is_helper else (primary, helper)
-    d = float(np.linalg.norm(rx.position - tx.position))
-    if d <= 0:
-        raise ValueError("coincident primary/helper positions")
-    large = LargeScale(pathloss_db=friis_db(d, f_ghz), los=True)
-    dep_az, dep_el = angles_from_vector(rx.position - tx.position)
-    arr_az, arr_el = angles_from_vector(tx.position - rx.position)
-    rays = RaySet(np.array([1.0]), np.array([d / C_LIGHT]),
-                  np.array([dep_az]), np.array([dep_el]),
-                  np.array([arr_az]), np.array([arr_el]), np.array([0.0]))
-    return assemble_channel(rays, tx.array, tx.rotation, rx.array, rx.rotation,
-                            large, subcarriers_hz, f_ghz, Band.HIGH)
+    d = rx_pos - tx_pos
+    if not np.all(np.linalg.norm(d, axis=-1) > 0):
+        raise ValueError("coincident tx/rx positions")
+    kw = 2.0 * math.pi * f_ghz * 1e9 / C_LIGHT
+
+    def side(elem, rot, v):
+        u = direction_unit(*angles_from_vector(v))
+        return np.exp(1j * kw * np.einsum(
+            "na,la->ln", elem, np.einsum("lba,lb->la", rot, u)))
+
+    amp = 10.0 ** (-friis_db(distance_m, f_ghz) / 20.0)
+    a_tx = side(tx_elem, tx_rot, d)
+    a_rx = side(rx_elem, rx_rot, -d)
+    return amp * a_rx[:, :, None] * a_tx[:, None, :].conj()

@@ -97,17 +97,22 @@ def _ensure3(x: np.ndarray) -> np.ndarray:
     return x[None] if x.ndim == 2 else x
 
 
-def stack_rx(direct: EffectiveLink, relayed: EffectiveLink) -> EffectiveLink:
-    """DL rank augmentation: vertically stack direct and relayed receive
-    paths; noises are independent so the covariance is block diagonal."""
-    hd, hr = _ensure3(direct.h_eff), _ensure3(relayed.h_eff)
-    rd, rr = _ensure3(direct.r_nn), _ensure3(relayed.r_nn)
-    s, m1, _ = hd.shape
-    m2 = hr.shape[1]
-    h = np.concatenate([hd, hr], axis=1)
-    r = np.zeros((s, m1 + m2, m1 + m2), dtype=complex)
-    r[:, :m1, :m1] = rd
-    r[:, m1:, m1:] = rr
+def stack_rx(*links: EffectiveLink) -> EffectiveLink:
+    """DL rank augmentation: vertically stack the receive paths of any
+    number of links (h_eff (..., m_i, n), r_nn (..., m_i, m_i), leading
+    batch axes broadcast); noises are independent so the covariance is
+    block diagonal."""
+    hs = [np.asarray(link.h_eff) for link in links]
+    rs = [np.asarray(link.r_nn) for link in links]
+    lead = np.broadcast_shapes(*(x.shape[:-2] for x in hs + rs))
+    h = np.concatenate([np.broadcast_to(x, lead + x.shape[-2:]) for x in hs],
+                       axis=-2)
+    m = h.shape[-2]
+    r = np.zeros(lead + (m, m), dtype=complex)
+    i = 0
+    for x in rs:
+        r[..., i:i + x.shape[-1], i:i + x.shape[-1]] = x
+        i += x.shape[-1]
     return EffectiveLink(h, r, Provenance.STACKED)
 
 

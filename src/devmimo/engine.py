@@ -5,7 +5,8 @@ programs.
 
 Everything here is internal to the drop loop; the link-adaptation kernels
 it calls (rank selection, beam codebook, MMSE SE, relay beamformer and
-gain) live in phy and collab.
+gain, stacked links) live in phy and collab, the O2I loss and the local
+device-to-device links in channel.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import channel as ch
 from .collab import (EffectiveLink, Provenance, relay_gain,
-                     relay_rx_beamformer, stack_tx)
+                     relay_rx_beamformer, stack_rx, stack_tx)
 from .phy import (batched_beam_precoder, batched_mmse_se,
                   batched_rank_select)
 from .scenario import (BS_DOWNTILT_DEG, BS_HEIGHT_M, UE_HEIGHT_M,
@@ -104,11 +105,9 @@ def _device_tables(layout: SiteLayout, cfg: ScenarioConfig, pos_xy: np.ndarray,
     los_site = rng.uniform(size=(n_sites, n_dev)) < p_los
     los = np.repeat(los_site, 3, axis=0)
 
-    pen = {}
     depth = np.minimum(rng.uniform(0.0, 25.0, n_dev), rng.uniform(0.0, 25.0, n_dev))
-    for f, key in ((cfg.f_low_ghz, "fl"), (cfg.f_high_ghz, "fh")):
-        wall = ch.o2i_wall_loss_db(f) + ch.INSIDE_LOSS_DB_PER_M * depth
-        pen[key] = np.maximum(wall + rng.normal(0.0, 4.4, n_dev), 0.0)
+    pen = {key: ch.o2i_penetration(f, depth, rng)
+           for f, key in ((cfg.f_low_ghz, "fl"), (cfg.f_high_ghz, "fh"))}
 
     loss = {}
     for f, key in ((cfg.f_low_ghz, "fl"), (cfg.f_high_ghz, "fh")):
@@ -140,15 +139,8 @@ def _pattern_gain_db(vec: np.ndarray, d2d: np.ndarray, cell_rot: np.ndarray,
 def build_drop_geometry(cfg: ScenarioConfig, seed: int) -> DropGeometry:
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xD0)))
     layout = build_hex_layout(cfg.num_rings, cfg.isd)
-    devices, groups = drop_ues(layout, cfg, rng)
-    n_u = layout.n_cells * cfg.ues_per_cell
-    prim = devices[:n_u]
-    helpers = devices[n_u:]
-
-    prim_pos = np.array([d.position for d in prim])
-    prim_rot = np.array([d.rotation for d in prim])
-    help_pos = np.array([d.position for d in helpers])
-    help_rot = np.array([d.rotation for d in helpers])
+    prim_pos, prim_rot, help_pos, help_rot = drop_ues(layout, cfg, rng)
+    n_u = prim_pos.shape[0]
 
     cell_rot = np.array([rot_z(az) @ rot_y(BS_DOWNTILT_DEG)
                          for az in layout.cell_azimuth_deg])
@@ -278,29 +270,16 @@ class DlEngine:
     noise_ue_w: float
     noise_help_w: float
     h_local: np.ndarray = field(init=False)     # (U, S, n_prim_rx, 1)
-    local_amp: float = field(init=False)
 
     def __post_init__(self):
         geo, cfg = self.geo, self.geo.cfg
-        # static local links (pure LOS at the helper distance)
-        loss = ch.friis_db(cfg.helper_distance_m, cfg.f_high_ghz)
-        self.local_amp = 10.0 ** (-loss / 20.0)
-        u_n = geo.n_ues
-        d = geo.prim_pos - geo.help_pos
-        dep_az, dep_el = ch.angles_from_vector(d)
-        arr_az, arr_el = ch.angles_from_vector(-d)
-        kw = 2.0 * math.pi * cfg.f_high_ghz * 1e9 / ch.C_LIGHT
-        u_dep = ch.direction_unit(dep_az, dep_el)
-        u_arr = ch.direction_unit(arr_az, arr_el)
-        a_tx = np.exp(1j * kw * np.einsum(
-            "na,la->ln", self.help_elem,
-            np.einsum("lba,lb->la", geo.help_rot, u_dep)))[:, :1]
-        a_rx = np.exp(1j * kw * np.einsum(
-            "na,la->ln", self.ue_elem,
-            np.einsum("lba,lb->la", geo.prim_rot, u_arr)))
-        h = self.local_amp * a_rx[:, :, None] * a_tx[:, None, :].conj()
-        s_n = self.subc.shape[0]
-        self.h_local = np.broadcast_to(h[:, None], (u_n, s_n) + h.shape[1:]).copy()
+        # static local links from the helper's first element (pure LOS at
+        # the helper distance), flat over subbands
+        h = ch.local_link(geo.help_pos, geo.help_rot, self.help_elem[:1],
+                          geo.prim_pos, geo.prim_rot, self.ue_elem,
+                          cfg.f_high_ghz, cfg.helper_distance_m)
+        self.h_local = np.broadcast_to(
+            h[:, None], (geo.n_ues, self.subc.shape[0]) + h.shape[1:]).copy()
 
     def _bs_batch(self, cells, dev_pos, dev_rot, loss_db, f_ghz, rx_elem):
         """Realize BS->device links for per-device cell indices (flat)."""
@@ -400,32 +379,28 @@ class DlEngine:
             * np.eye(self.ue_elem.shape[0])
 
         hh = self.h_local @ self.h_local.conj().transpose(0, 1, 3, 2)
-        n_rx = self.h_local.shape[2]
         wh = np.einsum("uom,usmn->uson", w, h_sh, optimize=True)    # (U,S,o,n)
+        h_out = [self.h_local @ wh[:, :, o:o + 1, :]
+                 for o in range(n_str)]                             # (U,S,4,n)
 
         def relay_rates(k: int) -> np.ndarray:
             """Rates when the relay forwards its k strongest outputs;
             the relay power cap is split across them.  In the whitened
             domain w R1 w^H = I, so forwarded noise has unit power."""
-            h_comp = np.concatenate(
-                [self.h_local @ wh[:, :, o:o + 1, :] for o in range(k)],
-                axis=2)                                             # (U,S,k*4,n)
             ranks_k = np.full(u_n, k)
-            p_rel = batched_beam_precoder(h_comp, ranks_k, n_beams=4)
+            p_rel = batched_beam_precoder(np.concatenate(h_out[:k], axis=2),
+                                          ranks_k, n_beams=4)
             a1 = np.einsum("uom,usmr->usor", w[:, :k], h_sh @ p_rel[:, None])
             sig = np.mean(np.sum(np.abs(a1) ** 2, axis=3), axis=1) \
                 * (self.p_sb_w / k)                                 # (U, k)
             g = np.sqrt(dbm_to_w(cfg.relay_max_tx_dbm) / k / (sig + 1.0))
-            gex = np.repeat(g, n_rx, axis=1)                        # (U, k*4)
-            h_eff = gex[:, None, :, None] * h_comp
-            r_rel = np.zeros(h_eff.shape[:3] + (h_eff.shape[2],),
-                             dtype=complex)
-            for o in range(k):
-                sl = slice(o * n_rx, (o + 1) * n_rx)
-                r_rel[:, :, sl, sl] = \
-                    (g[:, o] ** 2)[:, None, None, None] * hh + r_fh
-            return batched_mmse_se(h_eff, p_rel, self.p_sb_w / ranks_k,
-                                   r_rel) * cfg.subband_hz
+            stacked = stack_rx(*(
+                EffectiveLink(g_o * h_o, g_o ** 2 * hh + r_fh,
+                              Provenance.RELAYED)
+                for g_o, h_o in zip(g.T[:, :, None, None, None], h_out)))
+            return batched_mmse_se(stacked.h_eff, p_rel,
+                                   self.p_sb_w / ranks_k,
+                                   stacked.r_nn) * cfg.subband_hz
 
         cand = [relay_rates(k) for k in range(1, n_str + 1)]
         totals = np.stack([c.sum(axis=1) for c in cand])            # (K, U)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import channel as ch
 from .errors import ConfigurationError, EstimationError
-from .scenario import ArrayGeometry, ScenarioConfig, rot_y, rot_z, ula
+from .scenario import ArrayGeometry, ScenarioConfig, rot_z, ula
 
 SSB_SUBCARRIERS = 240
 SSB_SCS_HZ = 30e3
@@ -55,14 +55,6 @@ def steering_vector(va: VirtualArray, az_deg, el_deg,
     u = ch.direction_unit(az_deg, el_deg)
     k = 2.0 * math.pi * f_ghz * 1e9 / ch.C_LIGHT
     return np.exp(1j * k * np.einsum("na,...a->n...", va.element_pos, u))
-
-
-def estimate_device_response(rx: np.ndarray, pilots: np.ndarray) -> np.ndarray:
-    """Least-squares channel estimate per pilot tone, h_hat = y / s."""
-    pilots = np.asarray(pilots)
-    if np.any(np.abs(pilots) < 1e-12):
-        raise EstimationError("pilot symbols must be nonzero")
-    return rx / pilots
 
 
 def _device_covariances(va: VirtualArray, snapshots: np.ndarray):
@@ -270,6 +262,3 @@ def run_loc_experiment(cfg: ScenarioConfig, seed: int = 0) -> list:
 def median_aoa_error(results) -> float:
     return float(np.median([r.aoa_err_deg for r in results]))
 
-
-def median_pos_error(results) -> float:
-    return float(np.median([r.pos_err_m for r in results]))

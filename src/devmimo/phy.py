@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,14 +23,6 @@ class Precoder:
         g = p.conj().T @ p
         if not np.allclose(g, np.eye(p.shape[1]), atol=1e-9):
             raise ValueError("precoder columns must be orthonormal")
-
-    @property
-    def n_layers(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
-    def total_power(self) -> float:
-        return self.power_per_layer * self.n_layers
 
 
 def _wideband(h: np.ndarray) -> np.ndarray:
@@ -62,26 +54,6 @@ def _dft_beams(n_tx: int, shift: int, oversampling: int) -> np.ndarray:
 
 
 AMP_LEVELS = np.concatenate([[0.0], np.sqrt(2.0) ** -(np.arange(6, -1, -1))])
-
-
-def type2_like_precoder(h_est: np.ndarray, n_beams: int, rank: int,
-                        power: float, oversampling: int = 4) -> Precoder:
-    """Beam-combination codebook precoder (a batch of one of
-    `batched_beam_precoder`).
-
-    Per layer, a linear combination of the strongest orthogonal grid-DFT
-    beams (one oversampling rotation) with 3-bit wideband amplitudes and
-    8-PSK co-phasing, chosen to track the top singular directions of the
-    channel estimate.
-    """
-    hw = _wideband(h_est)
-    if min(n_beams, hw.shape[1]) < rank:
-        raise ValueError("n_beams must be >= rank")
-    if rank > hw.shape[0]:
-        raise RankDeficiencyError(f"rank {rank} infeasible for shape {hw.shape}")
-    p = batched_beam_precoder(hw[None], np.array([rank]), n_beams,
-                              oversampling)
-    return Precoder(p[0], power / rank)
 
 
 def _solve_psd(r: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -134,17 +106,19 @@ def sinr_to_se(sinr, cap_bps_hz: float = SE_CAP_BPS_HZ):
     return se if se.ndim else float(se)
 
 
-def effective_se(sinr: np.ndarray, cap_bps_hz: float = SE_CAP_BPS_HZ) -> float:
+def effective_se(sinr: np.ndarray, cap_bps_hz: float = SE_CAP_BPS_HZ):
     """Sum over layers of the subband-mean capped SE.
 
-    `sinr` is (n_subbands, n_layers) (a 1-D input is a single layer).
+    `sinr` is (..., n_subbands, n_layers) with any leading batch axes
+    (a 1-D input is a single layer); returns (...), a float for one link.
     """
-    s = np.atleast_2d(np.asarray(sinr, dtype=float))
-    if s.size == 0:
+    s = np.asarray(sinr, dtype=float)
+    if s.ndim == 1:
+        s = s[:, None]
+    if s.shape[-2] == 0 or s.shape[-1] == 0:
         raise ValueError("empty SINR set")
-    if np.asarray(sinr).ndim == 1:
-        s = s.T
-    return float(np.sum(np.mean(sinr_to_se(s, cap_bps_hz), axis=0)))
+    se = np.sum(np.mean(sinr_to_se(s, cap_bps_hz), axis=-2), axis=-1)
+    return se if se.ndim else float(se)
 
 
 def mutual_information(a: np.ndarray, r_nn: np.ndarray) -> float:
@@ -155,24 +129,8 @@ def mutual_information(a: np.ndarray, r_nn: np.ndarray) -> float:
     return float(logdet / math.log(2.0))
 
 
-def select_rank(h_eff: np.ndarray, noise_w: float, power: float,
-                max_rank: int) -> int:
-    """Rank in [1, max_rank] maximizing effective SE under SVD precoding
-    with an equal power split and white noise of power noise_w (a batch of
-    one of `batched_rank_select`)."""
-    if max_rank < 1:
-        raise ValueError("max_rank must be >= 1")
-    h = np.asarray(h_eff)
-    if h.ndim == 2:
-        h = h[None]
-    ranks, _ = batched_rank_select(h[None], np.array([power]), noise_w,
-                                   max_rank)
-    return int(ranks[0])
-
-
 # ---------------------------------------------------------------------------
-# batched link-adaptation kernels (the drop path; the scalar API above is a
-# batch of one of these)
+# batched link-adaptation kernels (the drop path)
 # ---------------------------------------------------------------------------
 
 def batched_rank_select(h: np.ndarray, power: np.ndarray, noise_w: float,
@@ -182,6 +140,8 @@ def batched_rank_select(h: np.ndarray, power: np.ndarray, noise_w: float,
     h is (U, S, m, n); returns (ranks (U,), v (U, n, r)) where v holds the
     top r <= max_rank right singular vectors of the wideband channel.
     """
+    if max_rank < 1:
+        raise ValueError("max_rank must be >= 1")
     u_n, s_n, m, n = h.shape
     hw = h.reshape(u_n, s_n * m, n)
     _, sv, vh = np.linalg.svd(hw, full_matrices=False)
@@ -194,7 +154,7 @@ def batched_rank_select(h: np.ndarray, power: np.ndarray, noise_w: float,
         p = v[:, :, :r] * np.sqrt(power / r)[:, None, None]
         a = h @ p[:, None]                                     # (U, S, m, r)
         sinr = _layer_sinr(a.conj().transpose(0, 1, 3, 2) @ a / noise_w)
-        se = np.sum(np.mean(sinr_to_se(sinr), axis=1), axis=1)
+        se = effective_se(sinr)
         ok = (r <= num_rank) & (se > best_se + 1e-12)
         ranks[ok] = r
         best_se[ok] = se[ok]

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -73,16 +73,12 @@ class Case(Enum):
     LOC3 = "loc3"
 
 
-LOC_CASES = (Case.LOC1, Case.LOC2, Case.LOC3)
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Full experiment description (defaults follow the dense-urban setup)."""
 
     isd: float = 200.0                   # site-to-site distance [m]
     num_rings: int = 2                   # hex rings around the center site
-    cells_per_site: int = 3
     ues_per_cell: int = 10
     f_low_ghz: float = 2.0
     f_high_ghz: float = 6.0
@@ -120,8 +116,8 @@ class ScenarioConfig:
             raise ConfigurationError("num_rings must be >= 0")
         if self.f_low_ghz >= self.f_high_ghz:
             raise ConfigurationError("f_low_ghz must be below f_high_ghz")
-        for name in ("cells_per_site", "ues_per_cell", "bs_ports",
-                     "helper_rx_antennas", "relay_streams", "loc_users"):
+        for name in ("ues_per_cell", "bs_ports", "helper_rx_antennas",
+                     "relay_streams", "loc_users"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
         if self.max_interferers < 0:
@@ -239,50 +235,6 @@ def ue_array(n_antennas: int, f_ghz: float) -> ArrayGeometry:
     return ula(n_antennas, half_wavelength_m(f_ghz), axis=0)
 
 
-class DeviceKind(Enum):
-    BS = "bs"
-    PRIMARY = "primary"
-    HELPER = "helper"
-    LEGACY = "legacy"
-
-
-class GroupMode(Enum):
-    DIVERSITY = "diversity"
-    RANK = "rank"
-    LOCALIZATION = "localization"
-
-
-@dataclass
-class DeviceNode:
-    node_id: int
-    kind: DeviceKind
-    position: np.ndarray                 # (3,) meters, global
-    rotation: np.ndarray                 # (3, 3), local -> global
-    array: ArrayGeometry
-    indoor: bool = False
-    primary_id: Optional[int] = None     # set for helpers only
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float).reshape(3)
-        r = np.asarray(self.rotation, dtype=float)
-        if r.shape != (3, 3) or not np.allclose(r @ r.T, np.eye(3), atol=1e-9):
-            raise ConfigurationError("rotation must be orthonormal (3x3)")
-        self.rotation = r
-        if self.kind is DeviceKind.HELPER and self.primary_id is None:
-            raise ConfigurationError("helper must reference a primary")
-
-
-@dataclass(frozen=True)
-class CollaborationGroup:
-    primary: int
-    helpers: tuple
-    mode: GroupMode
-
-    def __post_init__(self):
-        if len(self.helpers) < 1:
-            raise ConfigurationError("collaboration group needs >= 1 helper")
-
-
 # ---------------------------------------------------------------------------
 # hexagonal layout
 # ---------------------------------------------------------------------------
@@ -347,14 +299,6 @@ def build_hex_layout(num_rings: int, isd: float) -> SiteLayout:
     return SiteLayout(isd, num_rings, sites, cell_site, cell_az, mirrors)
 
 
-def wraparound_vector(a: np.ndarray, b: np.ndarray,
-                      layout: SiteLayout) -> np.ndarray:
-    """Shortest 2D displacement a -> b over the toroidal mirror images."""
-    d = np.asarray(b, dtype=float)[:2] - np.asarray(a, dtype=float)[:2]
-    cand = d[None, :] + layout.mirror_offsets
-    return cand[np.argmin(np.einsum("ij,ij->i", cand, cand))]
-
-
 def wraparound_vectors(a_xy: np.ndarray, b_xy: np.ndarray,
                        layout: SiteLayout) -> np.ndarray:
     """Vectorized wraparound: displacement from each a (N,2) to each b (M,2).
@@ -404,37 +348,19 @@ def drop_ues(layout: SiteLayout, cfg: ScenarioConfig,
     """Drop primaries uniformly in each sector wedge and one helper per
     primary at the configured distance in a uniform random bearing.
 
-    Returns (devices, groups); device ids are primaries first, then helpers."""
-    mode = {Case.RANK_AUG: GroupMode.RANK,
-            Case.LOC1: GroupMode.LOCALIZATION,
-            Case.LOC2: GroupMode.LOCALIZATION,
-            Case.LOC3: GroupMode.LOCALIZATION}.get(cfg.case, GroupMode.DIVERSITY)
-
-    primaries, helpers = [], []
-    n_cells = layout.n_cells
-    next_id = 0
-    prim_array = ue_array(cfg.ue_dl_config[1], cfg.f_low_ghz)
-    help_array = ue_array(cfg.helper_rx_antennas, cfg.f_low_ghz)
-    for ci in range(n_cells):
+    Returns (prim_pos, prim_rot, help_pos, help_rot): positions (U, 3) and
+    local-to-global rotations (U, 3, 3), UE u's helper at row u."""
+    prim_pos, prim_rot, help_pos, help_az = [], [], [], []
+    for ci in range(layout.n_cells):
         site_xy = layout.cell_position(ci)
         for _ in range(cfg.ues_per_cell):
             p = _sample_sector_point(rng, layout.cell_azimuth_deg[ci], cfg.isd)
             pos = np.array([site_xy[0] + p[0], site_xy[1] + p[1], UE_HEIGHT_M])
-            primaries.append(DeviceNode(
-                next_id, DeviceKind.PRIMARY, pos, rot_z(rng.uniform(0.0, 360.0)),
-                prim_array, indoor=True))
+            prim_pos.append(pos)
+            prim_rot.append(rot_z(rng.uniform(0.0, 360.0)))
             bearing = rng.uniform(0.0, 2.0 * math.pi)
-            hpos = pos + cfg.helper_distance_m * np.array(
-                [math.cos(bearing), math.sin(bearing), 0.0])
-            helpers.append((next_id, hpos, rng.uniform(0.0, 360.0)))
-            next_id += 1
-
-    devices = list(primaries)
-    groups = []
-    for prim_id, hpos, az in helpers:
-        node = DeviceNode(next_id, DeviceKind.HELPER, hpos, rot_z(az),
-                          help_array, indoor=True, primary_id=prim_id)
-        devices.append(node)
-        groups.append(CollaborationGroup(prim_id, (next_id,), mode))
-        next_id += 1
-    return devices, groups
+            help_pos.append(pos + cfg.helper_distance_m * np.array(
+                [math.cos(bearing), math.sin(bearing), 0.0]))
+            help_az.append(rng.uniform(0.0, 360.0))
+    return (np.array(prim_pos), np.array(prim_rot), np.array(help_pos),
+            np.array([rot_z(az) for az in help_az]))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,10 +149,6 @@ class DropStats:
     resource_utilization: float
     served_bytes: np.ndarray
     path_share_relayed: float = 0.0
-
-    def upt_values_bps(self) -> np.ndarray:
-        return np.array([r.throughput_bps for r in self.records
-                         if math.isfinite(r.throughput_bps)])
 
 
 def percentile_nearest_rank(values: np.ndarray, pct: float) -> float:

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from devmimo import (LargeScale, friis_db, los_probability, o2i_penetration,
                      o2i_wall_loss_db, pathloss)
-from devmimo.channel import (assemble_channel, gen_rays, local_link_channel)
+from devmimo.channel import assemble_channel, gen_rays, local_link
 from devmimo.engine import realize_links
-from devmimo.scenario import (DeviceKind, DeviceNode, bs_port_array, rot_y,
-                              rot_z, ue_array, ula)
+from devmimo.scenario import bs_port_array, rot_y, rot_z, ue_array, ula
 
 
 def test_urban_macro_los_pathloss_reference_point():
@@ -57,6 +56,16 @@ def test_high_loss_wall_exceeds_low_loss():
 def test_indoor_depth_adds_half_db_per_meter():
     base = o2i_penetration(2.0, 0.0)
     assert abs(o2i_penetration(2.0, 10.0) - base - 5.0) < 1e-9
+    # an array of depths equals the per-element scalar calls
+    depth = np.array([0.0, 2.5, 10.0, 24.0])
+    arr = o2i_penetration(6.0, depth)
+    assert arr.shape == depth.shape
+    assert np.array_equal(arr, [o2i_penetration(6.0, d) for d in depth])
+    # with a generator, one spread draw per element in element order
+    arr = o2i_penetration(6.0, depth, np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    assert np.array_equal(arr, [o2i_penetration(6.0, d, rng) for d in depth])
+    assert isinstance(o2i_penetration(6.0, 3.0, rng), float)
 
 
 def test_penetration_rejects_negative_depth():
@@ -134,27 +143,25 @@ def test_channel_normalization_monte_carlo():
     assert 0.95 <= ratio <= 1.05
 
 
-def _device(node_id, kind, pos, n_ant=2, primary_id=None):
-    return DeviceNode(node_id, kind, np.asarray(pos, dtype=float), np.eye(3),
-                      ula(n_ant, 0.025), indoor=True, primary_id=primary_id)
+def _local_link(prim_xyz, helper_xyz, n_ant=4):
+    elem = ula(n_ant, 0.025).positions
+    return local_link(np.array([helper_xyz], float), np.eye(3)[None], elem,
+                      np.array([prim_xyz], float), np.eye(3)[None], elem,
+                      6.0, 1.0)
 
 
 def test_local_link_friis_reference_and_rank_one():
-    prim = _device(0, DeviceKind.PRIMARY, [0.0, 0.0, 1.5], n_ant=4)
-    helper = _device(1, DeviceKind.HELPER, [1.0, 0.0, 1.5], n_ant=4,
-                     primary_id=0)
-    ch = local_link_channel(prim, helper, 6.0, np.array([0.0]))
-    assert abs(ch.large.pathloss_db - 48.01) < 0.01
-    s = np.linalg.svd(ch.h[0], compute_uv=False)
+    h = _local_link([0.0, 0.0, 1.5], [1.0, 0.0, 1.5])
+    assert h.shape == (1, 4, 4)
+    assert np.allclose(-20.0 * np.log10(np.abs(h)), 48.01, atol=0.01)
+    s = np.linalg.svd(h[0], compute_uv=False)
     assert s[0] > 0
     assert s[1] / s[0] < 1e-9      # single-ray outer product is rank one
 
 
 def test_local_link_rejects_coincident_devices():
-    prim = _device(0, DeviceKind.PRIMARY, [0.0, 0.0, 1.5])
-    helper = _device(1, DeviceKind.HELPER, [0.0, 0.0, 1.5], primary_id=0)
     with pytest.raises(ValueError):
-        local_link_channel(prim, helper, 6.0, np.array([0.0]))
+        _local_link([0.0, 0.0, 1.5], [0.0, 0.0, 1.5], n_ant=2)
 
 
 _coord = st.floats(-300.0, 300.0)

@@ -144,6 +144,26 @@ def test_stacked_link_dimensions_and_rank():
     assert np.sum(s > 1e-10 * s[0]) == 8
     assert st.provenance is Provenance.STACKED
 
+    # three links with a leading batch axis (2 UEs, 3 subbands), as the
+    # DL relay arm stacks its forwarded streams
+    sizes = (4, 2, 3)
+    links = [EffectiveLink(
+        np.stack([[_rand_h(rng, m, 8) for _ in range(3)] for _ in range(2)]),
+        np.stack([[_rand_h(rng, m, m) for _ in range(3)] for _ in range(2)]),
+        Provenance.RELAYED) for m in sizes]
+    st = stack_rx(*links)
+    assert st.h_eff.shape == (2, 3, 9, 8)
+    assert st.r_nn.shape == (2, 3, 9, 9)
+    for u in range(2):
+        for s_i in range(3):
+            h_ref = np.vstack([lk.h_eff[u, s_i] for lk in links])
+            r_ref = np.zeros((9, 9), complex)
+            r_ref[:4, :4] = links[0].r_nn[u, s_i]
+            r_ref[4:6, 4:6] = links[1].r_nn[u, s_i]
+            r_ref[6:, 6:] = links[2].r_nn[u, s_i]
+            assert np.array_equal(st.h_eff[u, s_i], h_ref)
+            assert np.array_equal(st.r_nn[u, s_i], r_ref)
+
 
 def test_stacked_link_zero_gain_equals_direct_capacity():
     rng = np.random.default_rng(6)

@@ -10,7 +10,6 @@ from devmimo import (Case, EstimationError, ScenarioConfig,
                      run_loc_experiment, steering_vector)
 from devmimo.localization import (VirtualArray, _ensemble, _spectrum,
                                   _device_covariances, aoa_error_deg,
-                                  estimate_device_response,
                                   median_aoa_error, synthesize_snapshots)
 from devmimo.scenario import rot_z, ula
 
@@ -72,37 +71,6 @@ def test_steering_unit_modulus():
         a = steering_vector(va, rng.uniform(-180, 180), rng.uniform(-90, 90),
                             F_GHZ)
         assert np.allclose(np.abs(a), 1.0, atol=1e-12)
-
-
-def test_channel_estimate_noiseless_exact():
-    rng = np.random.default_rng(2)
-    h = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    s = np.exp(1j * rng.uniform(0, 2 * math.pi, 64))
-    assert np.allclose(estimate_device_response(h * s, s), h, atol=1e-12)
-
-
-def test_channel_estimate_error_variance():
-    rng = np.random.default_rng(3)
-    n = 10_000
-    sigma2 = 0.25
-    s = np.exp(1j * rng.uniform(0, 2 * math.pi, n))
-    noise = math.sqrt(sigma2 / 2) * (rng.standard_normal(n)
-                                     + 1j * rng.standard_normal(n))
-    err = estimate_device_response(s + noise, s) - 1.0
-    var = float(np.mean(np.abs(err) ** 2))
-    assert abs(var - sigma2) <= 0.1 * sigma2
-    # averaging two repetitions halves the variance
-    noise2 = math.sqrt(sigma2 / 2) * (rng.standard_normal(n)
-                                      + 1j * rng.standard_normal(n))
-    err2 = 0.5 * (estimate_device_response(s + noise, s)
-                  + estimate_device_response(s + noise2, s)) - 1.0
-    var2 = float(np.mean(np.abs(err2) ** 2))
-    assert abs(var2 - sigma2 / 2) <= 0.1 * sigma2 / 2
-
-
-def test_channel_estimate_rejects_zero_pilot():
-    with pytest.raises(EstimationError):
-        estimate_device_response(np.ones(4), np.array([1.0, 0.0, 1.0, 1.0]))
 
 
 def _single_path_snapshots(va, az, el, rng, n_tones=64):

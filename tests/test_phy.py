@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from devmimo import (RankDeficiencyError, effective_se, mmse_irc_combine,
-                     select_rank, sinr_to_se, svd_precoder,
-                     type2_like_precoder)
+                     sinr_to_se, svd_precoder)
 from devmimo.phy import (Precoder, _dft_beams, batched_beam_precoder,
                          batched_mmse_se, batched_rank_select,
                          mutual_information)
@@ -50,29 +49,21 @@ def test_beam_codebook_recovers_a_pure_grid_beam():
     n_tx = 8
     b = _dft_beams(n_tx, 0, 4)[:, 3]
     h = np.outer(np.ones(2), b.conj())                 # rank-1 along beam 3
-    pre = type2_like_precoder(h, n_beams=4, rank=1, power=1.0)
-    chordal = 1.0 - abs(np.vdot(pre.matrix[:, 0], b)) ** 2
+    p = batched_beam_precoder(h[None, None], np.array([1]), n_beams=4)
+    assert p.shape == (1, n_tx, 1)
+    chordal = 1.0 - abs(np.vdot(p[0, :, 0], b)) ** 2
     assert chordal < 1e-9
 
 
 def test_beam_codebook_quantization_keeps_half_the_capacity():
     rng = np.random.default_rng(1)
-    for _ in range(200):
-        h = _rand_h(rng, 4, 16)
-        pre = type2_like_precoder(h, n_beams=4, rank=2, power=1.0)
-        ref = svd_precoder(h, 2, 1.0)
-        c = mutual_information(h @ pre.matrix * math.sqrt(0.5), np.eye(4))
-        c_ref = mutual_information(h @ ref.matrix * math.sqrt(0.5), np.eye(4))
+    h = np.stack([_rand_h(rng, 4, 16) for _ in range(200)])
+    p = batched_beam_precoder(h[:, None], np.full(200, 2), n_beams=4)
+    for hu, pu in zip(h, p):
+        ref = svd_precoder(hu, 2, 1.0)
+        c = mutual_information(hu @ pu * math.sqrt(0.5), np.eye(4))
+        c_ref = mutual_information(hu @ ref.matrix * math.sqrt(0.5), np.eye(4))
         assert c >= 0.5 * c_ref
-
-
-def test_beam_codebook_rejects_rank_above_beam_count():
-    with pytest.raises(ValueError):
-        type2_like_precoder(np.eye(8, dtype=complex), n_beams=2, rank=3,
-                            power=1.0)
-    with pytest.raises(RankDeficiencyError):
-        type2_like_precoder(np.ones((1, 8), complex), n_beams=4, rank=2,
-                            power=1.0)
 
 
 def test_mmse_scalar_unit_snr():
@@ -121,6 +112,13 @@ def test_effective_se_reference_points():
     assert abs(effective_se(np.array([1.0, 1.0, 1.0])) - 1.0) < 1e-12
     assert abs(effective_se(np.array([[1.0, 1.0]])) - 2.0) < 1e-12
     assert abs(effective_se(np.array([0.0, 3.0])) - 1.0) < 1e-12
+    # leading batch axes: one value per (U, S, L) link, an empty batch is
+    # fine
+    sinr = np.random.default_rng(6).uniform(0.0, 50.0, (3, 2, 4, 2))
+    se = effective_se(sinr)
+    assert se.shape == (3, 2)
+    assert np.array_equal(se[1, 0], effective_se(sinr[1, 0]))
+    assert effective_se(np.zeros((0, 4, 2))).shape == (0,)
 
 
 def test_effective_se_rejects_empty_input():
@@ -129,13 +127,18 @@ def test_effective_se_rejects_empty_input():
 
 
 def test_select_rank_boundaries():
+    def rank(h, noise_w, max_rank):
+        ranks, _ = batched_rank_select(h[None, None], np.array([1.0]),
+                                       noise_w, max_rank)
+        return int(ranks[0])
+
     one = np.outer([1.0, 1.0], [1.0, 1.0, 0.0]).astype(complex)
-    assert select_rank(one, 1.0, 1.0, 4) == 1
+    assert rank(one, 1.0, 4) == 1
     h = np.eye(4, dtype=complex)
-    assert select_rank(h, 1e-6, 1.0, 4) == 4
-    assert select_rank(h, 1e6, 1.0, 4) == 1
+    assert rank(h, 1e-6, 4) == 4
+    assert rank(h, 1e6, 4) == 1
     with pytest.raises(ValueError):
-        select_rank(h, 1.0, 1.0, 0)
+        rank(h, 1.0, 0)
 
 
 def test_capacity_invariant_under_receive_unitary():

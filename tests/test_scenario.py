@@ -5,9 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from devmimo import (Case, ConfigurationError, ScenarioConfig,
-                     build_hex_layout, drop_ues, wraparound_vector)
-from devmimo.scenario import rot_y, rot_z, ula
+from devmimo import (ConfigurationError, ScenarioConfig, build_hex_layout,
+                     drop_ues)
+from devmimo.scenario import rot_y, rot_z, ula, wraparound_vectors
+
+
+def _wrap(a, b, lay):
+    return wraparound_vectors(np.asarray(a)[None], np.asarray(b)[None],
+                              lay)[0, 0]
 
 
 def test_single_site_layout():
@@ -52,7 +57,7 @@ def test_layout_rejects_bad_args():
 
 def test_wraparound_identical_points():
     lay = build_hex_layout(1, 200.0)
-    v = wraparound_vector(np.array([10.0, -5.0]), np.array([10.0, -5.0]), lay)
+    v = _wrap(np.array([10.0, -5.0]), np.array([10.0, -5.0]), lay)
     assert np.allclose(v, 0.0)
 
 
@@ -61,7 +66,7 @@ def test_wraparound_no_rings_is_plain_difference():
     rng = np.random.default_rng(3)
     for _ in range(50):
         a, b = rng.uniform(-500, 500, 2), rng.uniform(-500, 500, 2)
-        assert np.allclose(wraparound_vector(a, b, lay), b - a)
+        assert np.allclose(_wrap(a, b, lay), b - a)
 
 
 def test_wraparound_never_longer_than_direct():
@@ -69,54 +74,47 @@ def test_wraparound_never_longer_than_direct():
     rng = np.random.default_rng(4)
     for _ in range(100):
         a, b = rng.uniform(-600, 600, 2), rng.uniform(-600, 600, 2)
-        v = wraparound_vector(a, b, lay)
+        v = _wrap(a, b, lay)
         assert np.linalg.norm(v) <= np.linalg.norm(b - a) + 1e-9
 
 
 def test_drop_counts():
     cfg = ScenarioConfig(num_rings=1)
     lay = build_hex_layout(1, cfg.isd)
-    devices, groups = drop_ues(lay, cfg, np.random.default_rng(0))
-    n_prim = sum(1 for d in devices if d.kind.name == "PRIMARY")
-    n_help = sum(1 for d in devices if d.kind.name == "HELPER")
-    assert n_prim == 210
-    assert n_help == 210
-    assert len(groups) == 210
+    prim_pos, prim_rot, help_pos, help_rot = drop_ues(
+        lay, cfg, np.random.default_rng(0))
+    assert prim_pos.shape == help_pos.shape == (210, 3)
+    assert prim_rot.shape == help_rot.shape == (210, 3, 3)
 
 
 def test_helper_distance_exactly_configured():
-    cfg = ScenarioConfig(num_rings=0)
-    lay = build_hex_layout(0, cfg.isd)
-    devices, groups = drop_ues(lay, cfg, np.random.default_rng(1))
-    by_id = {d.node_id: d for d in devices}
-    for g in groups:
-        p = by_id[g.primary]
-        for hid in g.helpers:
-            d = np.linalg.norm(by_id[hid].position - p.position)
-            assert abs(d - 1.0) < 1e-9
+    for dist in (1.0, 2.5):
+        cfg = ScenarioConfig(num_rings=0, helper_distance_m=dist)
+        lay = build_hex_layout(0, cfg.isd)
+        prim_pos, _, help_pos, _ = drop_ues(lay, cfg,
+                                            np.random.default_rng(1))
+        d = np.linalg.norm(help_pos - prim_pos, axis=1)
+        assert np.allclose(d, dist, rtol=0.0, atol=1e-9)
 
 
 def test_drop_is_deterministic_per_seed():
     cfg = ScenarioConfig(num_rings=0)
     lay = build_hex_layout(0, cfg.isd)
-    d1, _ = drop_ues(lay, cfg, np.random.default_rng(7))
-    d2, _ = drop_ues(lay, cfg, np.random.default_rng(7))
+    d1 = drop_ues(lay, cfg, np.random.default_rng(7))
+    d2 = drop_ues(lay, cfg, np.random.default_rng(7))
     for a, b in zip(d1, d2):
-        assert np.array_equal(a.position, b.position)
-        assert np.array_equal(a.rotation, b.rotation)
+        assert np.array_equal(a, b)
+    for r in (d1[1], d1[3]):
+        assert np.allclose(r @ r.transpose(0, 2, 1), np.eye(3), atol=1e-9)
 
 
 def test_helper_bearings_cover_the_circle():
     # chi-square uniformity of the helper bearing over 8 bins
     cfg = ScenarioConfig(num_rings=1)
     lay = build_hex_layout(1, cfg.isd)
-    devices, groups = drop_ues(lay, cfg, np.random.default_rng(11))
-    by_id = {d.node_id: d for d in devices}
-    bearings = []
-    for g in groups:
-        p = by_id[g.primary].position
-        h = by_id[g.helpers[0]].position
-        bearings.append(math.atan2(h[1] - p[1], h[0] - p[0]))
+    prim_pos, _, help_pos, _ = drop_ues(lay, cfg, np.random.default_rng(11))
+    d = help_pos - prim_pos
+    bearings = np.arctan2(d[:, 1], d[:, 0])
     counts, _ = np.histogram(bearings, bins=8, range=(-math.pi, math.pi))
     n = len(bearings)
     chi2 = float(np.sum((counts - n / 8) ** 2 / (n / 8)))
@@ -163,17 +161,8 @@ def test_config_derived_quantities():
 def test_primaries_in_their_sector_cell():
     cfg = ScenarioConfig(num_rings=0)
     lay = build_hex_layout(0, cfg.isd)
-    devices, _ = drop_ues(lay, cfg, np.random.default_rng(5))
-    for d in devices:
-        if d.kind.name != "PRIMARY":
-            continue
-        r = np.linalg.norm(d.position[:2])
-        assert r >= 35.0 - 1e-9           # site exclusion radius
-        assert r <= cfg.isd / math.sqrt(3.0) + 1e-9  # hexagon circumradius
+    prim_pos, _, _, _ = drop_ues(lay, cfg, np.random.default_rng(5))
+    r = np.linalg.norm(prim_pos[:, :2], axis=1)
+    assert np.all(r >= 35.0 - 1e-9)           # site exclusion radius
+    assert np.all(r <= cfg.isd / math.sqrt(3.0) + 1e-9)  # hexagon circumradius
 
-
-def test_loc_case_uses_localization_group_mode():
-    cfg = ScenarioConfig(num_rings=0, case=Case.LOC2)
-    lay = build_hex_layout(0, cfg.isd)
-    _, groups = drop_ues(lay, cfg, np.random.default_rng(2))
-    assert all(g.mode.name == "LOCALIZATION" for g in groups)
