@@ -10,6 +10,7 @@ position fix.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,12 +50,18 @@ def build_virtual_array(devices) -> VirtualArray:
                         len(devices))
 
 
+def _steering(pos: np.ndarray, u: np.ndarray, f_ghz: float) -> np.ndarray:
+    """Plane-wave response (n, ...) of elements `pos` (n, 3) to unit
+    direction(s) `u` (..., 3)."""
+    k = 2.0 * math.pi * f_ghz * 1e9 / ch.C_LIGHT
+    a = 1j * k * np.einsum("na,...a->n...", pos, u)
+    return np.exp(a, out=a)
+
+
 def steering_vector(va: VirtualArray, az_deg, el_deg,
                     f_ghz: float) -> np.ndarray:
     """Plane-wave response (n_elements, ...) of the virtual array."""
-    u = ch.direction_unit(az_deg, el_deg)
-    k = 2.0 * math.pi * f_ghz * 1e9 / ch.C_LIGHT
-    return np.exp(1j * k * np.einsum("na,...a->n...", va.element_pos, u))
+    return _steering(va.element_pos, ch.direction_unit(az_deg, el_deg), f_ghz)
 
 
 def _device_covariances(va: VirtualArray, snapshots: np.ndarray):
@@ -68,14 +75,64 @@ def _device_covariances(va: VirtualArray, snapshots: np.ndarray):
     return covs
 
 
+# Search-grid memos.  Grid unit vectors are keyed by the grid bytes.  A
+# device's grid steering is keyed by its element positions, frequency and
+# grid, and is kept only from its second sighting on: devices with a fixed
+# pose (the wearable and handset) are then computed twice, while the loc3
+# units, posed at random every trial, never take a memo slot.  Each memo
+# holds a few entries and evicts the least recently used; kept arrays are
+# read-only.
+_GRID_SLOTS, _STEER_SLOTS, _SEEN_SLOTS = 2, 4, 8
+_GRID_UNITS: OrderedDict = OrderedDict()   # grid key -> (A, E, 3)
+_STEER: OrderedDict = OrderedDict()        # steering key -> (n, A, E)
+_SEEN: OrderedDict = OrderedDict()         # steering keys met once, no array
+
+
+def _lru_put(memo: OrderedDict, key, value, slots: int) -> None:
+    memo[key] = value
+    memo.move_to_end(key)
+    if len(memo) > slots:
+        memo.popitem(last=False)
+
+
+def _grid_units(az_grid, el_grid):
+    """(key, unit vectors (A, E, 3)) of the az × el search grid."""
+    az_grid = np.asarray(az_grid, dtype=float)
+    el_grid = np.asarray(el_grid, dtype=float)
+    key = (az_grid.tobytes(), el_grid.tobytes())
+    u = _GRID_UNITS.get(key)
+    if u is None:
+        u = ch.direction_unit(*np.meshgrid(az_grid, el_grid, indexing="ij"))
+        u.flags.writeable = False
+    _lru_put(_GRID_UNITS, key, u, _GRID_SLOTS)
+    return key, u
+
+
+def _grid_steering(pos: np.ndarray, grid_key, u: np.ndarray,
+                   f_ghz: float) -> np.ndarray:
+    """Steering (n, A, E) of elements `pos` over a grid from `_grid_units`."""
+    key = (pos.shape, pos.tobytes(), f_ghz, grid_key)
+    a = _STEER.get(key)
+    if a is not None:
+        _STEER.move_to_end(key)
+        return a
+    a = _steering(pos, u, f_ghz)
+    if key in _SEEN:                       # second sighting: keep it
+        del _SEEN[key]
+        a.flags.writeable = False
+        _lru_put(_STEER, key, a, _STEER_SLOTS)
+    else:
+        _lru_put(_SEEN, key, None, _SEEN_SLOTS)
+    return a
+
+
 def _spectrum(va: VirtualArray, covs, az_grid, el_grid, f_ghz: float,
               method: str) -> np.ndarray:
-    az, el = np.meshgrid(az_grid, el_grid, indexing="ij")
-    total = np.zeros(az.shape)
+    grid_key, u = _grid_units(az_grid, el_grid)
+    total = np.zeros(u.shape[:-1])
     for d in range(va.n_devices):
         idx = va.elements_of(d)
-        sub = VirtualArray(va.element_pos[idx], np.zeros(len(idx), dtype=int), 1)
-        a = steering_vector(sub, az, el, f_ghz)              # (n_d, A, E)
+        a = _grid_steering(va.element_pos[idx], grid_key, u, f_ghz)
         r = covs[d]
         if method == "bartlett":
             num = np.real(np.einsum("nae,nm,mae->ae", a.conj(), r, a))
@@ -101,6 +158,21 @@ def _refine(grid: np.ndarray, i: int, vals: np.ndarray) -> float:
     return float(grid[i] + np.clip(step, -1.0, 1.0) * (grid[1] - grid[0]))
 
 
+def _search_grid(name: str, grid) -> np.ndarray:
+    """`grid` as a float array, checked to be 1-D, finite and uniform
+    (`_refine` interpolates with a constant step)."""
+    g = np.asarray(grid, dtype=float)
+    if g.ndim != 1 or g.size == 0:
+        raise EstimationError(f"{name} must be a non-empty 1-D grid")
+    if not np.all(np.isfinite(g)):
+        raise EstimationError(f"{name} must be finite")
+    step = np.diff(g)
+    if g.size > 1 and (step[0] == 0.0 or np.any(
+            np.abs(step - step[0]) > 1e-9 * abs(step[0]))):
+        raise EstimationError(f"{name} must be a uniform grid")
+    return g
+
+
 def noncoherent_aoa(va: VirtualArray, snapshots: np.ndarray, f_ghz: float,
                     method: str = "bartlett",
                     az_grid=None, el_grid=None) -> tuple:
@@ -110,6 +182,13 @@ def noncoherent_aoa(va: VirtualArray, snapshots: np.ndarray, f_ghz: float,
     (source above the horizon), which also resolves the mirror ambiguity
     of planar device sub-arrays.
     """
+    if method not in ("bartlett", "music"):
+        raise EstimationError(f"method must be 'bartlett' or 'music', "
+                              f"got {method!r}")
+    snapshots = np.asarray(snapshots)
+    if snapshots.ndim != 2 or snapshots.shape[1] == 0:
+        raise EstimationError("snapshots must be 2-D (elements, samples) "
+                              "with at least one sample")
     if snapshots.shape[0] != va.element_pos.shape[0]:
         raise EstimationError("snapshot rows must match virtual elements")
     if not np.all(np.isfinite(snapshots)):
@@ -118,6 +197,8 @@ def noncoherent_aoa(va: VirtualArray, snapshots: np.ndarray, f_ghz: float,
         raise EstimationError("all-zero snapshots")
     az_grid = np.arange(-180.0, 180.0, 1.0) if az_grid is None else az_grid
     el_grid = np.arange(0.0, 90.5, 1.0) if el_grid is None else el_grid
+    az_grid = _search_grid("az_grid", az_grid)
+    el_grid = _search_grid("el_grid", el_grid)
     covs = _device_covariances(va, snapshots)
     spec = _spectrum(va, covs, az_grid, el_grid, f_ghz, method)
     i, j = np.unravel_index(np.argmax(spec), spec.shape)

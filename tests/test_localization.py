@@ -8,6 +8,7 @@ import pytest
 from devmimo import (Case, EstimationError, ScenarioConfig,
                      build_virtual_array, localize, noncoherent_aoa,
                      run_loc_experiment, steering_vector)
+from devmimo import localization
 from devmimo.localization import (VirtualArray, _ensemble, _spectrum,
                                   _device_covariances, aoa_error_deg,
                                   median_aoa_error, synthesize_snapshots)
@@ -141,6 +142,103 @@ def test_aoa_estimator_input_validation():
     bad[0, 0] = np.nan
     with pytest.raises(EstimationError):
         noncoherent_aoa(va, bad, F_GHZ)
+
+
+@pytest.mark.parametrize("arg, value", [
+    ("method", "foo"),
+    ("snapshots", np.ones(4, complex)),
+    ("snapshots", np.ones((4, 0), complex)),
+    ("az_grid", np.array([])),
+    ("az_grid", np.array([-10.0, np.nan, 10.0])),
+    ("el_grid", np.array([0.0, 10.0, 30.0])),
+], ids=["method", "snapshots-1d", "snapshots-no-samples", "az_grid-empty",
+        "az_grid-nan", "el_grid-nonuniform"])
+def test_aoa_estimator_rejects_bad_argument_by_name(arg, value, cold_memo):
+    va = _two_device_array()
+    kwargs = {"snapshots": np.ones((4, 8), complex), arg: value}
+    with pytest.raises(EstimationError, match=arg):
+        noncoherent_aoa(va, f_ghz=F_GHZ, **kwargs)
+    assert not (localization._GRID_UNITS or localization._SEEN
+                or localization._STEER)
+
+
+def test_aoa_estimator_accepts_a_single_point_grid():
+    rng = np.random.default_rng(4)
+    va = _two_device_array()
+    x = _single_path_snapshots(va, 30.0, 20.0, rng)
+    az, el = noncoherent_aoa(va, x, F_GHZ, el_grid=[20.0])
+    assert el == 20.0 and abs(az - 30.0) < 1.0
+
+
+@pytest.fixture
+def cold_memo():
+    for memo in (localization._GRID_UNITS, localization._STEER,
+                 localization._SEEN):
+        memo.clear()
+
+
+def _reference_spectrum(va, covs, az_grid, el_grid, f_ghz, method):
+    """The spectrum with every steering tensor built from scratch."""
+    az, el = np.meshgrid(az_grid, el_grid, indexing="ij")
+    total = np.zeros(az.shape)
+    for d in range(va.n_devices):
+        idx = va.elements_of(d)
+        sub = VirtualArray(va.element_pos[idx], np.zeros(len(idx), int), 1)
+        a = steering_vector(sub, az, el, f_ghz)
+        if method == "bartlett":
+            total += np.real(np.einsum("nae,nm,mae->ae", a.conj(), covs[d],
+                                       a)) / len(idx)
+        else:
+            en = np.linalg.eigh(covs[d])[1][:, :-1]
+            proj = np.einsum("nk,nae->kae", en.conj(), a)
+            denom = np.einsum("kae,kae->ae", proj.conj(), proj).real
+            total += len(idx) / np.maximum(denom, 1e-18)
+    return total
+
+
+@pytest.mark.parametrize("method", ["bartlett", "music"])
+def test_spectrum_memo_is_bit_exact(method, cold_memo):
+    rng = np.random.default_rng(9)
+    va = _two_device_array()
+    covs = _device_covariances(va, _single_path_snapshots(va, 50.0, 30.0,
+                                                          rng))
+    grid = (np.arange(-180.0, 180.0, 2.0), np.arange(0.0, 90.5, 2.0))
+    ref = _reference_spectrum(va, covs, *grid, F_GHZ, method)
+    for _ in range(3):              # met once, kept, then read from the memo
+        assert np.array_equal(_spectrum(va, covs, *grid, F_GHZ, method), ref)
+    assert len(localization._STEER) == va.n_devices
+    other_grid = (np.arange(-180.0, 180.0, 3.0), np.arange(0.0, 90.5, 3.0))
+    for f_ghz, g in ((3.5, grid), (F_GHZ, other_grid)):
+        fresh = _reference_spectrum(va, covs, *g, f_ghz, method)
+        for _ in range(3):
+            assert np.array_equal(_spectrum(va, covs, *g, f_ghz, method),
+                                  fresh)
+
+
+@pytest.mark.parametrize("case", [Case.LOC2, Case.LOC3])
+def test_loc_experiment_same_with_cold_and_warm_memo(case, cold_memo):
+    cfg = ScenarioConfig(loc_users=6, loc_snr_db=10.0, case=case)
+    cold = run_loc_experiment(cfg, seed=3)
+    assert localization._STEER
+    assert run_loc_experiment(cfg, seed=3) == cold
+
+
+def test_steering_memo_keeps_only_fixed_devices(cold_memo, monkeypatch):
+    kept = []
+    put = localization._lru_put
+
+    def record(memo, key, value, slots):
+        if memo is localization._STEER:
+            kept.append(key[1])
+        put(memo, key, value, slots)
+
+    monkeypatch.setattr(localization, "_lru_put", record)
+    cfg = ScenarioConfig(loc_users=8, loc_snr_db=10.0, case=Case.LOC3)
+    run_loc_experiment(cfg, seed=0)
+    va = build_virtual_array(_ensemble("loc2", cfg.f_low_ghz, None))
+    fixed = {va.element_pos[va.elements_of(d)].tobytes() for d in (0, 1)}
+    assert set(kept) == fixed
+    assert {key[1] for key in localization._STEER} == fixed
 
 
 def test_single_ray_peak_within_one_grid_cell():
