@@ -144,6 +144,13 @@ def test_aoa_estimator_input_validation():
         noncoherent_aoa(va, bad, F_GHZ)
 
 
+@pytest.fixture
+def cold_memo():
+    for memo in (localization._GRID_UNITS, localization._STEER,
+                 localization._SEEN):
+        memo.clear()
+
+
 @pytest.mark.parametrize("arg, value", [
     ("method", "foo"),
     ("snapshots", np.ones(4, complex)),
@@ -168,13 +175,6 @@ def test_aoa_estimator_accepts_a_single_point_grid():
     x = _single_path_snapshots(va, 30.0, 20.0, rng)
     az, el = noncoherent_aoa(va, x, F_GHZ, el_grid=[20.0])
     assert el == 20.0 and abs(az - 30.0) < 1.0
-
-
-@pytest.fixture
-def cold_memo():
-    for memo in (localization._GRID_UNITS, localization._STEER,
-                 localization._SEEN):
-        memo.clear()
 
 
 def _reference_spectrum(va, covs, az_grid, el_grid, f_ghz, method):
@@ -207,8 +207,9 @@ def test_spectrum_memo_is_bit_exact(method, cold_memo):
     for _ in range(3):              # met once, kept, then read from the memo
         assert np.array_equal(_spectrum(va, covs, *grid, F_GHZ, method), ref)
     assert len(localization._STEER) == va.n_devices
-    other_grid = (np.arange(-180.0, 180.0, 3.0), np.arange(0.0, 90.5, 3.0))
-    for f_ghz, g in ((3.5, grid), (F_GHZ, other_grid)):
+    az3, el3 = np.arange(-180.0, 180.0, 3.0), np.arange(0.0, 90.5, 3.0)
+    for f_ghz, g in ((3.5, grid), (F_GHZ, (az3, grid[1])),
+                     (F_GHZ, (grid[0], el3))):
         fresh = _reference_spectrum(va, covs, *g, f_ghz, method)
         for _ in range(3):
             assert np.array_equal(_spectrum(va, covs, *g, f_ghz, method),
