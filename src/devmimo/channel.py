@@ -290,6 +290,69 @@ def assemble_channel(rays: RaySet,
     return ChannelRealization(h, large, rays)
 
 
+def _response(elem: np.ndarray, rot: np.ndarray, az, el, f_ghz: float,
+              sector: bool = False) -> np.ndarray:
+    """Element responses (L, n, R) of L arrays for R global-frame rays each.
+
+    Element positions are (n, 3) local, rotations (L, 3, 3) local ->
+    global and ray angles (L, R) in degrees; sector elements scale each
+    ray by the 3-sector pattern amplitude.
+    """
+    u_loc = np.einsum("lba,lrb->lra", rot, direction_unit(az, el))
+    kw = 2.0 * math.pi * f_ghz * 1e9 / C_LIGHT
+    a = np.exp(1j * kw * np.einsum("na,lra->lnr", elem, u_loc))
+    if sector:
+        a = a * sector_element_amplitude(*angles_from_vector(u_loc))[:, None, :]
+    return a
+
+
+def realize_links(rng: np.random.Generator, f_ghz: float, subc_hz: np.ndarray,
+                  tx_pos: np.ndarray, rx_pos: np.ndarray,
+                  tx_rot: np.ndarray, rx_rot: np.ndarray,
+                  tx_elem: np.ndarray, rx_elem: np.ndarray,
+                  amp: np.ndarray, los: np.ndarray,
+                  tx_sector: bool = False, rx_sector: bool = False,
+                  n_clusters: int = N_CLUSTERS) -> np.ndarray:
+    """Realize L clustered channels at once.
+
+    Returns (L, S, n_rx, n_tx); `amp` is the linear amplitude of the total
+    link loss excluding element patterns (those enter per ray).  A batch
+    of one draws the generator as gen_rays does and equals
+    assemble_channel on its rays.
+    """
+    L = tx_pos.shape[0]
+    d = rx_pos - tx_pos
+    dist = np.linalg.norm(d, axis=-1)
+    dep_az, dep_el = angles_from_vector(d)
+    arr_az, arr_el = angles_from_vector(-d)
+
+    k_lin = 10.0 ** (K_FACTOR_DB / 10.0)
+    p0 = np.where(los, k_lin / (k_lin + 1.0), 0.0)
+    excess = rng.exponential(DELAY_RMS_S, (L, n_clusters))
+    w = np.exp(-excess / DELAY_RMS_S) * 10.0 ** (
+        rng.normal(0.0, CLUSTER_SHADOW_STD_DB, (L, n_clusters)) / 10.0)
+    w *= (1.0 - p0)[:, None] / w.sum(axis=1, keepdims=True)
+    powers = np.concatenate([p0[:, None], w], axis=1)          # (L, R)
+    delays = np.concatenate([np.zeros((L, 1)), excess], axis=1)
+    delays += (dist / C_LIGHT)[:, None]
+
+    lap = lambda s: rng.laplace(0.0, s / math.sqrt(2.0), (L, n_clusters))
+    zero = np.zeros((L, 1))
+    r_dep_az = np.concatenate([zero, lap(AZ_SPREAD_DEG)], axis=1) + dep_az[:, None]
+    r_dep_el = np.concatenate([zero, lap(EL_SPREAD_DEG)], axis=1) + dep_el[:, None]
+    r_arr_az = np.concatenate([zero, lap(AZ_SPREAD_DEG)], axis=1) + arr_az[:, None]
+    r_arr_el = np.concatenate([zero, lap(EL_SPREAD_DEG)], axis=1) + arr_el[:, None]
+    phases = np.concatenate([zero, rng.uniform(-math.pi, math.pi,
+                                               (L, n_clusters))], axis=1)
+
+    a_tx = _response(tx_elem, tx_rot, r_dep_az, r_dep_el, f_ghz, tx_sector)
+    a_rx = _response(rx_elem, rx_rot, r_arr_az, r_arr_el, f_ghz, rx_sector)
+    coef = (np.sqrt(powers) * np.exp(1j * phases))[:, :, None] * np.exp(
+        -2j * math.pi * delays[:, :, None] * subc_hz[None, None, :])  # (L,R,S)
+    return amp[:, None, None, None] * np.einsum(
+        "lnr,lrs,lmr->lsnm", a_rx, coef, a_tx.conj(), optimize=True)
+
+
 def local_link(tx_pos: np.ndarray, tx_rot: np.ndarray, tx_elem: np.ndarray,
                rx_pos: np.ndarray, rx_rot: np.ndarray, rx_elem: np.ndarray,
                f_ghz: float, distance_m: float) -> np.ndarray:
@@ -302,14 +365,7 @@ def local_link(tx_pos: np.ndarray, tx_rot: np.ndarray, tx_elem: np.ndarray,
     d = rx_pos - tx_pos
     if not np.all(np.linalg.norm(d, axis=-1) > 0):
         raise ValueError("coincident tx/rx positions")
-    kw = 2.0 * math.pi * f_ghz * 1e9 / C_LIGHT
-
-    def side(elem, rot, v):
-        u = direction_unit(*angles_from_vector(v))
-        return np.exp(1j * kw * np.einsum(
-            "na,la->ln", elem, np.einsum("lba,lb->la", rot, u)))
-
     amp = 10.0 ** (-friis_db(distance_m, f_ghz) / 20.0)
-    a_tx = side(tx_elem, tx_rot, d)
-    a_rx = side(rx_elem, rx_rot, -d)
-    return amp * a_rx[:, :, None] * a_tx[:, None, :].conj()
+    a_tx = _response(tx_elem, tx_rot, *angles_from_vector(d[:, None]), f_ghz)
+    a_rx = _response(rx_elem, rx_rot, *angles_from_vector(-d[:, None]), f_ghz)
+    return amp * a_rx * a_tx.transpose(0, 2, 1).conj()

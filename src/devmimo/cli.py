@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -22,32 +22,12 @@ from .scenario import Case, Ftp3, FullBuffer, ScenarioConfig
 
 _CASE_NAMES = {c.value: c for c in Case}
 
-# config-file key -> ScenarioConfig attribute (same parse type as the field)
-_KEYS = {
-    "isd_m": ("isd", float),
-    "num_rings": ("num_rings", int),
-    "ues_per_cell": ("ues_per_cell", int),
-    "f_low_ghz": ("f_low_ghz", float),
-    "f_high_ghz": ("f_high_ghz", float),
-    "bandwidth_mhz": ("bandwidth_mhz", float),
-    "scs_khz": ("scs_khz", float),
-    "bs_ports": ("bs_ports", int),
-    "helper_distance_m": ("helper_distance_m", float),
-    "ue_max_tx_dbm": ("ue_max_tx_dbm", float),
-    "relay_max_tx_dbm": ("relay_max_tx_dbm", float),
-    "bs_tx_dbm": ("bs_tx_dbm", float),
-    "sim_duration_s": ("sim_duration_s", float),
-    "channel_update_slots": ("channel_update_slots", int),
-    "max_interferers": ("max_interferers", int),
-    "semistatic_threshold_db": ("semistatic_threshold_db", float),
-    "helper_rx_antennas": ("helper_rx_antennas", int),
-    "relay_streams": ("relay_streams", int),
-    "fh_activity": ("fh_activity", float),
-    "loc_users": ("loc_users", int),
-    "loc_snr_db": ("loc_snr_db", float),
-    "loc_method": ("loc_method", str),
-    "range_sigma_m": ("range_sigma_m", float),
-}
+# config-file key -> (ScenarioConfig attribute, parse type): every int, float
+# or str field under its own name, except isd (isd_m); field types are
+# strings because scenario postpones annotations
+_PARSE = {"int": int, "float": float, "str": str}
+_KEYS = {("isd_m" if f.name == "isd" else f.name): (f.name, _PARSE[f.type])
+         for f in fields(ScenarioConfig) if f.type in _PARSE}
 _ATTR_TO_KEY = {attr: key for key, (attr, _) in _KEYS.items()}
 _ATTR_TO_KEY.update(file_bytes="ftp3_file_bytes",
                     lambda_per_s="ftp3_lambda_per_s")

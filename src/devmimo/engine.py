@@ -1,12 +1,12 @@
-"""Batched per-drop machinery: large-scale geometry tables, vectorized
-clustered-channel realization, and the per-refresh orchestration that turns
-them into rate tables for the DL diversity and UL rank-augmentation
-programs.
+"""Batched per-drop machinery: large-scale geometry tables per device
+class, one builder for the BS-device links, and the per-refresh
+orchestration that turns them into rate tables for the DL diversity and UL
+rank-augmentation programs.
 
 Everything here is internal to the drop loop; the link-adaptation kernels
 it calls (rank selection, beam codebook, MMSE SE, relay beamformer and
-gain, stacked links) live in phy and collab, the O2I loss and the local
-device-to-device links in channel.
+gain, stacked links) live in phy and collab, the O2I loss, the clustered
+link realization and the local device-to-device links in channel.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channel as ch
+from .channel import realize_links
 from .collab import (EffectiveLink, Provenance, relay_gain,
                      relay_rx_beamformer, stack_rx, stack_tx)
 from .phy import (batched_beam_precoder, batched_mmse_se,
@@ -46,26 +47,23 @@ def dbm_to_w(dbm: float) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass
+class DeviceTables:
+    """Large-scale tables of one device class (primaries or helpers)."""
+    pos: np.ndarray               # (U, 3)
+    rot: np.ndarray               # (U, 3, 3)
+    bs_eff: np.ndarray            # (C, U, 3) wraparound BS position per link
+    los: np.ndarray               # (C, U) bool
+    loss: dict                    # "fl"/"fh" -> (C, U) dB: pathloss+shadowing+penetration
+
+
+@dataclass
 class DropGeometry:
     cfg: ScenarioConfig
     layout: SiteLayout
     cell_rot: np.ndarray          # (C, 3, 3) sector orientation + downtilt
-    prim_pos: np.ndarray          # (U, 3)
-    prim_rot: np.ndarray          # (U, 3, 3)
-    help_pos: np.ndarray
-    help_rot: np.ndarray
-    bs_eff_prim: np.ndarray       # (C, U, 3) wraparound BS position per link
-    bs_eff_help: np.ndarray
-    d3d_prim: np.ndarray          # (C, U)
-    d3d_help: np.ndarray
-    los_prim: np.ndarray          # (C, U) bool
-    los_help: np.ndarray
-    loss_fl_prim: np.ndarray      # (C, U) dB: pathloss+shadowing+penetration
-    loss_fh_prim: np.ndarray
-    loss_fl_help: np.ndarray
-    loss_fh_help: np.ndarray
+    prim: DeviceTables
+    help: DeviceTables
     pat_db_prim: np.ndarray       # (C, U) sector element gain, geometric dir
-    pat_db_help: np.ndarray
     serving: np.ndarray           # (U,)
     ue_of_cell: list              # cell -> array of UE indices
     interf_prim: np.ndarray       # (U, K) strongest non-serving cells, f_L
@@ -78,26 +76,32 @@ class DropGeometry:
 
     @property
     def n_ues(self) -> int:
-        return self.prim_pos.shape[0]
+        return self.prim.pos.shape[0]
 
     @property
     def n_cells(self) -> int:
         return self.layout.n_cells
 
+    def round_robin(self, rr: int) -> np.ndarray:
+        """(C,) UE each cell serves at round-robin index rr, -1 if empty."""
+        return np.array([ues[rr % len(ues)] if len(ues) else -1
+                         for ues in self.ue_of_cell])
 
-def _device_tables(layout: SiteLayout, cfg: ScenarioConfig, pos_xy: np.ndarray,
-                   height: float, rng: np.random.Generator):
+
+def _device_tables(layout: SiteLayout, cfg: ScenarioConfig, pos: np.ndarray,
+                   rot: np.ndarray, rng: np.random.Generator):
     """Per (cell, device) wraparound geometry, LOS states and losses.
 
     LOS and shadowing are drawn per (site, device) so co-sited sectors
     share them; links are otherwise independent (no cross-correlation).
+    Returns the device-to-BS horizontal vectors (C, N, 2) and the tables.
     """
+    pos_xy = pos[:, :2]
     cell_xy = layout.site_positions[layout.cell_site]
     vec = wraparound_vectors(pos_xy, cell_xy, layout)       # (N, C, 2)
     vec = vec.transpose(1, 0, 2)                            # (C, N, 2)
     d2d = np.maximum(np.linalg.norm(vec, axis=-1), 1.0)
-    dz = BS_HEIGHT_M - height
-    d3d = np.sqrt(d2d ** 2 + dz ** 2)
+    d3d = np.sqrt(d2d ** 2 + (BS_HEIGHT_M - UE_HEIGHT_M) ** 2)
 
     n_sites, n_dev = layout.n_sites, pos_xy.shape[0]
     site_d2d = d2d[::3]                                     # sector 0 of each site
@@ -106,13 +110,13 @@ def _device_tables(layout: SiteLayout, cfg: ScenarioConfig, pos_xy: np.ndarray,
     los = np.repeat(los_site, 3, axis=0)
 
     depth = np.minimum(rng.uniform(0.0, 25.0, n_dev), rng.uniform(0.0, 25.0, n_dev))
-    pen = {key: ch.o2i_penetration(f, depth, rng)
-           for f, key in ((cfg.f_low_ghz, "fl"), (cfg.f_high_ghz, "fh"))}
+    bands = ((cfg.f_low_ghz, "fl"), (cfg.f_high_ghz, "fh"))
+    pen = {key: ch.o2i_penetration(f, depth, rng) for f, key in bands}
 
     loss = {}
-    for f, key in ((cfg.f_low_ghz, "fl"), (cfg.f_high_ghz, "fh")):
-        pl = np.where(los, ch.pathloss(d3d, f, True, h_ut=height),
-                      ch.pathloss(d3d, f, False, h_ut=height))
+    for f, key in bands:
+        pl = np.where(los, ch.pathloss(d3d, f, True, h_ut=UE_HEIGHT_M),
+                      ch.pathloss(d3d, f, False, h_ut=UE_HEIGHT_M))
         sigma = np.where(los_site, ch.SHADOWING_SIGMA_LOS_DB,
                          ch.SHADOWING_SIGMA_NLOS_DB)
         sf = np.repeat(rng.normal(0.0, 1.0, (n_sites, n_dev)) * sigma, 3, axis=0)
@@ -121,15 +125,13 @@ def _device_tables(layout: SiteLayout, cfg: ScenarioConfig, pos_xy: np.ndarray,
     bs_eff = np.concatenate(
         [pos_xy[None, :, :] + vec, np.full((layout.n_cells, n_dev, 1), BS_HEIGHT_M)],
         axis=-1)
-    bs_eff[:, :, :2] = pos_xy[None, :, :2] + vec
-    return vec, d2d, d3d, los, loss, bs_eff
+    return vec, DeviceTables(pos, rot, bs_eff, los, loss)
 
 
-def _pattern_gain_db(vec: np.ndarray, d2d: np.ndarray, cell_rot: np.ndarray,
-                     height: float) -> np.ndarray:
+def _pattern_gain_db(vec: np.ndarray, cell_rot: np.ndarray) -> np.ndarray:
     """Sector element gain toward each device's geometric direction [dB]."""
-    dz = height - BS_HEIGHT_M
-    d = np.concatenate([vec, np.full(d2d.shape + (1,), dz)], axis=-1)
+    dz = UE_HEIGHT_M - BS_HEIGHT_M
+    d = np.concatenate([vec, np.full(vec.shape[:-1] + (1,), dz)], axis=-1)
     u = d / np.linalg.norm(d, axis=-1, keepdims=True)
     u_loc = np.einsum("cba,cub->cua", cell_rot, u)
     az, el = ch.angles_from_vector(u_loc)
@@ -145,15 +147,12 @@ def build_drop_geometry(cfg: ScenarioConfig, seed: int) -> DropGeometry:
     cell_rot = np.array([rot_z(az) @ rot_y(BS_DOWNTILT_DEG)
                          for az in layout.cell_azimuth_deg])
 
-    vp, d2p, d3p, los_p, loss_p, bs_p = _device_tables(
-        layout, cfg, prim_pos[:, :2], UE_HEIGHT_M, rng)
-    vh, d2h, d3h, los_h, loss_h, bs_h = _device_tables(
-        layout, cfg, help_pos[:, :2], UE_HEIGHT_M, rng)
+    vp, prim = _device_tables(layout, cfg, prim_pos, prim_rot, rng)
+    vh, help_ = _device_tables(layout, cfg, help_pos, help_rot, rng)
+    pat_p = _pattern_gain_db(vp * -1.0, cell_rot)
+    pat_h = _pattern_gain_db(vh * -1.0, cell_rot)
 
-    pat_p = _pattern_gain_db(vp * -1.0, d2p, cell_rot, UE_HEIGHT_M)
-    pat_h = _pattern_gain_db(vh * -1.0, d2h, cell_rot, UE_HEIGHT_M)
-
-    coupling = -loss_p["fl"] + pat_p                       # (C, U) dB
+    coupling = -prim.loss["fl"] + pat_p                    # (C, U) dB
     serving = np.argmax(coupling, axis=0)
     ue_of_cell = [np.flatnonzero(serving == c) for c in range(layout.n_cells)]
 
@@ -172,85 +171,54 @@ def build_drop_geometry(cfg: ScenarioConfig, seed: int) -> DropGeometry:
         return top, np.maximum(total - taken, 0.0)
 
     interf_p, res_p = interferers(coupling, serving)
-    coup_help = -loss_h["fl"] + pat_h
+    coup_help = -help_.loss["fl"] + pat_h
     interf_h, res_h = interferers(coup_help, serving)      # helper also hears its serving cell's signal as useful
-    coup_fh = -loss_p["fh"] + pat_p
+    coup_fh = -prim.loss["fh"] + pat_p
     interf_fh, res_fh = interferers(coup_fh)               # all cells interfere in f_H
 
     bw = cfg.n_prb * cfg.prb_hz
     noise_bs = thermal_noise_w(bw, NF_BS_DB)
-    serv_loss_fh = loss_p["fh"][serving, np.arange(n_u)]
+    serv_loss_fh = prim.loss["fh"][serving, np.arange(n_u)]
     snr_fh_ul = (cfg.ue_max_tx_dbm - serv_loss_fh
                  - (10.0 * np.log10(noise_bs * 1e3)))
 
     return DropGeometry(
-        cfg, layout, cell_rot, prim_pos, prim_rot, help_pos, help_rot,
-        bs_p, bs_h, d3p, d3h, los_p, los_h,
-        loss_p["fl"], loss_p["fh"], loss_h["fl"], loss_h["fh"],
-        pat_p, pat_h, serving, ue_of_cell,
+        cfg, layout, cell_rot, prim, help_, pat_p, serving, ue_of_cell,
         interf_p, interf_h, interf_fh, res_p, res_h, res_fh, snr_fh_ul)
 
 
 # ---------------------------------------------------------------------------
-# batched clustered-channel realization
+# BS-device links
 # ---------------------------------------------------------------------------
 
-def realize_links(rng: np.random.Generator, f_ghz: float, subc_hz: np.ndarray,
-                  tx_pos: np.ndarray, rx_pos: np.ndarray,
-                  tx_rot: np.ndarray, rx_rot: np.ndarray,
-                  tx_elem: np.ndarray, rx_elem: np.ndarray,
-                  amp: np.ndarray, los: np.ndarray,
-                  tx_sector: bool = False, rx_sector: bool = False,
-                  n_clusters: int = ch.N_CLUSTERS) -> np.ndarray:
-    """Realize L clustered channels at once.
+@dataclass
+class _Engine:
+    geo: DropGeometry
+    rng: np.random.Generator
+    subc: np.ndarray
+    bs_elem: np.ndarray
+    ue_elem: np.ndarray           # primary array (DL rx, UL tx)
+    help_elem: np.ndarray
 
-    Returns (L, S, n_rx, n_tx); `amp` is the linear amplitude of the total
-    link loss excluding element patterns (those enter per ray).
-    """
-    L = tx_pos.shape[0]
-    S = subc_hz.shape[0]
-    R = n_clusters + 1
-    d = rx_pos - tx_pos
-    dist = np.linalg.norm(d, axis=-1)
-    dep_az, dep_el = ch.angles_from_vector(d)
-    arr_az, arr_el = ch.angles_from_vector(-d)
-
-    k_lin = 10.0 ** (ch.K_FACTOR_DB / 10.0)
-    p0 = np.where(los, k_lin / (k_lin + 1.0), 0.0)
-    excess = rng.exponential(ch.DELAY_RMS_S, (L, n_clusters))
-    w = np.exp(-excess / ch.DELAY_RMS_S) * 10.0 ** (
-        rng.normal(0.0, ch.CLUSTER_SHADOW_STD_DB, (L, n_clusters)) / 10.0)
-    w *= (1.0 - p0)[:, None] / w.sum(axis=1, keepdims=True)
-    powers = np.concatenate([p0[:, None], w], axis=1)          # (L, R)
-    delays = np.concatenate([np.zeros((L, 1)), excess], axis=1)
-    delays += (dist / ch.C_LIGHT)[:, None]
-
-    lap = lambda s: rng.laplace(0.0, s / math.sqrt(2.0), (L, n_clusters))
-    zero = np.zeros((L, 1))
-    r_dep_az = np.concatenate([zero, lap(ch.AZ_SPREAD_DEG)], axis=1) + dep_az[:, None]
-    r_dep_el = np.concatenate([zero, lap(ch.EL_SPREAD_DEG)], axis=1) + dep_el[:, None]
-    r_arr_az = np.concatenate([zero, lap(ch.AZ_SPREAD_DEG)], axis=1) + arr_az[:, None]
-    r_arr_el = np.concatenate([zero, lap(ch.EL_SPREAD_DEG)], axis=1) + arr_el[:, None]
-    phases = np.concatenate([zero, rng.uniform(-math.pi, math.pi,
-                                               (L, n_clusters))], axis=1)
-
-    kw = 2.0 * math.pi * f_ghz * 1e9 / ch.C_LIGHT
-
-    def side(elem, rot, az, el, sector):
-        u = ch.direction_unit(az, el)                          # (L, R, 3)
-        u_loc = np.einsum("lba,lrb->lra", rot, u)
-        a = np.exp(1j * kw * np.einsum("na,lra->lnr", elem, u_loc))
-        if sector:
-            az_l, el_l = ch.angles_from_vector(u_loc)
-            a = a * ch.sector_element_amplitude(az_l, el_l)[:, None, :]
-        return a
-
-    a_tx = side(tx_elem, tx_rot, r_dep_az, r_dep_el, tx_sector)
-    a_rx = side(rx_elem, rx_rot, r_arr_az, r_arr_el, rx_sector)
-    coef = (np.sqrt(powers) * np.exp(1j * phases))[:, :, None] * np.exp(
-        -2j * math.pi * delays[:, :, None] * subc_hz[None, None, :])  # (L,R,S)
-    return amp[:, None, None, None] * np.einsum(
-        "lnr,lrs,lmr->lsnm", a_rx, coef, a_tx.conj(), optimize=True)
+    def _links(self, dev: DeviceTables, cells, devs, band: str,
+               dev_elem: np.ndarray, uplink: bool = False) -> np.ndarray:
+        """Realize the links between cells[b] and device devs[b] of `dev`
+        in band "fl" or "fh", BS to device or, with `uplink`, device to
+        BS.  Indices broadcast to a batch shape B; returns
+        (*B, S, n_rx, n_tx)."""
+        cells, devs = np.broadcast_arrays(cells, devs)
+        c, u = cells.reshape(-1), devs.reshape(-1)
+        geo, cfg = self.geo, self.geo.cfg
+        bs = (dev.bs_eff[c, u], geo.cell_rot[c], self.bs_elem)
+        ue = (dev.pos[u], dev.rot[u], dev_elem)
+        (tx_pos, tx_rot, tx_elem), (rx_pos, rx_rot, rx_elem) = \
+            (ue, bs) if uplink else (bs, ue)
+        h = realize_links(
+            self.rng, cfg.f_low_ghz if band == "fl" else cfg.f_high_ghz,
+            self.subc, tx_pos, rx_pos, tx_rot, rx_rot, tx_elem, rx_elem,
+            10.0 ** (-dev.loss[band][c, u] / 20.0), dev.los[c, u],
+            tx_sector=not uplink, rx_sector=uplink)
+        return h.reshape(cells.shape + h.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -258,46 +226,23 @@ def realize_links(rng: np.random.Generator, f_ghz: float, subc_hz: np.ndarray,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class DlEngine:
-    """Precomputed batch index tables for the DL drop programs."""
-    geo: DropGeometry
-    rng: np.random.Generator
-    subc: np.ndarray
-    bs_elem: np.ndarray
-    ue_elem: np.ndarray
-    help_elem: np.ndarray
+class DlEngine(_Engine):
+    """DL refresh: the direct arm and the helper-relayed arm."""
     p_sb_w: float
     noise_ue_w: float
     noise_help_w: float
-    h_local: np.ndarray = field(init=False)     # (U, S, n_prim_rx, 1)
+    h_local: np.ndarray = field(init=False)     # (U, 1, n_prim_rx, 1)
+    hh_local: np.ndarray = field(init=False)    # (U, 1, n_prim_rx, n_prim_rx)
 
     def __post_init__(self):
         geo, cfg = self.geo, self.geo.cfg
         # static local links from the helper's first element (pure LOS at
         # the helper distance), flat over subbands
-        h = ch.local_link(geo.help_pos, geo.help_rot, self.help_elem[:1],
-                          geo.prim_pos, geo.prim_rot, self.ue_elem,
-                          cfg.f_high_ghz, cfg.helper_distance_m)
-        self.h_local = np.broadcast_to(
-            h[:, None], (geo.n_ues, self.subc.shape[0]) + h.shape[1:]).copy()
-
-    def _bs_batch(self, cells, dev_pos, dev_rot, loss_db, f_ghz, rx_elem):
-        """Realize BS->device links for per-device cell indices (flat)."""
-        geo = self.geo
-        dev_idx = np.repeat(np.arange(dev_pos.shape[0]),
-                            cells.shape[1] if cells.ndim == 2 else 1)
-        cell_idx = cells.reshape(-1)
-        eff = (geo.bs_eff_prim if dev_pos is geo.prim_pos else geo.bs_eff_help)
-        tx_pos = eff[cell_idx, dev_idx]
-        los = (geo.los_prim if dev_pos is geo.prim_pos else geo.los_help)[
-            cell_idx, dev_idx]
-        amp = 10.0 ** (-loss_db[cell_idx, dev_idx] / 20.0)
-        h = realize_links(self.rng, f_ghz, self.subc, tx_pos,
-                          dev_pos[dev_idx], geo.cell_rot[cell_idx],
-                          dev_rot[dev_idx], self.bs_elem, rx_elem,
-                          amp, los, tx_sector=True)
-        shape = (dev_pos.shape[0], -1) + h.shape[1:]
-        return h.reshape(shape) if cells.ndim == 2 else h
+        self.h_local = ch.local_link(
+            geo.help.pos, geo.help.rot, self.help_elem[:1], geo.prim.pos,
+            geo.prim.rot, self.ue_elem, cfg.f_high_ghz,
+            cfg.helper_distance_m)[:, None]
+        self.hh_local = self.h_local @ self.h_local.conj().transpose(0, 1, 3, 2)
 
     def refresh(self, rr: int, want_relay: bool):
         """New channel realizations; returns per-arm rate tables [bps].
@@ -306,14 +251,13 @@ class DlEngine:
         plus the per-UE path choice.
         """
         geo, cfg = self.geo, self.geo.cfg
-        u_n, s_n = geo.n_ues, self.subc.shape[0]
+        u_n = geo.n_ues
         serving = geo.serving
+        all_u = np.arange(u_n)
 
-        h_serv = self._bs_batch(serving[:, None], geo.prim_pos, geo.prim_rot,
-                                geo.loss_fl_prim, cfg.f_low_ghz,
-                                self.ue_elem)[:, 0]
-        h_int = self._bs_batch(geo.interf_prim, geo.prim_pos, geo.prim_rot,
-                               geo.loss_fl_prim, cfg.f_low_ghz, self.ue_elem)
+        h_serv = self._links(geo.prim, serving, all_u, "fl", self.ue_elem)
+        h_int = self._links(geo.prim, geo.interf_prim, all_u[:, None], "fl",
+                            self.ue_elem)
 
         ranks, v = batched_rank_select(
             h_serv, np.full(u_n, self.p_sb_w), self.noise_ue_w,
@@ -322,16 +266,10 @@ class DlEngine:
         p_layer = self.p_sb_w / ranks
 
         # per-cell transmit precoders (round-robin served UE)
-        n_c = geo.n_cells
-        q_cell = np.zeros((n_c, cfg.bs_ports, pmat.shape[-1]), dtype=complex)
-        ql_cell = np.zeros(n_c)
-        for c in range(n_c):
-            ues = geo.ue_of_cell[c]
-            if len(ues) == 0:
-                continue
-            u = ues[rr % len(ues)]
-            q_cell[c, :, :pmat.shape[-1]] = pmat[u]
-            ql_cell[c] = p_layer[u]
+        tx = geo.round_robin(rr)
+        on = tx >= 0
+        q_cell = np.where(on[:, None, None], pmat[tx], 0.0)
+        ql_cell = np.where(on, p_layer[tx], 0.0)
 
         def victim_r(h_i, interf, res, noise_w):
             q = q_cell[interf]                                 # (U, K, n, r)
@@ -352,11 +290,9 @@ class DlEngine:
             return out
 
         # --- relayed arm: BS -> helper (f_L) -> AF -> primary (f_H) ---
-        h_sh = self._bs_batch(serving[:, None], geo.help_pos, geo.help_rot,
-                              geo.loss_fl_help, cfg.f_low_ghz,
-                              self.help_elem)[:, 0]
-        h_ih = self._bs_batch(geo.interf_help, geo.help_pos, geo.help_rot,
-                              geo.loss_fl_help, cfg.f_low_ghz, self.help_elem)
+        h_sh = self._links(geo.help, serving, all_u, "fl", self.help_elem)
+        h_ih = self._links(geo.help, geo.interf_help, all_u[:, None], "fl",
+                           self.help_elem)
         r_help = victim_r(h_ih, geo.interf_help, geo.res_fl_help,
                           self.noise_help_w)
 
@@ -369,8 +305,8 @@ class DlEngine:
 
         # f_H interference at the primary: legacy co-channel transmissions
         # at the configured duty cycle
-        h_fh = self._bs_batch(geo.interf_fh_prim, geo.prim_pos, geo.prim_rot,
-                              geo.loss_fh_prim, cfg.f_high_ghz, self.ue_elem)
+        h_fh = self._links(geo.prim, geo.interf_fh_prim, all_u[:, None], "fh",
+                           self.ue_elem)
         r_fh = np.einsum("ukswn,uksvn->uswv", h_fh, h_fh.conj(),
                          optimize=True) * (self.p_sb_w * cfg.fh_activity
                                            / cfg.bs_ports)
@@ -378,7 +314,6 @@ class DlEngine:
                        * self.p_sb_w)[:, None, None, None] \
             * np.eye(self.ue_elem.shape[0])
 
-        hh = self.h_local @ self.h_local.conj().transpose(0, 1, 3, 2)
         wh = np.einsum("uom,usmn->uson", w, h_sh, optimize=True)    # (U,S,o,n)
         h_out = [self.h_local @ wh[:, :, o:o + 1, :]
                  for o in range(n_str)]                             # (U,S,4,n)
@@ -395,7 +330,7 @@ class DlEngine:
                 * (self.p_sb_w / k)                                 # (U, k)
             g = np.sqrt(dbm_to_w(cfg.relay_max_tx_dbm) / k / (sig + 1.0))
             stacked = stack_rx(*(
-                EffectiveLink(g_o * h_o, g_o ** 2 * hh + r_fh,
+                EffectiveLink(g_o * h_o, g_o ** 2 * self.hh_local + r_fh,
                               Provenance.RELAYED)
                 for g_o, h_o in zip(g.T[:, :, None, None, None], h_out)))
             return batched_mmse_se(stacked.h_eff, p_rel,
@@ -428,13 +363,8 @@ def make_dl_engine(geo: DropGeometry, rng: np.random.Generator) -> DlEngine:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class UlEngine:
-    geo: DropGeometry
-    rng: np.random.Generator
-    subc: np.ndarray
-    bs_elem: np.ndarray
-    ue_elem: np.ndarray         # UL tx array of the primary
-    help_elem: np.ndarray
+class UlEngine(_Engine):
+    """UL refresh: the legacy two-carrier arm and the collaboration arm."""
     noise_bs_w: float
     weak: np.ndarray            # (U,) semi-static collaboration decision
     neighbor_cells: np.ndarray = field(init=False)   # (C, K)
@@ -447,7 +377,7 @@ class UlEngine:
         # strongest interfering cells per victim cell by mean UE coupling
         c_n = geo.n_cells
         k = min(cfg.max_interferers, c_n - 1)
-        mean_coup = -geo.loss_fl_prim + geo.pat_db_prim          # (C, U)
+        mean_coup = -geo.prim.loss["fl"] + geo.pat_db_prim      # (C, U)
         score = np.zeros((c_n, c_n))
         for c in range(c_n):
             ues = geo.ue_of_cell[c]
@@ -458,18 +388,6 @@ class UlEngine:
         np.fill_diagonal(score, -np.inf)
         self.neighbor_cells = np.argsort(-score.T, axis=1)[:, :k]
 
-    def _ue_bs_links(self, ue_idx, cell_idx, f_ghz, loss_db, tx_elem,
-                     positions, rotations):
-        geo = self.geo
-        eff = geo.bs_eff_prim if positions is geo.prim_pos else geo.bs_eff_help
-        rx_pos = eff[cell_idx, ue_idx]
-        los = (geo.los_prim if positions is geo.prim_pos
-               else geo.los_help)[cell_idx, ue_idx]
-        amp = 10.0 ** (-loss_db[cell_idx, ue_idx] / 20.0)
-        return realize_links(self.rng, f_ghz, self.subc, positions[ue_idx],
-                             rx_pos, rotations[ue_idx], geo.cell_rot[cell_idx],
-                             tx_elem, self.bs_elem, amp, los, rx_sector=True)
-
     def refresh(self, rr: int):
         """Per-arm, per-band UL rate tables [bps]."""
         geo, cfg = self.geo, self.geo.cfg
@@ -479,26 +397,17 @@ class UlEngine:
         p_tot = dbm_to_w(cfg.ue_max_tx_dbm) / cfg.n_subbands
         max_ul = cfg.ue_ul_config[0]
 
-        h_fl = self._ue_bs_links(all_u, serving, cfg.f_low_ghz,
-                                 geo.loss_fl_prim, self.ue_elem,
-                                 geo.prim_pos, geo.prim_rot)
-        h_fh = self._ue_bs_links(all_u, serving, cfg.f_high_ghz,
-                                 geo.loss_fh_prim, self.ue_elem,
-                                 geo.prim_pos, geo.prim_rot)
-        h_hb = self._ue_bs_links(all_u, serving, cfg.f_low_ghz,
-                                 geo.loss_fl_help, self.help_elem,
-                                 geo.help_pos, geo.help_rot)
+        h_fl = self._links(geo.prim, serving, all_u, "fl", self.ue_elem,
+                           uplink=True)
+        h_fh = self._links(geo.prim, serving, all_u, "fh", self.ue_elem,
+                           uplink=True)
+        h_hb = self._links(geo.help, serving, all_u, "fl", self.help_elem,
+                           uplink=True)
 
         # interfering UE per neighbor cell (round-robin)
-        tx_of_cell = np.full(geo.n_cells, -1)
-        for c in range(geo.n_cells):
-            ues = geo.ue_of_cell[c]
-            if len(ues):
-                tx_of_cell[c] = ues[rr % len(ues)]
-
         nbr = self.neighbor_cells                        # (C, K)
         flat_cells = np.repeat(np.arange(geo.n_cells), nbr.shape[1])
-        flat_ues = tx_of_cell[nbr.reshape(-1)]
+        flat_ues = geo.round_robin(rr)[nbr.reshape(-1)]
         ok = flat_ues >= 0
 
         # white-noise SVD precoders for interferers and the legacy arm
@@ -528,12 +437,11 @@ class UlEngine:
                 contrib += aa[:, k]
             return contrib
 
-        h_int_fl = self._ue_bs_links(np.maximum(flat_ues, 0), flat_cells,
-                                     cfg.f_low_ghz, geo.loss_fl_prim,
-                                     self.ue_elem, geo.prim_pos, geo.prim_rot)
-        h_int_fh = self._ue_bs_links(np.maximum(flat_ues, 0), flat_cells,
-                                     cfg.f_high_ghz, geo.loss_fh_prim,
-                                     self.ue_elem, geo.prim_pos, geo.prim_rot)
+        tx_ues = np.maximum(flat_ues, 0)
+        h_int_fl = self._links(geo.prim, flat_cells, tx_ues, "fl",
+                               self.ue_elem, uplink=True)
+        h_int_fh = self._links(geo.prim, flat_cells, tx_ues, "fh",
+                               self.ue_elem, uplink=True)
         eye = np.eye(self.bs_elem.shape[0])
         r_fl = interference(h_int_fl, v2, ranks2, False) + self.noise_bs_w * eye
         r_fh_leg = interference(h_int_fh, v2h, ranks2h, False) \

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from devmimo import (LargeScale, friis_db, los_probability, o2i_penetration,
                      o2i_wall_loss_db, pathloss)
-from devmimo.channel import assemble_channel, gen_rays, local_link
-from devmimo.engine import realize_links
+from devmimo.channel import (assemble_channel, gen_rays, local_link,
+                             realize_links)
 from devmimo.scenario import bs_port_array, rot_y, rot_z, ue_array, ula
 
 
@@ -176,7 +176,7 @@ _angle = st.floats(-180.0, 180.0)
 def test_batched_realization_matches_ray_assembly(seed, los, tx_xy, rx_xy,
                                                   tx_az, tilt, rx_az, rx_tilt,
                                                   loss_db):
-    """engine.realize_links on a batch of one equals gen_rays followed by
+    """channel.realize_links on a batch of one equals gen_rays followed by
     assemble_channel drawn from the same generator state."""
     f_ghz = 2.0
     subc = (np.arange(6) - 2.5) * 1.44e6

@@ -46,6 +46,17 @@ ftp3_lambda_per_s = 0.5
     assert plan.scenario.traffic.lambda_per_s == 0.5
 
 
+@pytest.mark.parametrize("key, value, expected", [
+    ("f_low_ghz", "1.5", 1.5), ("bs_ports", "8", 8),
+    ("bandwidth_mhz", "20", 20.0), ("helper_rx_antennas", "2", 2),
+    ("loc_method", "music", "music")], ids=lambda v: str(v))
+def test_config_key_reaches_its_field_with_its_type(tmp_path, key, value,
+                                                    expected):
+    plan = parse_config(_write(tmp_path, f"{key} = {value}\n"))
+    got = getattr(plan.scenario, key)
+    assert got == expected and type(got) is type(expected)
+
+
 def _last_key(text):
     return text.splitlines()[-1].split()[0]
 

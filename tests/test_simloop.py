@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -201,6 +202,19 @@ def test_single_port_diversity_drop_runs():
     for arm in ("baseline", "diversity"):
         served = stats_[arm].served_bytes
         assert np.all(np.isfinite(served)) and served.sum() > 0
+
+
+def test_round_robin_serves_each_cell_in_turn():
+    geo = engine.build_drop_geometry(ScenarioConfig(**TINY), 0)
+    ue_of_cell = [np.array([4, 1, 3]), np.array([], dtype=int),
+                  np.array([0, 2, 5])]
+    geo = replace(geo, ue_of_cell=ue_of_cell)
+    for rr in range(7):
+        tx = geo.round_robin(rr)
+        assert tx.shape == (geo.n_cells,)
+        assert tx[1] == -1
+        for c in (0, 2):
+            assert tx[c] == ue_of_cell[c][rr % 3]
 
 
 def test_lone_file_throughput_matches_isolated_link_rate():
