@@ -307,9 +307,9 @@ class DlEngine(_Engine):
         # at the configured duty cycle
         h_fh = self._links(geo.prim, geo.interf_fh_prim, all_u[:, None], "fh",
                            self.ue_elem)
-        r_fh = np.einsum("ukswn,uksvn->uswv", h_fh, h_fh.conj(),
-                         optimize=True) * (self.p_sb_w * cfg.fh_activity
-                                           / cfg.bs_ports)
+        x = np.moveaxis(h_fh, 1, 3).reshape(u_n, *h_fh.shape[2:4], -1)
+        r_fh = x @ x.conj().transpose(0, 1, 3, 2) \
+            * (self.p_sb_w * cfg.fh_activity / cfg.bs_ports)
         r_fh = r_fh + (self.noise_ue_w + geo.res_fh_prim * cfg.fh_activity
                        * self.p_sb_w)[:, None, None, None] \
             * np.eye(self.ue_elem.shape[0])
@@ -321,11 +321,13 @@ class DlEngine(_Engine):
         def relay_rates(k: int) -> np.ndarray:
             """Rates when the relay forwards its k strongest outputs;
             the relay power cap is split across them.  In the whitened
-            domain w R1 w^H = I, so forwarded noise has unit power."""
+            domain w R1 w^H = I, so forwarded noise has unit power.
+            h_out[o] is h_local (x) wh[:, :, o] and h_local has rank 1, so
+            the Gram of h_out[:k] is |h_local|^2 times that of wh[:, :, :k]
+            and both give the same precoder (columns up to a unit phase)."""
             ranks_k = np.full(u_n, k)
-            p_rel = batched_beam_precoder(np.concatenate(h_out[:k], axis=2),
-                                          ranks_k, n_beams=4)
-            a1 = np.einsum("uom,usmr->usor", w[:, :k], h_sh @ p_rel[:, None])
+            p_rel = batched_beam_precoder(wh[:, :, :k], ranks_k, n_beams=4)
+            a1 = wh[:, :, :k] @ p_rel[:, None]                      # (U,S,k,r)
             sig = np.mean(np.sum(np.abs(a1) ** 2, axis=3), axis=1) \
                 * (self.p_sb_w / k)                                 # (U, k)
             g = np.sqrt(dbm_to_w(cfg.relay_max_tx_dbm) / k / (sig + 1.0))
@@ -340,8 +342,7 @@ class DlEngine(_Engine):
         cand = [relay_rates(k) for k in range(1, n_str + 1)]
         totals = np.stack([c.sum(axis=1) for c in cand])            # (K, U)
         best = np.argmax(totals, axis=0)
-        rate_rel = np.stack(cand)[best, np.arange(u_n)]
-        out["relayed"] = rate_rel
+        out["relayed"] = np.stack(cand)[best, np.arange(u_n)]
         return out
 
 

@@ -112,27 +112,26 @@ class ScenarioConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigurationError(f"{f.name} must be finite")
-        if self.num_rings < 0:
-            raise ConfigurationError("num_rings must be >= 0")
         if self.f_low_ghz >= self.f_high_ghz:
             raise ConfigurationError("f_low_ghz must be below f_high_ghz")
         for name in ("ues_per_cell", "bs_ports", "helper_rx_antennas",
                      "relay_streams", "loc_users"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
-        if self.max_interferers < 0:
-            raise ConfigurationError("max_interferers must be >= 0")
-        if self.ue_dl_config[0] < 1 or self.ue_dl_config[1] < 1:
-            raise ConfigurationError("ue_dl_config counts must be >= 1")
-        if self.ue_ul_config[0] < 1 or self.ue_ul_config[1] < 1:
-            raise ConfigurationError("ue_ul_config counts must be >= 1")
-        for name in ("isd", "scs_khz", "sim_duration_s", "helper_distance_m"):
+        for name in ("num_rings", "max_interferers", "range_sigma_m"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be >= 0")
+        for name in ("ue_dl_config", "ue_ul_config"):
+            pair = getattr(self, name)
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(
+                    isinstance(n, (int, np.integer)) and n >= 1 for n in pair)):
+                raise ConfigurationError(f"{name} must be two ints >= 1")
+        for name in ("isd", "f_low_ghz", "scs_khz", "sim_duration_s",
+                     "helper_distance_m"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive")
         if not 0.0 <= self.fh_activity <= 1.0:
             raise ConfigurationError("fh_activity must be in [0, 1]")
-        if self.range_sigma_m < 0:
-            raise ConfigurationError("range_sigma_m must be >= 0")
         if self.channel_update_slots < 1:
             raise ConfigurationError("channel_update_slots must be >= 1")
         if self.n_prb < 1:

@@ -1,0 +1,100 @@
+"""The DL refresh pinned to a reference that keeps the composite relay
+formulas: the relay precoder from the stacked primary-side channels
+h_local (x) w H_sh, the first-hop gain as w (H_sh p), and the f_H
+interference covariance as one einsum."""
+
+import numpy as np
+import pytest
+
+from devmimo import Case, ScenarioConfig, engine
+from devmimo.collab import (EffectiveLink, Provenance, relay_rx_beamformer,
+                            stack_rx)
+from devmimo.phy import (batched_beam_precoder, batched_mmse_se,
+                         batched_rank_select)
+
+
+def _reference_refresh(eng, rr):
+    """DlEngine.refresh(rr, True) with the composite relay formulas; the
+    links are drawn in the engine's order from the engine's generator."""
+    geo, cfg = eng.geo, eng.geo.cfg
+    u_n, serving = geo.n_ues, geo.serving
+    all_u = np.arange(u_n)
+
+    h_serv = eng._links(geo.prim, serving, all_u, "fl", eng.ue_elem)
+    h_int = eng._links(geo.prim, geo.interf_prim, all_u[:, None], "fl",
+                       eng.ue_elem)
+    ranks, v = batched_rank_select(
+        h_serv, np.full(u_n, eng.p_sb_w), eng.noise_ue_w,
+        min(cfg.ue_dl_config[1], cfg.bs_ports))
+    pmat = batched_beam_precoder(h_serv, ranks, v=v)
+    p_layer = eng.p_sb_w / ranks
+    tx = geo.round_robin(rr)
+    on = tx >= 0
+    q_cell = np.where(on[:, None, None], pmat[tx], 0.0)
+    ql_cell = np.where(on, p_layer[tx], 0.0)
+
+    def victim_r(h_i, interf, res, noise_w):
+        b = np.einsum("ukswn,uknr->ukswr", h_i, q_cell[interf], optimize=True)
+        r = np.einsum("uk,ukswr,uksvr->uswv", ql_cell[interf], b, b.conj(),
+                      optimize=True)
+        eye = np.eye(h_i.shape[3])
+        return r + (noise_w + res * eng.p_sb_w)[:, None, None, None] * eye
+
+    r_prim = victim_r(h_int, geo.interf_prim, geo.res_fl_prim, eng.noise_ue_w)
+    direct = batched_mmse_se(h_serv, pmat, p_layer, r_prim) * cfg.subband_hz
+
+    h_sh = eng._links(geo.help, serving, all_u, "fl", eng.help_elem)
+    h_ih = eng._links(geo.help, geo.interf_help, all_u[:, None], "fl",
+                      eng.help_elem)
+    r_help = victim_r(h_ih, geo.interf_help, geo.res_fl_help,
+                      eng.noise_help_w)
+    n_str = min(cfg.relay_streams, eng.help_elem.shape[0], cfg.bs_ports)
+    w = relay_rx_beamformer(h_sh, r_help, n_str)
+    h_fh = eng._links(geo.prim, geo.interf_fh_prim, all_u[:, None], "fh",
+                      eng.ue_elem)
+    r_fh = np.einsum("ukswn,uksvn->uswv", h_fh, h_fh.conj(), optimize=True) \
+        * (eng.p_sb_w * cfg.fh_activity / cfg.bs_ports)
+    r_fh = r_fh + (eng.noise_ue_w + geo.res_fh_prim * cfg.fh_activity
+                   * eng.p_sb_w)[:, None, None, None] \
+        * np.eye(eng.ue_elem.shape[0])
+    wh = np.einsum("uom,usmn->uson", w, h_sh, optimize=True)
+    h_out = [eng.h_local @ wh[:, :, o:o + 1, :] for o in range(n_str)]
+
+    cand = []
+    for k in range(1, n_str + 1):
+        ranks_k = np.full(u_n, k)
+        p_rel = batched_beam_precoder(np.concatenate(h_out[:k], axis=2),
+                                      ranks_k, n_beams=4)
+        a1 = np.einsum("uom,usmr->usor", w[:, :k], h_sh @ p_rel[:, None])
+        sig = np.mean(np.sum(np.abs(a1) ** 2, axis=3), axis=1) \
+            * (eng.p_sb_w / k)
+        g = np.sqrt(engine.dbm_to_w(cfg.relay_max_tx_dbm) / k / (sig + 1.0))
+        stacked = stack_rx(*(
+            EffectiveLink(g_o * h_o, g_o ** 2 * eng.hh_local + r_fh,
+                          Provenance.RELAYED)
+            for g_o, h_o in zip(g.T[:, :, None, None, None], h_out)))
+        cand.append(batched_mmse_se(stacked.h_eff, p_rel, eng.p_sb_w / ranks_k,
+                                    stacked.r_nn) * cfg.subband_hz)
+    best = np.argmax(np.stack([c.sum(axis=1) for c in cand]), axis=0)
+    return {"direct": direct,
+            "relayed": np.stack(cand)[best, np.arange(u_n)]}
+
+
+def _engine(geo, seed):
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC4)))
+    return engine.make_dl_engine(geo, rng)
+
+
+@pytest.mark.parametrize("rings", [0, 1])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_relay_arm_matches_composite_reference(rings, seed):
+    cfg = ScenarioConfig(num_rings=rings, case=Case.DIVERSITY)
+    geo = engine.build_drop_geometry(cfg, seed)
+    eng, ref = _engine(geo, seed), _engine(geo, seed)
+    for rr in range(3):
+        got = eng.refresh(rr, True)
+        want = _reference_refresh(ref, rr)
+        assert np.array_equal(got["direct"], want["direct"])
+        assert np.all(want["relayed"] > 0.0)
+        np.testing.assert_allclose(got["relayed"], want["relayed"],
+                                   rtol=1e-9, atol=0.0)

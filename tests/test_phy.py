@@ -179,3 +179,21 @@ def test_beam_precoder_reuses_rank_selection_svd():
     assert len(set(ranks)) > 1 and ranks.max() < v.shape[-1]
     assert np.array_equal(batched_beam_precoder(h, ranks, v=v),
                           batched_beam_precoder(h, ranks))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_beam_precoder_ignores_a_rank_one_left_factor(k):
+    # x (x) wh stacks x[:, i] * wh[:, :, o] for every (o, i): its Gram is
+    # |x|^2 wh^H wh, so the precoder columns agree up to a unit phase
+    rng = np.random.default_rng(6 + k)
+    u_n, s_n, m, n = 8, 3, 4, 16
+    x = rng.standard_normal((u_n, 1, m, 1)) \
+        + 1j * rng.standard_normal((u_n, 1, m, 1))
+    wh = rng.standard_normal((u_n, s_n, k, n)) \
+        + 1j * rng.standard_normal((u_n, s_n, k, n))
+    comp = np.concatenate([x @ wh[:, :, o:o + 1] for o in range(k)], axis=2)
+    ranks = np.full(u_n, k)
+    p1 = batched_beam_precoder(comp, ranks)
+    p2 = batched_beam_precoder(wh, ranks)
+    overlap = np.einsum("unr,unr->ur", p1.conj(), p2)
+    assert np.allclose(np.abs(overlap), 1.0, rtol=0.0, atol=1e-10)

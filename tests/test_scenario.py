@@ -144,6 +144,22 @@ def test_config_validation_errors():
         ScenarioConfig(bandwidth_mhz=0.1)  # below one resource block
 
 
+@pytest.mark.parametrize("key, value", [
+    ("f_low_ghz", 0.0), ("f_low_ghz", -1.0),
+    ("ue_dl_config", (2,)), ("ue_dl_config", (2, 4.5)),
+    ("ue_dl_config", (2, 0)), ("ue_dl_config", 4),
+    ("ue_ul_config", (2, 2, 2)), ("ue_ul_config", ("2", 2)),
+], ids=lambda v: v if isinstance(v, str) else repr(v).replace(" ", ""))
+def test_config_error_names_its_key(key, value):
+    with pytest.raises(ConfigurationError, match=f"^{key} "):
+        ScenarioConfig(**{key: value})
+
+
+def test_config_accepts_numpy_int_antenna_counts():
+    cfg = ScenarioConfig(ue_dl_config=(np.int64(1), 2), ue_ul_config=[1, 1])
+    assert cfg.ue_dl_config[1] == 2
+
+
 def test_config_derived_quantities():
     cfg = ScenarioConfig()
     assert cfg.n_prb == 27        # 10 MHz at 30 kHz subcarriers
