@@ -11,11 +11,8 @@ delays) in lieu of ray tracing or full fast-fading profiles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-from .scenario import ArrayGeometry, ElementPattern
 
 C_LIGHT = 3e8
 
@@ -105,29 +102,6 @@ def friis_db(d_m: float, f_ghz: float) -> float:
     return 32.45 + 20.0 * math.log10(d_m) + 20.0 * math.log10(f_ghz)
 
 
-@dataclass(frozen=True)
-class LargeScale:
-    pathloss_db: float
-    shadowing_db: float = 0.0
-    penetration_db: float = 0.0
-    los: bool = True
-
-    def __post_init__(self):
-        if self.pathloss_db <= 0:
-            raise ValueError("pathloss_db must be positive")
-        if self.penetration_db < 0:
-            raise ValueError("penetration_db must be >= 0")
-
-    @property
-    def total_db(self) -> float:
-        return self.pathloss_db + self.shadowing_db + self.penetration_db
-
-    @property
-    def linear(self) -> float:
-        """Linear power gain (<= 1 for any positive loss)."""
-        return 10.0 ** (-self.total_db / 10.0)
-
-
 # ---------------------------------------------------------------------------
 # geometry helpers
 # ---------------------------------------------------------------------------
@@ -163,132 +137,9 @@ def sector_element_amplitude(az_local_deg, el_local_deg,
     return 10.0 ** (a / 20.0)
 
 
-def array_response(array: ArrayGeometry, rotation: np.ndarray,
-                   az_deg, el_deg, f_ghz: float) -> np.ndarray:
-    """Narrowband response (n_elements, ...) for global-frame angles.
-
-    Entries are exp(j 2*pi/lambda <p_n, u>) scaled by the element pattern
-    amplitude; unit modulus for isotropic elements.
-    """
-    u_global = direction_unit(az_deg, el_deg)              # (..., 3)
-    u_local = u_global @ rotation                          # R^T u
-    k = 2.0 * math.pi * f_ghz * 1e9 / C_LIGHT
-    phase = k * np.einsum("na,...a->n...", array.positions, u_local)
-    resp = np.exp(1j * phase)
-    if array.pattern is ElementPattern.SECTOR_3GPP:
-        az_l, el_l = angles_from_vector(u_local)
-        resp = resp * sector_element_amplitude(az_l, el_l)[None, ...]
-    return resp
-
-
 # ---------------------------------------------------------------------------
-# clustered rays
+# clustered links
 # ---------------------------------------------------------------------------
-
-@dataclass
-class RaySet:
-    power: np.ndarray      # linear, sums to 1
-    delay: np.ndarray      # seconds
-    aod_az: np.ndarray     # degrees, global frame at Tx
-    aod_el: np.ndarray
-    aoa_az: np.ndarray     # degrees, global frame at Rx (toward the source)
-    aoa_el: np.ndarray
-    phase: np.ndarray      # radians
-
-    def __post_init__(self):
-        if abs(float(np.sum(self.power)) - 1.0) > 1e-9:
-            raise ValueError("ray powers must sum to 1")
-        if np.any(self.delay < 0):
-            raise ValueError("delays must be >= 0")
-
-    @property
-    def n_rays(self) -> int:
-        return self.power.shape[0]
-
-
-def gen_rays(tx_pos: np.ndarray, rx_pos: np.ndarray, los: bool,
-             rng: np.random.Generator,
-             n_clusters: int = N_CLUSTERS,
-             az_spread_deg: float = AZ_SPREAD_DEG,
-             el_spread_deg: float = EL_SPREAD_DEG,
-             delay_rms_s: float = DELAY_RMS_S,
-             k_factor_db: float = K_FACTOR_DB) -> RaySet:
-    """Reduced clustered ray set for one link.
-
-    LOS ray present iff `los`, weighted by the Rician K factor; clusters are
-    Laplacian-spread around the geometric direction with exponential excess
-    delays and log-normal per-cluster shadowing.
-    """
-    tx = np.asarray(tx_pos, dtype=float)
-    rx = np.asarray(rx_pos, dtype=float)
-    d = rx - tx
-    dist = float(np.linalg.norm(d))
-    if dist <= 0:
-        raise ValueError("endpoints must be distinct")
-    dep_az, dep_el = angles_from_vector(d)
-    arr_az, arr_el = angles_from_vector(-d)
-    tau0 = dist / C_LIGHT
-
-    k_lin = 10.0 ** (k_factor_db / 10.0)
-    if los and n_clusters == 0:
-        return RaySet(np.array([1.0]), np.array([tau0]),
-                      np.array([dep_az]), np.array([dep_el]),
-                      np.array([arr_az]), np.array([arr_el]),
-                      np.array([0.0]))
-
-    n_c = max(n_clusters, 1)
-    excess = rng.exponential(delay_rms_s, n_c)
-    w = np.exp(-excess / delay_rms_s) * 10 ** (
-        rng.normal(0.0, CLUSTER_SHADOW_STD_DB, n_c) / 10.0)
-    w = w / np.sum(w)
-    # Laplacian offsets at both ends (scale chosen so std == spread)
-    lap = lambda s, n: rng.laplace(0.0, s / math.sqrt(2.0), n)
-    c_dep_az = dep_az + lap(az_spread_deg, n_c)
-    c_dep_el = dep_el + lap(el_spread_deg, n_c)
-    c_arr_az = arr_az + lap(az_spread_deg, n_c)
-    c_arr_el = arr_el + lap(el_spread_deg, n_c)
-    phases = rng.uniform(-math.pi, math.pi, n_c)
-
-    if los:
-        p = np.concatenate([[k_lin / (k_lin + 1.0)], w / (k_lin + 1.0)])
-        p = p / np.sum(p)
-        return RaySet(p, np.concatenate([[tau0], tau0 + excess]),
-                      np.concatenate([[dep_az], c_dep_az]),
-                      np.concatenate([[dep_el], c_dep_el]),
-                      np.concatenate([[arr_az], c_arr_az]),
-                      np.concatenate([[arr_el], c_arr_el]),
-                      np.concatenate([[0.0], phases]))
-    return RaySet(w, tau0 + excess, c_dep_az, c_dep_el,
-                  c_arr_az, c_arr_el, phases)
-
-
-# ---------------------------------------------------------------------------
-# channel assembly
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ChannelRealization:
-    h: np.ndarray              # (n_subbands, n_rx, n_tx)
-    large: LargeScale
-    rays: RaySet
-
-
-def assemble_channel(rays: RaySet,
-                     tx_array: ArrayGeometry, tx_rotation: np.ndarray,
-                     rx_array: ArrayGeometry, rx_rotation: np.ndarray,
-                     large: LargeScale, subcarriers_hz: np.ndarray,
-                     f_ghz: float) -> ChannelRealization:
-    """Per-subband channel H[s] = sqrt(lin) sum_r sqrt(p_r) e^{j phi_r}
-    e^{-j 2 pi f_s tau_r} a_rx(aoa_r) a_tx(aod_r)^H."""
-    sc = np.asarray(subcarriers_hz, dtype=float)
-    a_tx = array_response(tx_array, tx_rotation, rays.aod_az, rays.aod_el, f_ghz)
-    a_rx = array_response(rx_array, rx_rotation, rays.aoa_az, rays.aoa_el, f_ghz)
-    g = np.sqrt(rays.power) * np.exp(1j * rays.phase)          # (R,)
-    dly = np.exp(-2j * math.pi * sc[:, None] * rays.delay[None, :])  # (S, R)
-    amp = math.sqrt(large.linear)
-    h = amp * np.einsum("sr,nr,mr->snm", g[None, :] * dly, a_rx, a_tx.conj())
-    return ChannelRealization(h, large, rays)
-
 
 def _response(elem: np.ndarray, rot: np.ndarray, az, el, f_ghz: float,
               sector: bool = False) -> np.ndarray:
@@ -311,16 +162,16 @@ def realize_links(rng: np.random.Generator, f_ghz: float, subc_hz: np.ndarray,
                   tx_rot: np.ndarray, rx_rot: np.ndarray,
                   tx_elem: np.ndarray, rx_elem: np.ndarray,
                   amp: np.ndarray, los: np.ndarray,
-                  tx_sector: bool = False, rx_sector: bool = False,
-                  n_clusters: int = N_CLUSTERS) -> np.ndarray:
+                  tx_sector: bool = False, rx_sector: bool = False
+                  ) -> np.ndarray:
     """Realize L clustered channels at once.
 
     Returns (L, S, n_rx, n_tx); `amp` is the linear amplitude of the total
-    link loss excluding element patterns (those enter per ray).  A batch
-    of one draws the generator as gen_rays does and equals
-    assemble_channel on its rays.
+    link loss excluding element patterns (those enter per ray).  Each link
+    has a LOS ray (zero power when not `los`) and N_CLUSTERS clusters;
+    the module constants are read at call time.
     """
-    L = tx_pos.shape[0]
+    L, n_c = tx_pos.shape[0], N_CLUSTERS
     d = rx_pos - tx_pos
     dist = np.linalg.norm(d, axis=-1)
     dep_az, dep_el = angles_from_vector(d)
@@ -328,22 +179,22 @@ def realize_links(rng: np.random.Generator, f_ghz: float, subc_hz: np.ndarray,
 
     k_lin = 10.0 ** (K_FACTOR_DB / 10.0)
     p0 = np.where(los, k_lin / (k_lin + 1.0), 0.0)
-    excess = rng.exponential(DELAY_RMS_S, (L, n_clusters))
+    excess = rng.exponential(DELAY_RMS_S, (L, n_c))
     w = np.exp(-excess / DELAY_RMS_S) * 10.0 ** (
-        rng.normal(0.0, CLUSTER_SHADOW_STD_DB, (L, n_clusters)) / 10.0)
+        rng.normal(0.0, CLUSTER_SHADOW_STD_DB, (L, n_c)) / 10.0)
     w *= (1.0 - p0)[:, None] / w.sum(axis=1, keepdims=True)
     powers = np.concatenate([p0[:, None], w], axis=1)          # (L, R)
     delays = np.concatenate([np.zeros((L, 1)), excess], axis=1)
     delays += (dist / C_LIGHT)[:, None]
 
-    lap = lambda s: rng.laplace(0.0, s / math.sqrt(2.0), (L, n_clusters))
+    lap = lambda s: rng.laplace(0.0, s / math.sqrt(2.0), (L, n_c))
     zero = np.zeros((L, 1))
     r_dep_az = np.concatenate([zero, lap(AZ_SPREAD_DEG)], axis=1) + dep_az[:, None]
     r_dep_el = np.concatenate([zero, lap(EL_SPREAD_DEG)], axis=1) + dep_el[:, None]
     r_arr_az = np.concatenate([zero, lap(AZ_SPREAD_DEG)], axis=1) + arr_az[:, None]
     r_arr_el = np.concatenate([zero, lap(EL_SPREAD_DEG)], axis=1) + arr_el[:, None]
     phases = np.concatenate([zero, rng.uniform(-math.pi, math.pi,
-                                               (L, n_clusters))], axis=1)
+                                               (L, n_c))], axis=1)
 
     a_tx = _response(tx_elem, tx_rot, r_dep_az, r_dep_el, f_ghz, tx_sector)
     a_rx = _response(rx_elem, rx_rot, r_arr_az, r_arr_el, f_ghz, rx_sector)

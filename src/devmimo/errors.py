@@ -5,10 +5,6 @@ class ConfigurationError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
 
-class RankDeficiencyError(ValueError):
-    """Requested more spatial layers than the channel supports."""
-
-
 class CalibrationError(RuntimeError):
     """Load calibration failed to bracket or converge on the target."""
 

@@ -7,8 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficiencyError
-
 SE_CAP_BPS_HZ = 7.4        # per-layer cap (~256-QAM max efficiency)
 _RANK_TOL = 1e-10
 
@@ -23,27 +21,6 @@ class Precoder:
         g = p.conj().T @ p
         if not np.allclose(g, np.eye(p.shape[1]), atol=1e-9):
             raise ValueError("precoder columns must be orthonormal")
-
-
-def _wideband(h: np.ndarray) -> np.ndarray:
-    """Collapse an (S, m, n) channel to a single matrix for precoding by
-    stacking subbands vertically (preserves the row space per subband)."""
-    h = np.asarray(h)
-    if h.ndim == 2:
-        return h
-    return h.reshape(-1, h.shape[-1])
-
-
-def svd_precoder(h: np.ndarray, rank: int, power: float) -> Precoder:
-    """Top right singular vectors of the (wideband) channel, equal power."""
-    hw = _wideband(h)
-    if rank < 1 or rank > min(hw.shape):
-        raise RankDeficiencyError(f"rank {rank} infeasible for shape {hw.shape}")
-    _, s, vh = np.linalg.svd(hw, full_matrices=False)
-    if s[rank - 1] <= _RANK_TOL * max(s[0], 1e-300):
-        raise RankDeficiencyError(
-            f"rank {rank} exceeds numerical channel rank")
-    return Precoder(vh[:rank].conj().T, power / rank)
 
 
 def _dft_beams(n_tx: int, shift: int, oversampling: int) -> np.ndarray:

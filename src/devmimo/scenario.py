@@ -187,16 +187,10 @@ class ScenarioConfig:
 # arrays and devices
 # ---------------------------------------------------------------------------
 
-class ElementPattern(Enum):
-    ISOTROPIC = "isotropic"
-    SECTOR_3GPP = "sector_3gpp"
-
-
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Element positions in the device-local frame (meters)."""
     positions: np.ndarray
-    pattern: ElementPattern = ElementPattern.ISOTROPIC
 
     def __post_init__(self):
         p = np.asarray(self.positions, dtype=float)
@@ -211,12 +205,11 @@ class ArrayGeometry:
         return self.positions.shape[0]
 
 
-def ula(n: int, spacing_m: float, axis: int = 0,
-        pattern: ElementPattern = ElementPattern.ISOTROPIC) -> ArrayGeometry:
+def ula(n: int, spacing_m: float, axis: int = 0) -> ArrayGeometry:
     """Centered uniform linear array along a coordinate axis."""
     pos = np.zeros((n, 3))
     pos[:, axis] = (np.arange(n) - (n - 1) / 2.0) * spacing_m
-    return ArrayGeometry(pos, pattern)
+    return ArrayGeometry(pos)
 
 
 def half_wavelength_m(f_ghz: float) -> float:
@@ -225,9 +218,9 @@ def half_wavelength_m(f_ghz: float) -> float:
 
 def bs_port_array(n_ports: int, f_ghz: float) -> ArrayGeometry:
     """BS sector array: half-wavelength ULA across the local y axis,
-    boresight along local +x, 3GPP sector element pattern."""
-    return ula(n_ports, half_wavelength_m(f_ghz), axis=1,
-               pattern=ElementPattern.SECTOR_3GPP)
+    boresight along local +x (the links give its elements the 3-sector
+    pattern)."""
+    return ula(n_ports, half_wavelength_m(f_ghz), axis=1)
 
 
 def ue_array(n_antennas: int, f_ghz: float) -> ArrayGeometry:

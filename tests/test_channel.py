@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
-from devmimo import (LargeScale, friis_db, los_probability, o2i_penetration,
+from reference import ray_channel
+
+from devmimo import (channel, friis_db, los_probability, o2i_penetration,
                      o2i_wall_loss_db, pathloss)
-from devmimo.channel import (assemble_channel, gen_rays, local_link,
-                             realize_links)
+from devmimo.channel import local_link, realize_links
 from devmimo.scenario import bs_port_array, rot_y, rot_z, ue_array, ula
 
 
@@ -78,69 +80,109 @@ def test_friis_reference_points():
     assert abs(friis_db(1.0, 2.0) - 38.47) < 0.01
 
 
+ONE = np.zeros((1, 3))              # one isotropic element at the origin
+BS, UE = bs_port_array(8, 2.0).positions, ue_array(4, 2.0).positions
+SUBC = np.array([-1e6, 0.0, 2e6])
+
+
+def _realize(seed, n, tx_elem, rx_elem, los=True):
+    """realize_links at 2 GHz on n BS-to-UE links with random ends,
+    orientations and losses.  Returns h, the channels of the lone
+    geometric ray (the free-space local link rescaled to `amp`, delayed
+    by |rx - tx| / c), that delay's phase ramp and `amp`."""
+    rng = np.random.default_rng(seed)
+    tx = np.column_stack([rng.uniform(-300, 300, (n, 2)), np.full(n, 25.0)])
+    rx = np.column_stack([rng.uniform(-300, 300, (n, 2)), np.full(n, 1.5)])
+    rots = Rotation.random(2 * n, rng).as_matrix().reshape(2, n, 3, 3)
+    amp = 10.0 ** (-rng.uniform(60.0, 160.0, n) / 20.0)
+    h = realize_links(rng, 2.0, SUBC, tx, rx, *rots, tx_elem, rx_elem, amp,
+                      np.broadcast_to(los, n))
+    ray = local_link(tx, rots[0], tx_elem, rx, rots[1], rx_elem, 2.0, 1.0)
+    ray *= (amp * 10.0 ** (friis_db(1.0, 2.0) / 20.0))[:, None, None]
+    tau = np.linalg.norm(rx - tx, axis=1) / channel.C_LIGHT
+    ramp = np.exp(-2j * math.pi * tau[:, None] * SUBC)[..., None, None]
+    return h, ramp * ray[:, None], ramp, amp[:, None, None, None]
+
+
+class _SharedDraws:
+    """Generator stand-in for a batch of R = N_CLUSTERS + 1 links: every
+    link draws the first link's delays, powers and angles, and link m the
+    cluster phases 2 pi m r / R (r = 1..N_CLUSTERS; the LOS ray, r = 0,
+    keeps phase 0).  Over the batch the phases run through the R-point
+    DFT, so the batch mean of |h|^2 is exactly sum_r p_r for isotropic
+    elements."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def __getattr__(self, name):
+        draw = getattr(self._rng, name)
+        return lambda *args: np.repeat(
+            draw(*args[:-1], (1,) + args[-1][1:]), args[-1][0], axis=0)
+
+    def uniform(self, low, high, size):
+        m, r = np.indices(size)
+        return 2.0 * math.pi * m * (r + 1) / (size[1] + 1)
+
+
 def test_ray_powers_normalized():
-    rng = np.random.default_rng(0)
-    for los in (True, False):
-        rays = gen_rays(np.zeros(3), np.array([50.0, 10.0, 0.0]), los, rng)
-        assert abs(float(np.sum(rays.power)) - 1.0) < 1e-9
-        assert np.all(rays.delay >= 0.0)
+    n = channel.N_CLUSTERS + 1
+    tx = np.tile([0.0, 0.0, 25.0], (n, 1))
+    rx = np.tile([50.0, 10.0, 1.5], (n, 1))
+    rot = np.broadcast_to(np.eye(3), (n, 3, 3))
+    for seed, los in enumerate((True, False)):
+        h = realize_links(_SharedDraws(seed), 2.0, SUBC, tx, rx, rot, rot,
+                          BS, UE, np.full(n, 1e-4), np.full(n, los))
+        power = np.mean(np.abs(h) ** 2, axis=0) / 1e-8
+        assert power.shape == (3, 4, 8)
+        assert np.allclose(power, 1.0, rtol=0.0, atol=1e-12)
 
 
-def test_pure_los_limit_single_geometric_ray():
-    rng = np.random.default_rng(1)
-    tx, rx = np.zeros(3), np.array([30.0, 40.0, 0.0])
-    rays = gen_rays(tx, rx, los=True, rng=rng, n_clusters=0)
-    assert rays.n_rays == 1
-    assert abs(rays.aod_az[0] - math.degrees(math.atan2(40.0, 30.0))) < 1e-9
-    assert abs(rays.delay[0] - 50.0 / 3e8) < 1e-15
+def test_pure_los_limit_single_geometric_ray(monkeypatch):
+    monkeypatch.setattr(channel, "K_FACTOR_DB", 400.0)   # p_LOS == 1.0
+    h, ray, _, _ = _realize(1, 16, BS, UE)
+    assert h.shape == ray.shape == (16, 3, 4, 8)
+    assert np.all(np.sum(np.abs(h - ray) ** 2, axis=(1, 2, 3))
+                  <= 1e-24 * np.sum(np.abs(ray) ** 2, axis=(1, 2, 3)))
 
 
-def test_strong_rician_factor_concentrates_power_on_los_ray():
-    rng = np.random.default_rng(2)
-    rays = gen_rays(np.zeros(3), np.array([50.0, 0.0, 0.0]), True, rng,
-                    k_factor_db=40.0)
-    assert rays.power[0] > 0.99
+def test_strong_rician_factor_concentrates_power_on_los_ray(monkeypatch):
+    monkeypatch.setattr(channel, "K_FACTOR_DB", 40.0)
+    h, ray, _, _ = _realize(2, 64, BS, UE)
+    assert np.all(np.sum(np.abs(h - ray) ** 2, axis=(1, 2, 3))
+                  < 0.01 * np.sum(np.abs(ray) ** 2, axis=(1, 2, 3)))
 
 
-def test_single_ray_scalar_channel_magnitude():
-    large = LargeScale(pathloss_db=80.0, los=True)
-    rng = np.random.default_rng(3)
-    rays = gen_rays(np.zeros(3), np.array([50.0, 0.0, 1.0]), True, rng,
-                    n_clusters=0)
-    one = ula(1, 0.0)
-    h = assemble_channel(rays, one, np.eye(3), one, np.eye(3), large,
-                         np.array([0.0]), 2.0).h
-    assert abs(abs(h[0, 0, 0]) - math.sqrt(large.linear)) < 1e-12
+def test_single_ray_scalar_channel_magnitude(monkeypatch):
+    monkeypatch.setattr(channel, "K_FACTOR_DB", 400.0)
+    h, _, _, amp = _realize(3, 32, ONE, ONE)
+    assert np.allclose(np.abs(h), amp, rtol=1e-12, atol=0.0)
+    # on boresight a sector element adds its 8 dBi maximum gain
+    h = realize_links(np.random.default_rng(3), 2.0, SUBC,
+                      np.array([[0.0, 0.0, 1.5]]), np.array([[5.0, 0, 1.5]]),
+                      np.eye(3)[None], np.eye(3)[None], ONE, ONE,
+                      np.array([1e-4]), np.array([True]), tx_sector=True)
+    assert np.allclose(np.abs(h), 1e-4 * 10.0 ** (8.0 / 20.0), rtol=1e-12)
 
 
-def test_zero_delay_spread_is_frequency_flat():
-    large = LargeScale(pathloss_db=60.0, los=True)
-    rng = np.random.default_rng(4)
-    rays = gen_rays(np.zeros(3), np.array([50.0, 5.0, 1.0]), True, rng,
-                    delay_rms_s=1e-30)
-    rays.delay[:] = 0.0
-    arr = ula(2, 0.075)
-    h = assemble_channel(rays, arr, np.eye(3), arr, np.eye(3), large,
-                         np.array([-1e6, 0.0, 1e6]), 2.0).h
-    assert np.allclose(h[0], h[1], atol=1e-12)
-    assert np.allclose(h[1], h[2], atol=1e-12)
+def test_zero_delay_spread_is_frequency_flat(monkeypatch):
+    monkeypatch.setattr(channel, "DELAY_RMS_S", 1e-30)
+    h, _, ramp, amp = _realize(4, 16, BS, UE, los=np.arange(16) % 2 == 0)
+    # once the bulk propagation delay is taken out, every subband is equal
+    flat = h / ramp / amp
+    assert np.allclose(flat, flat[:, :1], rtol=0.0, atol=1e-12)
 
 
 def test_channel_normalization_monte_carlo():
-    large = LargeScale(pathloss_db=70.0, los=False)
-    rng = np.random.default_rng(5)
-    tx = ula(4, 0.075)
-    rx = ula(2, 0.075)
-    sc = np.array([0.0])
-    acc = 0.0
-    n_mc = 1000
-    for _ in range(n_mc):
-        rays = gen_rays(np.zeros(3), np.array([120.0, 30.0, 1.0]), False, rng)
-        h = assemble_channel(rays, tx, np.eye(3), rx, np.eye(3), large,
-                             sc, 2.0).h
-        acc += float(np.sum(np.abs(h) ** 2))
-    ratio = acc / n_mc / (4 * 2 * large.linear)
-    assert 0.95 <= ratio <= 1.05
+    n_mc = 8000
+    tx, rx = np.zeros((n_mc, 3)), np.tile([120.0, 30.0, 1.0], (n_mc, 1))
+    rot = np.broadcast_to(np.eye(3), (n_mc, 3, 3))
+    amp = 10.0 ** (-70.0 / 20.0)
+    for seed, los in enumerate((False, True)):
+        h = realize_links(np.random.default_rng(5 + seed), 2.0, SUBC, tx, rx,
+                          rot, rot, BS, UE, np.full(n_mc, amp),
+                          np.full(n_mc, los))
+        assert 0.95 <= np.mean(np.abs(h) ** 2) / amp ** 2 <= 1.05
 
 
 def _local_link(prim_xyz, helper_xyz, n_ant=4):
@@ -170,29 +212,29 @@ _angle = st.floats(-180.0, 180.0)
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), los=st.booleans(),
-       tx_xy=st.tuples(_coord, _coord), rx_xy=st.tuples(_coord, _coord),
-       tx_az=_angle, tilt=st.floats(0.0, 20.0),
-       rx_az=_angle, rx_tilt=_angle, loss_db=st.floats(60.0, 160.0))
-def test_batched_realization_matches_ray_assembly(seed, los, tx_xy, rx_xy,
-                                                  tx_az, tilt, rx_az, rx_tilt,
-                                                  loss_db):
-    """channel.realize_links on a batch of one equals gen_rays followed by
-    assemble_channel drawn from the same generator state."""
-    f_ghz = 2.0
+       uplink=st.booleans(),
+       bs_xy=st.tuples(_coord, _coord), ue_xy=st.tuples(_coord, _coord),
+       bs_az=_angle, tilt=st.floats(0.0, 20.0),
+       ue_az=_angle, ue_tilt=_angle, loss_db=st.floats(60.0, 160.0))
+def test_batched_realization_matches_ray_assembly(seed, los, uplink, bs_xy,
+                                                  ue_xy, bs_az, tilt, ue_az,
+                                                  ue_tilt, loss_db):
+    """channel.realize_links on a batch of one equals the ray-by-ray
+    reference drawn from the same generator state, BS to UE with the
+    sector pattern at the transmitter or, with `uplink`, UE to BS with it
+    at the receiver."""
     subc = (np.arange(6) - 2.5) * 1.44e6
-    bs, ue = bs_port_array(8, f_ghz), ue_array(4, f_ghz)
-    tx_pos = np.array([tx_xy[0], tx_xy[1], 25.0])
-    rx_pos = np.array([rx_xy[0], rx_xy[1], 1.5])
-    tx_rot = rot_z(tx_az) @ rot_y(tilt)
-    rx_rot = rot_z(rx_az) @ rot_y(rx_tilt)
+    bs = (np.array([*bs_xy, 25.0]), rot_z(bs_az) @ rot_y(tilt), BS)
+    ue = (np.array([*ue_xy, 1.5]), rot_z(ue_az) @ rot_y(ue_tilt), UE)
+    (tx_pos, tx_rot, tx_elem), (rx_pos, rx_rot, rx_elem) = \
+        (ue, bs) if uplink else (bs, ue)
+    sector = dict(tx_sector=not uplink, rx_sector=uplink)
 
-    h = realize_links(np.random.default_rng(seed), f_ghz, subc,
-                      tx_pos[None], rx_pos[None], tx_rot[None], rx_rot[None],
-                      bs.positions, ue.positions,
-                      np.array([10.0 ** (-loss_db / 20.0)]), np.array([los]),
-                      tx_sector=True)[0]
-    rays = gen_rays(tx_pos, rx_pos, los, np.random.default_rng(seed))
-    ref = assemble_channel(rays, bs, tx_rot, ue, rx_rot,
-                           LargeScale(loss_db, los=los), subc, f_ghz).h
-    assert h.shape == ref.shape == (6, 4, 8)
+    h = realize_links(np.random.default_rng(seed), 2.0, subc, tx_pos[None],
+                      rx_pos[None], tx_rot[None], rx_rot[None], tx_elem,
+                      rx_elem, np.array([10.0 ** (-loss_db / 20.0)]),
+                      np.array([los]), **sector)[0]
+    ref = ray_channel(np.random.default_rng(seed), 2.0, subc, tx_pos, rx_pos,
+                      tx_rot, rx_rot, tx_elem, rx_elem, loss_db, los, **sector)
+    assert h.shape == ref.shape == (6, len(rx_elem), len(tx_elem))
     assert np.linalg.norm(h - ref) <= 1e-12 * np.linalg.norm(ref)

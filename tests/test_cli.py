@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import devmimo
 from devmimo import Case, ConfigurationError, ThroughputRecord
 from devmimo.cli import (ExperimentPlan, main, parse_cases, parse_config,
                          run_experiment, summarize)
@@ -16,6 +17,11 @@ def _write(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def test_every_package_export_resolves():
+    for name in devmimo.__all__:
+        getattr(devmimo, name)
 
 
 def test_empty_config_gives_defaults(tmp_path):
