@@ -8,12 +8,12 @@ operation in a multi-cell deployment.
 
 from .channel import (friis_db, los_probability, o2i_penetration,
                       o2i_wall_loss_db, pathloss)
-from .collab import (RelayChain, compose_af_link, relay_gain,
-                     relay_rx_beamformer, stack_rx, stack_tx)
+from .collab import (compose_af_link, relay_gain, relay_rx_beamformer,
+                     stack_rx, stack_tx)
 from .errors import CalibrationError, ConfigurationError, EstimationError
 from .localization import (build_virtual_array, localize, noncoherent_aoa,
                            run_loc_experiment, steering_vector)
-from .phy import effective_se, mmse_irc_combine, sinr_to_se
+from .phy import effective_se, sinr_to_se
 from .scenario import (Case, Ftp3, FullBuffer, ScenarioConfig, SiteLayout,
                        build_hex_layout, drop_ues)
 from .simloop import (DropStats, ThroughputRecord, calibrate_load,
@@ -21,14 +21,14 @@ from .simloop import (DropStats, ThroughputRecord, calibrate_load,
 
 __all__ = [
     "CalibrationError", "Case", "ConfigurationError", "DropStats",
-    "EstimationError", "Ftp3", "FullBuffer", "RelayChain",
-    "ScenarioConfig", "SiteLayout", "ThroughputRecord", "build_hex_layout",
-    "build_virtual_array", "calibrate_load", "compose_af_link", "drop_ues",
-    "effective_se", "friis_db", "ftp3_arrivals", "localize",
-    "los_probability", "mmse_irc_combine", "noncoherent_aoa",
-    "o2i_penetration", "o2i_wall_loss_db", "pathloss", "pf_schedule",
-    "relay_gain", "relay_rx_beamformer", "run_drop", "run_loc_experiment",
-    "sinr_to_se", "stack_rx", "stack_tx", "steering_vector", "upt_stats",
+    "EstimationError", "Ftp3", "FullBuffer", "ScenarioConfig", "SiteLayout",
+    "ThroughputRecord", "build_hex_layout", "build_virtual_array",
+    "calibrate_load", "compose_af_link", "drop_ues", "effective_se",
+    "friis_db", "ftp3_arrivals", "localize", "los_probability",
+    "noncoherent_aoa", "o2i_penetration", "o2i_wall_loss_db", "pathloss",
+    "pf_schedule", "relay_gain", "relay_rx_beamformer", "run_drop",
+    "run_loc_experiment", "sinr_to_se", "stack_rx", "stack_tx",
+    "steering_vector", "upt_stats",
 ]
 
 __version__ = "0.1.0"

@@ -56,6 +56,15 @@ def parse_cases(spec: str) -> tuple:
     return tuple(cases)
 
 
+def parse_seeds(spec: str) -> tuple:
+    """Comma-separated drop seeds; ValueError unless each is an integer
+    >= 0 (the range np.random.SeedSequence takes)."""
+    seeds = tuple(int(t) for t in spec.split(","))
+    if min(seeds) < 0:
+        raise ValueError(f"negative seed in {spec!r}")
+    return seeds
+
+
 def parse_config(path: str) -> ExperimentPlan:
     """Read a key=value config file into an ExperimentPlan.
 
@@ -77,7 +86,7 @@ def parse_config(path: str) -> ExperimentPlan:
                 if key == "case":
                     cases = parse_cases(val)
                 elif key == "seeds":
-                    seeds = tuple(int(t) for t in val.split(","))
+                    seeds = parse_seeds(val)
                 elif key == "traffic":
                     if val not in ("full_buffer", "ftp3"):
                         raise ConfigurationError(
@@ -253,9 +262,11 @@ def main(argv=None) -> int:
         if args.case:
             plan = replace(plan, cases=parse_cases(args.case))
         if args.seeds is not None:
-            seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
-            if not seeds:
-                raise ConfigurationError("no seeds given")
+            try:
+                seeds = parse_seeds(args.seeds)
+            except ValueError:
+                raise ConfigurationError(
+                    f"bad value for --seeds: {args.seeds!r}") from None
             plan = replace(plan, seeds=seeds)
         plan = replace(plan, out_dir=args.out)
         summary = run_experiment(plan)

@@ -1,44 +1,18 @@
-"""Device-collaboration core: frequency-translation AF relay chains and
-rank-augmented stacked links."""
+"""Device-collaboration core: the helper's receive beamformer and AGC gain,
+the frequency-translation AF hop, and rank-augmented stacked links."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
-
-
-class Provenance(Enum):
-    DIRECT = "direct"
-    RELAYED = "relayed"
-    STACKED = "stacked"
-
-
-@dataclass
-class RelayChain:
-    """One frequency-translation AF hop: first-hop channel in one band,
-    receive beamforming + scalar gain at the helper, second-hop channel in
-    the other band."""
-    h_first: np.ndarray         # (S, n_helper_rx, n_tx)
-    w: np.ndarray               # (n_out, n_helper_rx)
-    gain: float                 # linear amplitude gain
-    h_second: np.ndarray        # (S, n_primary_rx, n_out)
-    r_first: np.ndarray         # (S, n_helper_rx, n_helper_rx)
-    r_second: np.ndarray        # (S, n_primary_rx, n_primary_rx)
-    cap_dbm: float = 14.0
-
-    def __post_init__(self):
-        if self.gain < 0:
-            raise ValueError("gain must be >= 0")
 
 
 @dataclass
 class EffectiveLink:
     h_eff: np.ndarray           # (S, n_rx, n_in)
     r_nn: np.ndarray            # (S, n_rx, n_rx)
-    provenance: Provenance
 
 
 def relay_rx_beamformer(h_first: np.ndarray, r_int: np.ndarray,
@@ -76,20 +50,27 @@ def relay_gain(input_power_dbm: float, cap_dbm: float) -> float:
     return 10.0 ** ((cap_dbm - input_power_dbm) / 20.0)
 
 
-def compose_af_link(chain: RelayChain) -> EffectiveLink:
-    """End-to-end channel and noise covariance of an AF relay chain:
+def compose_af_link(h_first: np.ndarray, w: np.ndarray, gain: float,
+                    h_second: np.ndarray, r_first: np.ndarray,
+                    r_second: np.ndarray) -> EffectiveLink:
+    """End-to-end channel and noise covariance of one frequency-translation
+    AF hop: first-hop channel h_first (S, n_helper_rx, n_tx) in one band,
+    receive beamformer w (n_out, n_helper_rx) and linear amplitude gain at
+    the helper, second-hop channel h_second (S, n_primary_rx, n_out) in
+    the other band, and the noise covariances r_first and r_second at the
+    two receivers (2-D inputs are one subband):
     H_eff = H2 G W H1, R_eff = G^2 H2 W R1 W^H H2^H + R2."""
-    h1 = _ensure3(chain.h_first)
-    h2 = _ensure3(chain.h_second)
-    r1 = _ensure3(chain.r_first)
-    r2 = _ensure3(chain.r_second)
-    w, g = np.asarray(chain.w), chain.gain
+    if gain < 0:
+        raise ValueError("gain must be >= 0")
+    h1, h2 = _ensure3(h_first), _ensure3(h_second)
+    r1, r2 = _ensure3(r_first), _ensure3(r_second)
+    w = np.asarray(w)
     if h2.shape[-1] != w.shape[0] or w.shape[1] != h1.shape[1]:
         raise ValueError("relay chain dimension mismatch")
-    h_eff = g * h2 @ (w[None] @ h1)
+    h_eff = gain * h2 @ (w[None] @ h1)
     wr = w[None] @ r1 @ w.conj().T[None]
-    r_eff = (g ** 2) * (h2 @ wr @ h2.conj().transpose(0, 2, 1)) + r2
-    return EffectiveLink(h_eff, r_eff, Provenance.RELAYED)
+    r_eff = (gain ** 2) * (h2 @ wr @ h2.conj().transpose(0, 2, 1)) + r2
+    return EffectiveLink(h_eff, r_eff)
 
 
 def _ensure3(x: np.ndarray) -> np.ndarray:
@@ -113,7 +94,7 @@ def stack_rx(*links: EffectiveLink) -> EffectiveLink:
     for x in rs:
         r[..., i:i + x.shape[-1], i:i + x.shape[-1]] = x
         i += x.shape[-1]
-    return EffectiveLink(h, r, Provenance.STACKED)
+    return EffectiveLink(h, r)
 
 
 def stack_tx(h_direct: np.ndarray, relayed: EffectiveLink) -> EffectiveLink:
@@ -127,4 +108,4 @@ def stack_tx(h_direct: np.ndarray, relayed: EffectiveLink) -> EffectiveLink:
     lead = np.broadcast_shapes(hd.shape[:-1], hr.shape[:-1])
     h = np.concatenate([np.broadcast_to(hd, lead + hd.shape[-1:]),
                         np.broadcast_to(hr, lead + hr.shape[-1:])], axis=-1)
-    return EffectiveLink(h, relayed.r_nn, Provenance.STACKED)
+    return EffectiveLink(h, relayed.r_nn)

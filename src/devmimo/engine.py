@@ -18,8 +18,8 @@ import numpy as np
 
 from . import channel as ch
 from .channel import realize_links
-from .collab import (EffectiveLink, Provenance, relay_gain,
-                     relay_rx_beamformer, stack_rx, stack_tx)
+from .collab import (EffectiveLink, relay_gain, relay_rx_beamformer,
+                     stack_rx, stack_tx)
 from .phy import (batched_beam_precoder, batched_mmse_se,
                   batched_rank_select)
 from .scenario import (BS_DOWNTILT_DEG, BS_HEIGHT_M, UE_HEIGHT_M,
@@ -247,8 +247,8 @@ class DlEngine(_Engine):
     def refresh(self, rr: int, want_relay: bool):
         """New channel realizations; returns per-arm rate tables [bps].
 
-        Output dict: direct (U, S), and for the diversity arm relayed (U, S)
-        plus the per-UE path choice.
+        Output dict: direct (U, S), and with `want_relay` also relayed
+        (U, S), the best of the relay's stream-count candidates per UE.
         """
         geo, cfg = self.geo, self.geo.cfg
         u_n = geo.n_ues
@@ -326,14 +326,13 @@ class DlEngine(_Engine):
             the Gram of h_out[:k] is |h_local|^2 times that of wh[:, :, :k]
             and both give the same precoder (columns up to a unit phase)."""
             ranks_k = np.full(u_n, k)
-            p_rel = batched_beam_precoder(wh[:, :, :k], ranks_k, n_beams=4)
+            p_rel = batched_beam_precoder(wh[:, :, :k], ranks_k)
             a1 = wh[:, :, :k] @ p_rel[:, None]                      # (U,S,k,r)
             sig = np.mean(np.sum(np.abs(a1) ** 2, axis=3), axis=1) \
                 * (self.p_sb_w / k)                                 # (U, k)
             g = np.sqrt(dbm_to_w(cfg.relay_max_tx_dbm) / k / (sig + 1.0))
             stacked = stack_rx(*(
-                EffectiveLink(g_o * h_o, g_o ** 2 * self.hh_local + r_fh,
-                              Provenance.RELAYED)
+                EffectiveLink(g_o * h_o, g_o ** 2 * self.hh_local + r_fh)
                 for g_o, h_o in zip(g.T[:, :, None, None, None], h_out)))
             return batched_mmse_se(stacked.h_eff, p_rel,
                                    self.p_sb_w / ranks_k,
@@ -476,8 +475,7 @@ class UlEngine(_Engine):
         relayed = EffectiveLink(
             a_rel * h_rel,
             r_fl[serving[weak]] + (g ** 2) * noise_help_w * (
-                h_rel @ h_rel.conj().transpose(0, 1, 3, 2)),
-            Provenance.RELAYED)
+                h_rel @ h_rel.conj().transpose(0, 1, 3, 2)))
         stacked = stack_tx(h_fl[weak], relayed)
         ranks_s, v_s = batched_rank_select(stacked.h_eff,
                                            np.full(weak.size, p_tot),

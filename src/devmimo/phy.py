@@ -1,33 +1,23 @@
-"""Precoding, MMSE-IRC combining, per-layer SINR and spectral efficiency."""
+"""Precoding, rank selection, MMSE-IRC per-layer SINR and spectral
+efficiency."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 SE_CAP_BPS_HZ = 7.4        # per-layer cap (~256-QAM max efficiency)
 _RANK_TOL = 1e-10
+N_BEAMS = 4                # beams combined by the codebook precoder
+OVERSAMPLING = 4           # DFT grid rotations it searches
 
 
-@dataclass
-class Precoder:
-    matrix: np.ndarray          # (n_tx, n_layers), orthonormal columns
-    power_per_layer: float      # watts
-
-    def __post_init__(self):
-        p = np.asarray(self.matrix)
-        g = p.conj().T @ p
-        if not np.allclose(g, np.eye(p.shape[1]), atol=1e-9):
-            raise ValueError("precoder columns must be orthonormal")
-
-
-def _dft_beams(n_tx: int, shift: int, oversampling: int) -> np.ndarray:
-    """Orthonormal DFT beam basis for one oversampling rotation."""
+def _dft_beams(n_tx: int, shift: int) -> np.ndarray:
+    """Orthonormal DFT beam basis for one of the OVERSAMPLING rotations."""
     n = np.arange(n_tx)[:, None]
     m = np.arange(n_tx)[None, :]
-    return np.exp(2j * math.pi * n * (m + shift / oversampling) / n_tx) / math.sqrt(n_tx)
+    return np.exp(2j * math.pi * n * (m + shift / OVERSAMPLING) / n_tx) / math.sqrt(n_tx)
 
 
 AMP_LEVELS = np.concatenate([[0.0], np.sqrt(2.0) ** -(np.arange(6, -1, -1))])
@@ -49,31 +39,6 @@ def _layer_sinr(g: np.ndarray) -> np.ndarray:
     t = np.eye(g.shape[-1]) + g
     diag = np.real(np.einsum("...kk->...k", np.linalg.inv(t)))
     return np.maximum(1.0 / np.maximum(diag, 1e-300) - 1.0, 0.0)
-
-
-def mmse_irc_combine(h_eff: np.ndarray, precoder: Precoder,
-                     r_nn: np.ndarray):
-    """MMSE-IRC combiner and per-layer post-combining SINR.
-
-    W = (A A^H + R)^-1 A with A = H P diag(sqrt(power)),
-    SINR_k = 1 / [(I + A^H R^-1 A)^-1]_kk - 1.
-
-    h_eff may be (m, n) or batched (S, m, n); r_nn broadcasts accordingly.
-    Returns (w, sinr) with matching leading dimensions.
-    """
-    h = np.asarray(h_eff)
-    squeeze = h.ndim == 2
-    if squeeze:
-        h = h[None]
-    r = np.asarray(r_nn)
-    if r.ndim == 2:
-        r = np.broadcast_to(r, (h.shape[0],) + r.shape)
-    a = h @ (precoder.matrix * math.sqrt(precoder.power_per_layer))
-    w = _solve_psd(a @ a.conj().transpose(0, 2, 1) + r, a)
-    sinr = _layer_sinr(a.conj().transpose(0, 2, 1) @ _solve_psd(r, a))
-    if squeeze:
-        return w[0], sinr[0]
-    return w, sinr
 
 
 def sinr_to_se(sinr, cap_bps_hz: float = SE_CAP_BPS_HZ):
@@ -139,7 +104,6 @@ def batched_rank_select(h: np.ndarray, power: np.ndarray, noise_w: float,
 
 
 def batched_beam_precoder(h: np.ndarray, ranks: np.ndarray,
-                          n_beams: int = 4, oversampling: int = 4,
                           v: np.ndarray | None = None):
     """Batched simplified beam-combination precoder.
 
@@ -151,7 +115,7 @@ def batched_beam_precoder(h: np.ndarray, ranks: np.ndarray,
     u_n = h.shape[0]
     hw = h.reshape(u_n, -1, h.shape[-1])
     n_tx = hw.shape[-1]
-    n_beams = min(n_beams, n_tx)
+    n_beams = min(N_BEAMS, n_tx)
     rmax = int(ranks.max())
 
     if v is None:
@@ -159,10 +123,9 @@ def batched_beam_precoder(h: np.ndarray, ranks: np.ndarray,
         v = vh[:, :rmax].conj().transpose(0, 2, 1)
     v = v[..., :rmax]                                          # (U, n, rmax)
 
-    bases = np.stack([_dft_beams(n_tx, q, oversampling)
-                      for q in range(oversampling)])
+    bases = np.stack([_dft_beams(n_tx, q) for q in range(OVERSAMPLING)])
     pw = np.stack([np.sum(np.abs(hw @ bases[q]) ** 2, axis=1)
-                   for q in range(oversampling)])              # (O, U, n)
+                   for q in range(OVERSAMPLING)])              # (O, U, n)
     top = -np.sort(-pw, axis=2)[:, :, :n_beams].sum(axis=2)    # (O, U)
     qsel = np.argmax(top, axis=0)                              # (U,)
     pw_sel = pw[qsel, np.arange(u_n)]                          # (U, n)
@@ -193,17 +156,17 @@ def batched_beam_precoder(h: np.ndarray, ranks: np.ndarray,
     return qm
 
 
-def batched_mmse_se(h: np.ndarray, p: np.ndarray, p_layer: np.ndarray,
-                    r_nn: np.ndarray, owner: np.ndarray | None = None,
-                    cap: float = SE_CAP_BPS_HZ) -> np.ndarray:
-    """Per-subband capped SE for batched links.
+def batched_mmse_sinr(h: np.ndarray, p: np.ndarray, p_layer: np.ndarray,
+                      r_nn: np.ndarray, owner: np.ndarray | None = None
+                      ) -> np.ndarray:
+    """Per-layer MMSE-IRC SINR for batched links, uncapped.
 
-    h (U,S,m,n), p (U,n,r) orthonormal-or-zero columns, p_layer (U,),
-    r_nn (C,S,m,m) shared covariances, UE u seeing r_nn[owner[u]]; the
-    default owner = arange(U) gives each UE its own.  Each covariance is
-    factored once: the columns of all its UEs are solved together, padded
-    with zero columns to the most-shared covariance.  Returns (U, S)
-    summed over layers.
+    SINR_k = 1 / [(I + A^H R^-1 A)^-1]_kk - 1 with A = H P sqrt(p_layer).
+    h (U,S,m,n), p (U,n,r), p_layer (U,), r_nn (C,S,m,m) shared
+    covariances, UE u seeing r_nn[owner[u]]; the default owner = arange(U)
+    gives each UE its own.  Each covariance is factored once: the columns
+    of all its UEs are solved together, padded with zero columns to the
+    most-shared covariance.  Returns (U, S, r).
     """
     u_n, s_n, m, _ = h.shape
     r_n = p.shape[-1]
@@ -221,7 +184,15 @@ def batched_mmse_se(h: np.ndarray, p: np.ndarray, p_layer: np.ndarray,
     rhs[owner, :, :, slot] = a
     x = np.linalg.solve(r_nn, rhs.reshape(rhs.shape[:3] + (width * r_n,)))
     ra = x.reshape(rhs.shape)[owner, :, :, slot]              # (U, S, m, r)
-    sinr = _layer_sinr(a.conj().transpose(0, 1, 3, 2) @ ra)
+    return _layer_sinr(a.conj().transpose(0, 1, 3, 2) @ ra)
+
+
+def batched_mmse_se(h: np.ndarray, p: np.ndarray, p_layer: np.ndarray,
+                    r_nn: np.ndarray, owner: np.ndarray | None = None
+                    ) -> np.ndarray:
+    """Per-subband capped SE (U, S) of `batched_mmse_sinr`'s links, summed
+    over the layers whose precoder column is nonzero (p has
+    orthonormal-or-zero columns)."""
+    sinr = batched_mmse_sinr(h, p, p_layer, r_nn, owner)
     active = np.real(np.einsum("unk,unk->uk", p.conj(), p)) > 0.5  # (U, r)
-    se = sinr_to_se(sinr, cap) * active[:, None, :]
-    return np.sum(se, axis=2)
+    return np.sum(sinr_to_se(sinr) * active[:, None, :], axis=2)

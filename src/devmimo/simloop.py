@@ -71,14 +71,13 @@ def ftp3_arrivals(traffic: Ftp3, n_ues: int, duration_s: float,
 class SchedulerState:
     """Per-arm exponentially averaged served rates (one entry per UE)."""
     avg_bps: np.ndarray
-    window_slots: int = PF_AVG_WINDOW_SLOTS
 
     @classmethod
     def create(cls, n_ues: int) -> "SchedulerState":
         return cls(np.full(n_ues, PF_RATE_FLOOR_BPS))
 
     def update(self, served_bps: np.ndarray) -> None:
-        a = 1.0 / self.window_slots
+        a = 1.0 / PF_AVG_WINDOW_SLOTS
         self.avg_bps = np.maximum((1.0 - a) * self.avg_bps + a * served_bps,
                                   PF_RATE_FLOOR_BPS)
 

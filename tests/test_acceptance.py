@@ -11,16 +11,16 @@ import math
 import numpy as np
 from scipy import stats
 
-from devmimo import (Case, Ftp3, FullBuffer, RelayChain, ScenarioConfig,
+from devmimo import (Case, Ftp3, FullBuffer, ScenarioConfig,
                      calibrate_load, ftp3_arrivals, pf_schedule,
                      relay_gain, relay_rx_beamformer, run_drop,
                      run_loc_experiment, stack_rx, compose_af_link,
                      friis_db, pathloss)
 from devmimo.cli import ExperimentPlan, run_experiment
-from devmimo.collab import EffectiveLink, Provenance
+from devmimo.collab import EffectiveLink
 from devmimo.localization import (_device_covariances, _ensemble, _spectrum,
                                   build_virtual_array, median_aoa_error)
-from devmimo.phy import Precoder, mmse_irc_combine, mutual_information
+from devmimo.phy import batched_mmse_sinr, mutual_information
 from devmimo.scenario import rot_z, ula
 from devmimo.simloop import SchedulerState, upt_stats
 
@@ -48,8 +48,8 @@ def test_criterion_1_rank_doubling_slope():
         h_d = _rand_h(rng, 4, 32)
         h_r = _rand_h(rng, 4, 32)
         st = stack_rx(
-            EffectiveLink(h_d[None], np.eye(4)[None], Provenance.DIRECT),
-            EffectiveLink(h_r[None], np.eye(4)[None], Provenance.RELAYED))
+            EffectiveLink(h_d[None], np.eye(4)[None]),
+            EffectiveLink(h_r[None], np.eye(4)[None]))
         h_s = st.h_eff[0]
         for h, acc in ((h_d, slopes_d), (h_s, slopes_s)):
             c20 = _capacity(h, 10.0 ** 2.0)
@@ -69,24 +69,23 @@ def test_criterion_2_relay_bottleneck_and_stacking_dominance():
         s1v, s2v = rng.uniform(0.01, 2.0, 2)
         g = rng.uniform(0.1, 10.0)
         w = relay_rx_beamformer(h1, s1v * np.eye(4), 1)
-        pre = Precoder(np.linalg.svd(h1)[2][:1].conj().T, 1.0)
-        a1 = (w @ h1) @ pre.matrix
+        pre = np.linalg.svd(h1)[2][:1].conj().T
+        a1 = (w @ h1) @ pre
         sig = float(np.sum(np.abs(a1) ** 2))
         nse = s1v * float(np.real(w[0].conj() @ w[0]))
         sinr1 = sig / nse
         snr2 = g * g * (sig + nse) * float(np.sum(np.abs(h2) ** 2)) / s2v
-        eff = compose_af_link(RelayChain(h1, w, g, h2, s1v * np.eye(4),
-                                         s2v * np.eye(2)))
-        _, sinr = mmse_irc_combine(eff.h_eff, pre, eff.r_nn)
-        if sinr[0, 0] > min(sinr1, snr2) + 1e-9:
+        eff = compose_af_link(h1, w, g, h2, s1v * np.eye(4), s2v * np.eye(2))
+        sinr = batched_mmse_sinr(eff.h_eff[None], pre[None], np.ones(1),
+                                 eff.r_nn[None])
+        if sinr[0, 0, 0] > min(sinr1, snr2) + 1e-9:
             bottleneck_bad += 1
 
         h_d = _rand_h(rng, 4, 8)
         h_r = _rand_h(rng, 2, 8) * rng.uniform(0.05, 2.0)
         st = stack_rx(
-            EffectiveLink(h_d[None], np.eye(4)[None], Provenance.DIRECT),
-            EffectiveLink(h_r[None], rng.uniform(0.5, 2.0) * np.eye(2)[None],
-                          Provenance.RELAYED))
+            EffectiveLink(h_d[None], np.eye(4)[None]),
+            EffectiveLink(h_r[None], rng.uniform(0.5, 2.0) * np.eye(2)[None]))
         if mutual_information(st.h_eff[0] * 0.3, st.r_nn[0]) < \
                 mutual_information(h_d * 0.3, np.eye(4)) - 1e-9:
             stack_bad += 1
@@ -95,18 +94,25 @@ def test_criterion_2_relay_bottleneck_and_stacking_dominance():
            f"{bottleneck_bad} bottleneck and {stack_bad} stacking violations")
 
 
+def _unit_sinr(h, r_nn, power=1.0):
+    """Uncapped SINR (S,) of one single-layer link (h (S, m, 1), r_nn
+    (S, m, m)) under the unit precoder, through the drop's MMSE-IRC kernel
+    with a batch of one."""
+    return batched_mmse_sinr(h[None], np.ones((1, 1, 1)), np.full(1, power),
+                             r_nn[None])[0, :, 0]
+
+
 def test_criterion_3_mmse_closed_forms():
-    pre = Precoder(np.array([[1.0 + 0j]]), 1.0)
-    _, s_scalar = mmse_irc_combine(np.array([[1.0 + 0j]]), pre,
-                                   np.array([[1.0 + 0j]]))
+    s_scalar = _unit_sinr(np.ones((1, 1, 1), complex),
+                          np.ones((1, 1, 1), complex))
     rng = np.random.default_rng(12)
     h = _rand_h(rng, 4, 1)
     sigma2 = 0.7
-    _, s_mrc = mmse_irc_combine(h, pre, sigma2 * np.eye(4))
+    s_mrc = _unit_sinr(h[None], sigma2 * np.eye(4)[None])
     expect = float(np.sum(np.abs(h) ** 2)) / sigma2
     hi = np.array([[1.0 + 0j], [0.0 + 0j]])
     r = np.eye(2, dtype=complex) + 1e6 * np.outer(hi[:, 0], hi[:, 0].conj())
-    _, s_sup = mmse_irc_combine(hi, pre, r)
+    s_sup = _unit_sinr(hi[None], r[None])
     ok = (abs(s_scalar[0] - 1.0) < 1e-9
           and abs(s_mrc[0] - expect) < 1e-9 * expect
           and s_sup[0] < 1e-5)
@@ -277,11 +283,9 @@ def test_criterion_10_formula_spot_checks():
         "relay gain dB": (20.0 * math.log10(relay_gain(-60.0, 14.0)), 74.0),
     }
     one = np.ones((1, 1, 1), complex)
-    eff = compose_af_link(RelayChain(one, np.ones((1, 1), complex), 2.0,
-                                     one, one, one))
-    pre = Precoder(np.array([[1.0 + 0j]]), 4.0)
-    _, sinr = mmse_irc_combine(eff.h_eff, pre, eff.r_nn)
-    vals["scalar relay sinr"] = (float(sinr[0, 0]), 3.2)
+    eff = compose_af_link(one, np.ones((1, 1), complex), 2.0, one, one, one)
+    sinr = _unit_sinr(eff.h_eff, eff.r_nn, power=4.0)
+    vals["scalar relay sinr"] = (float(sinr[0]), 3.2)
     bad = {k: v for k, (v, ref) in vals.items() if abs(v - ref) >= 0.01}
     _check(10, "propagation and relay formula spot checks", not bad,
            ", ".join(f"{k} {v:.2f}/{ref}" for k, (v, ref) in vals.items()))

@@ -74,7 +74,7 @@ def _last_key(text):
     "helper_distance_m = 0", "fh_activity = -1", "max_interferers = -1",
     "loc_users = 0", "range_sigma_m = -1", "loc_snr_db = nan",
     "bs_tx_dbm = nan", "relay_max_tx_dbm = nan", "f_high_ghz = inf",
-    "bandwidth_mhz = nan", "semistatic_threshold_db = nan",
+    "bandwidth_mhz = nan", "semistatic_threshold_db = nan", "seeds = 0,-1",
     pytest.param("isd_m = nan", id="isd_m-nan"),
     pytest.param("ftp3_file_bytes = 1000", id="ftp3_file_bytes-full_buffer"),
     pytest.param("traffic = full_buffer\nftp3_lambda_per_s = 1",
@@ -204,3 +204,13 @@ def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
     rc = main(["--config", cfg])
     assert rc != 0
     assert "fooo" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seeds", ["a", "0,a", "1.5", "-1", "", "0,"])
+def test_cli_names_the_flag_on_a_bad_seed(tmp_path, capsys, seeds):
+    rc = main(["--case", "loc1", "--seeds", seeds, "--out",
+               str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"bad value for --seeds: {seeds!r}" in err
+    assert "invalid literal" not in err

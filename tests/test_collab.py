@@ -1,14 +1,14 @@
-"""Relay-chain composition and stacked-link checks."""
+"""AF relay-hop composition and stacked-link checks."""
 
 import math
 
 import numpy as np
 import pytest
 
-from devmimo import (RelayChain, compose_af_link, relay_gain,
-                     relay_rx_beamformer, stack_rx, stack_tx)
-from devmimo.collab import EffectiveLink, Provenance
-from devmimo.phy import Precoder, mmse_irc_combine, mutual_information
+from devmimo import (compose_af_link, relay_gain, relay_rx_beamformer,
+                     stack_rx, stack_tx)
+from devmimo.collab import EffectiveLink
+from devmimo.phy import batched_mmse_sinr, mutual_information
 
 
 def _rand_h(rng, m, n):
@@ -70,21 +70,21 @@ def test_relay_gain_rejects_nonfinite_input():
 
 # -- end-to-end composition --------------------------------------------------
 
-def _scalar_chain(gain):
+def _scalar_hop(gain):
     one = np.ones((1, 1, 1), complex)
-    return RelayChain(one, np.ones((1, 1), complex), gain, one, one, one)
+    return compose_af_link(one, np.ones((1, 1), complex), gain, one, one, one)
 
 
 def test_composed_scalar_chain_reference_sinr():
-    eff = compose_af_link(_scalar_chain(2.0))
+    eff = _scalar_hop(2.0)
     # y = 2x + 2 n1 + n2 with unit noises and transmit power 4
-    pre = Precoder(np.array([[1.0 + 0j]]), 4.0)
-    _, sinr = mmse_irc_combine(eff.h_eff, pre, eff.r_nn)
-    assert abs(sinr[0, 0] - 3.2) < 1e-9
+    sinr = batched_mmse_sinr(eff.h_eff[None], np.ones((1, 1, 1)),
+                             np.full(1, 4.0), eff.r_nn[None])
+    assert abs(sinr[0, 0, 0] - 3.2) < 1e-9
 
 
 def test_composed_chain_zero_gain_degenerates():
-    eff = compose_af_link(_scalar_chain(0.0))
+    eff = _scalar_hop(0.0)
     assert np.allclose(eff.h_eff, 0.0)
     assert np.allclose(eff.r_nn, 1.0)
 
@@ -95,8 +95,7 @@ def test_composed_chain_noiseless_first_hop_is_direct():
     h2 = _rand_h(rng, 2, 1)
     w = relay_rx_beamformer(h1, np.eye(4), 1)
     g = 0.7
-    chain = RelayChain(h1, w, g, h2, np.zeros((4, 4), complex), np.eye(2))
-    eff = compose_af_link(chain)
+    eff = compose_af_link(h1, w, g, h2, np.zeros((4, 4), complex), np.eye(2))
     direct = g * h2 @ (w @ h1)
     assert np.allclose(eff.h_eff[0], direct, atol=1e-12)
     assert np.allclose(eff.r_nn[0], np.eye(2), atol=1e-12)
@@ -105,8 +104,12 @@ def test_composed_chain_noiseless_first_hop_is_direct():
 def test_composed_chain_rejects_dimension_mismatch():
     one = np.ones((1, 1, 1), complex)
     with pytest.raises(ValueError):
-        compose_af_link(RelayChain(one, np.ones((2, 1), complex), 1.0,
-                                   one, one, one))
+        compose_af_link(one, np.ones((2, 1), complex), 1.0, one, one, one)
+
+
+def test_composed_chain_rejects_negative_gain():
+    with pytest.raises(ValueError):
+        _scalar_hop(-1.0)
 
 
 def test_composed_sinr_never_exceeds_either_hop():
@@ -117,40 +120,37 @@ def test_composed_sinr_never_exceeds_either_hop():
         h2 = _rand_h(rng, 2, 1) * rng.uniform(0.1, 3.0)
         s1v, s2v = rng.uniform(0.01, 2.0, 2)
         w = relay_rx_beamformer(h1, s1v * np.eye(4), 1)
-        pre1 = Precoder(np.linalg.svd(h1)[2][:1].conj().T, p)
-        a1 = (w @ h1) @ pre1.matrix * math.sqrt(p)
+        pre1 = np.linalg.svd(h1)[2][:1].conj().T
+        a1 = (w @ h1) @ pre1 * math.sqrt(p)
         sig = float(np.sum(np.abs(a1) ** 2))
         nse = float(np.real(w[0].conj() @ (s1v * np.eye(4)) @ w[0]))
         sinr1 = sig / nse
         g = rng.uniform(0.1, 10.0)
         snr2 = g * g * (sig + nse) * float(np.sum(np.abs(h2) ** 2)) / s2v
-        chain = RelayChain(h1, w, g, h2, s1v * np.eye(4), s2v * np.eye(2))
-        eff = compose_af_link(chain)
-        _, sinr = mmse_irc_combine(eff.h_eff, pre1, eff.r_nn)
-        assert sinr[0, 0] <= min(sinr1, snr2) + 1e-9
+        eff = compose_af_link(h1, w, g, h2, s1v * np.eye(4), s2v * np.eye(2))
+        sinr = batched_mmse_sinr(eff.h_eff[None], pre1[None], np.full(1, p),
+                                 eff.r_nn[None])
+        assert sinr[0, 0, 0] <= min(sinr1, snr2) + 1e-9
 
 
 # -- stacked links -----------------------------------------------------------
 
 def test_stacked_link_dimensions_and_rank():
     rng = np.random.default_rng(5)
-    direct = EffectiveLink(_rand_h(rng, 4, 32)[None], np.eye(4)[None],
-                           Provenance.DIRECT)
-    relayed = EffectiveLink(_rand_h(rng, 4, 32)[None], np.eye(4)[None],
-                            Provenance.RELAYED)
+    direct = EffectiveLink(_rand_h(rng, 4, 32)[None], np.eye(4)[None])
+    relayed = EffectiveLink(_rand_h(rng, 4, 32)[None], np.eye(4)[None])
     st = stack_rx(direct, relayed)
     assert st.h_eff.shape == (1, 8, 32)
     s = np.linalg.svd(st.h_eff[0], compute_uv=False)
     assert np.sum(s > 1e-10 * s[0]) == 8
-    assert st.provenance is Provenance.STACKED
 
     # three links with a leading batch axis (2 UEs, 3 subbands), as the
     # DL relay arm stacks its forwarded streams
     sizes = (4, 2, 3)
     links = [EffectiveLink(
         np.stack([[_rand_h(rng, m, 8) for _ in range(3)] for _ in range(2)]),
-        np.stack([[_rand_h(rng, m, m) for _ in range(3)] for _ in range(2)]),
-        Provenance.RELAYED) for m in sizes]
+        np.stack([[_rand_h(rng, m, m) for _ in range(3)] for _ in range(2)]))
+        for m in sizes]
     st = stack_rx(*links)
     assert st.h_eff.shape == (2, 3, 9, 8)
     assert st.r_nn.shape == (2, 3, 9, 9)
@@ -170,8 +170,8 @@ def test_stacked_link_zero_gain_equals_direct_capacity():
     h1 = _rand_h(rng, 4, 8)
     h2 = _rand_h(rng, 4, 1)
     w = relay_rx_beamformer(h1, np.eye(4), 1)
-    eff = compose_af_link(RelayChain(h1, w, 0.0, h2, np.eye(4), np.eye(4)))
-    direct = EffectiveLink(h1[None], np.eye(4)[None], Provenance.DIRECT)
+    eff = compose_af_link(h1, w, 0.0, h2, np.eye(4), np.eye(4))
+    direct = EffectiveLink(h1[None], np.eye(4)[None])
     st = stack_rx(direct, eff)
     a_d = h1 * 0.5
     a_s = st.h_eff[0] * 0.5
@@ -185,10 +185,9 @@ def test_stacking_receive_paths_never_hurts():
     for _ in range(100):
         h_d = _rand_h(rng, 4, 8)
         h_r = _rand_h(rng, 2, 8) * rng.uniform(0.05, 2.0)
-        direct = EffectiveLink(h_d[None], np.eye(4)[None], Provenance.DIRECT)
+        direct = EffectiveLink(h_d[None], np.eye(4)[None])
         relayed = EffectiveLink(h_r[None],
-                                rng.uniform(0.5, 2.0) * np.eye(2)[None],
-                                Provenance.RELAYED)
+                                rng.uniform(0.5, 2.0) * np.eye(2)[None])
         st = stack_rx(direct, relayed)
         c_d = mutual_information(h_d * 0.3, direct.r_nn[0])
         c_s = mutual_information(st.h_eff[0] * 0.3, st.r_nn[0])
@@ -198,8 +197,7 @@ def test_stacking_receive_paths_never_hurts():
 def test_transmit_stack_concatenates_columns():
     rng = np.random.default_rng(8)
     h_d = _rand_h(rng, 4, 2)
-    relayed = EffectiveLink(_rand_h(rng, 4, 1)[None], np.eye(4)[None],
-                            Provenance.RELAYED)
+    relayed = EffectiveLink(_rand_h(rng, 4, 1)[None], np.eye(4)[None])
     st = stack_tx(h_d, relayed)
     assert st.h_eff.shape == (1, 4, 3)
     assert np.allclose(st.h_eff[0, :, :2], h_d)

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from devmimo import Case, ScenarioConfig, engine
-from devmimo.collab import (EffectiveLink, Provenance, relay_rx_beamformer,
-                            stack_rx)
+from devmimo.collab import EffectiveLink, relay_rx_beamformer, stack_rx
 from devmimo.phy import (batched_beam_precoder, batched_mmse_se,
                          batched_rank_select)
 
@@ -64,14 +63,13 @@ def _reference_refresh(eng, rr):
     for k in range(1, n_str + 1):
         ranks_k = np.full(u_n, k)
         p_rel = batched_beam_precoder(np.concatenate(h_out[:k], axis=2),
-                                      ranks_k, n_beams=4)
+                                      ranks_k)
         a1 = np.einsum("uom,usmr->usor", w[:, :k], h_sh @ p_rel[:, None])
         sig = np.mean(np.sum(np.abs(a1) ** 2, axis=3), axis=1) \
             * (eng.p_sb_w / k)
         g = np.sqrt(engine.dbm_to_w(cfg.relay_max_tx_dbm) / k / (sig + 1.0))
         stacked = stack_rx(*(
-            EffectiveLink(g_o * h_o, g_o ** 2 * eng.hh_local + r_fh,
-                          Provenance.RELAYED)
+            EffectiveLink(g_o * h_o, g_o ** 2 * eng.hh_local + r_fh)
             for g_o, h_o in zip(g.T[:, :, None, None, None], h_out)))
         cand.append(batched_mmse_se(stacked.h_eff, p_rel, eng.p_sb_w / ranks_k,
                                     stacked.r_nn) * cfg.subband_hz)

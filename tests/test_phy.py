@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from devmimo import effective_se, mmse_irc_combine, sinr_to_se
-from devmimo.phy import (Precoder, _dft_beams, batched_beam_precoder,
-                         batched_mmse_se, batched_rank_select,
-                         mutual_information)
+from devmimo import effective_se, sinr_to_se
+from devmimo.phy import (SE_CAP_BPS_HZ, _dft_beams, batched_beam_precoder,
+                         batched_mmse_se, batched_mmse_sinr,
+                         batched_rank_select, mutual_information)
 
 
 def _rand_h(rng, m, n):
@@ -16,16 +16,11 @@ def _rand_h(rng, m, n):
         / math.sqrt(2.0)
 
 
-def test_precoder_requires_orthonormal_columns():
-    with pytest.raises(ValueError):
-        Precoder(np.array([[1.0], [1.0]]), 1.0)
-
-
 def test_beam_codebook_recovers_a_pure_grid_beam():
     n_tx = 8
-    b = _dft_beams(n_tx, 0, 4)[:, 3]
+    b = _dft_beams(n_tx, 0)[:, 3]
     h = np.outer(np.ones(2), b.conj())                 # rank-1 along beam 3
-    p = batched_beam_precoder(h[None, None], np.array([1]), n_beams=4)
+    p = batched_beam_precoder(h[None, None], np.array([1]))
     assert p.shape == (1, n_tx, 1)
     chordal = 1.0 - abs(np.vdot(p[0, :, 0], b)) ** 2
     assert chordal < 1e-9
@@ -34,7 +29,7 @@ def test_beam_codebook_recovers_a_pure_grid_beam():
 def test_beam_codebook_quantization_keeps_half_the_capacity():
     rng = np.random.default_rng(1)
     h = np.stack([_rand_h(rng, 4, 16) for _ in range(200)])
-    p = batched_beam_precoder(h[:, None], np.full(200, 2), n_beams=4)
+    p = batched_beam_precoder(h[:, None], np.full(200, 2))
     for hu, pu in zip(h, p):
         ref = np.linalg.svd(hu)[2][:2].conj().T        # top right singular
         c = mutual_information(hu @ pu * math.sqrt(0.5), np.eye(4))
@@ -42,40 +37,69 @@ def test_beam_codebook_quantization_keeps_half_the_capacity():
         assert c >= 0.5 * c_ref
 
 
+def _sinr_one(h, r):
+    """Uncapped SINR of one single-subband, single-layer link (h (m, 1),
+    r (m, m), unit transmit power) through the drop's kernel with a batch
+    of one."""
+    sinr = batched_mmse_sinr(h[None, None], np.ones((1, 1, 1)), np.ones(1),
+                             r[None, None])
+    assert sinr.shape == (1, 1, 1)
+    return sinr[0, 0, 0]
+
+
 def test_mmse_scalar_unit_snr():
-    pre = Precoder(np.array([[1.0 + 0j]]), 1.0)
-    _, sinr = mmse_irc_combine(np.array([[1.0 + 0j]]), pre,
-                               np.array([[1.0 + 0j]]))
-    assert abs(sinr[0] - 1.0) < 1e-9
+    sinr = _sinr_one(np.array([[1.0 + 0j]]), np.array([[1.0 + 0j]]))
+    assert abs(sinr - 1.0) < 1e-9
 
 
 def test_mmse_two_antenna_maximum_ratio_gain():
     h = np.array([[1.0 + 0j], [1.0 + 0j]])
-    pre = Precoder(np.array([[1.0 + 0j]]), 1.0)
-    _, sinr = mmse_irc_combine(h, pre, np.eye(2, dtype=complex))
-    assert abs(sinr[0] - 2.0) < 1e-9
+    sinr = _sinr_one(h, np.eye(2, dtype=complex))
+    assert abs(sinr - 2.0) < 1e-9
 
 
 def test_mmse_suppresses_codirectional_interference():
     h = np.array([[1.0 + 0j], [0.0 + 0j]])
-    pre = Precoder(np.array([[1.0 + 0j]]), 1.0)
     r = np.eye(2, dtype=complex) + 1e6 * np.outer(h[:, 0], h[:, 0].conj())
-    _, sinr = mmse_irc_combine(h, pre, r)
-    assert sinr[0] < 1e-5
+    sinr = _sinr_one(h, r)
+    assert sinr < 1e-5
 
 
 def test_mmse_never_below_matched_filter():
     rng = np.random.default_rng(2)
     for _ in range(100):
         h = _rand_h(rng, 4, 1)
-        pre = Precoder(np.array([[1.0 + 0j]]), 1.0)
         v = _rand_h(rng, 4, 1)[:, 0]
         r = np.eye(4, dtype=complex) + 5.0 * np.outer(v, v.conj())
-        _, sinr = mmse_irc_combine(h, pre, r)
+        sinr = _sinr_one(h, r)
         w = h[:, 0]
         mrc = abs(np.vdot(w, h[:, 0])) ** 2 / \
             np.real(w.conj() @ r @ w)
-        assert sinr[0] >= mrc - 1e-9
+        assert sinr >= mrc - 1e-9
+
+
+def test_mmse_se_caps_and_masks_the_uncapped_sinr():
+    # one layer at SINR 1e3, above the cap: the SINR comes back as is, the
+    # SE at the cap
+    h = np.full((1, 1, 1, 1), math.sqrt(1e3), complex)
+    one, r = np.ones((1, 1, 1)), np.ones((1, 1, 1, 1), complex)
+    sinr = batched_mmse_sinr(h, one, np.ones(1), r)
+    assert abs(sinr[0, 0, 0] - 1e3) < 1e-9 * 1e3
+    assert batched_mmse_se(h, one, np.ones(1), r)[0, 0] == SE_CAP_BPS_HZ
+
+    # a zero precoder column adds exactly 0: the SE is that of the live
+    # column alone
+    rng = np.random.default_rng(9)
+    h = np.stack([_rand_h(rng, 4, 2) for _ in range(3)])[None]
+    r = np.eye(4, dtype=complex)[None, None].repeat(3, axis=1)
+    p = np.array([[[1.0, 0.0], [0.0, 0.0]]])
+    sinr = batched_mmse_sinr(h, p, np.full(1, 2.0), r)
+    se = batched_mmse_se(h, p, np.full(1, 2.0), r)
+    assert np.all(sinr[..., 0] > 0.0)
+    assert np.array_equal(se[0], sinr_to_se(sinr[0, :, 0]))
+    np.testing.assert_allclose(
+        se, batched_mmse_se(h, p[..., :1], np.full(1, 2.0), r),
+        rtol=1e-12, atol=0.0)
 
 
 def test_se_mapping_reference_points():
