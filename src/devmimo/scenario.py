@@ -13,6 +13,7 @@ from typing import Union
 
 import numpy as np
 
+from .channel import C_LIGHT
 from .errors import ConfigurationError
 
 SQRT3 = math.sqrt(3.0)
@@ -213,7 +214,7 @@ def ula(n: int, spacing_m: float, axis: int = 0) -> ArrayGeometry:
 
 
 def half_wavelength_m(f_ghz: float) -> float:
-    return 0.5 * 299792458.0 / (f_ghz * 1e9)
+    return 0.5 * C_LIGHT / (f_ghz * 1e9)
 
 
 def bs_port_array(n_ports: int, f_ghz: float) -> ArrayGeometry:
