@@ -127,13 +127,6 @@ def parse_config(path: str) -> ExperimentPlan:
 # experiment driver
 # ---------------------------------------------------------------------------
 
-# reference ("baseline") arm per case; the other arm is the treatment
-_ARM_PAIRS = {
-    Case.DIVERSITY: ("baseline", "diversity"),
-    Case.RANK_AUG: ("legacy_2ca", "collab"),
-}
-
-
 def _write_json(path: str, obj) -> None:
     with open(path, "w", newline="\n") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -191,29 +184,25 @@ def run_experiment(plan: ExperimentPlan) -> dict:
         if case.value.startswith("loc"):
             summary[case.value] = _run_loc_case(cfg, plan.seeds, loc_rows)
             continue
-        arm_names = _ARM_PAIRS.get(case, ("baseline",))
-        per_arm = {a: [] for a in arm_names}
-        ru = {a: [] for a in arm_names}
+        # arms in run_drop's order: the reference arm first
+        per_arm, ru = {}, {}
         for seed in plan.seeds:
-            stats = simloop.run_drop(cfg, seed)
-            for a in arm_names:
-                per_arm[a].extend((seed, r) for r in stats[a].records)
-                ru[a].append(stats[a].resource_utilization)
-        for a in arm_names:
-            for seed, r in per_arm[a]:
+            for a, st in simloop.run_drop(cfg, seed).items():
+                per_arm.setdefault(a, []).extend((seed, r) for r in st.records)
+                ru.setdefault(a, []).append(st.resource_utilization)
+        for a, rows in per_arm.items():
+            for seed, r in rows:
                 tput = r.throughput_bps
                 rec_rows.append([case.value, a, seed, r.ue,
                                  f"{r.t_arrival_s:.6f}",
                                  f"{r.t_complete_s:.6f}", r.size_bytes,
                                  f"{tput:.3f}" if math.isfinite(tput)
                                  else "inf"])
-        if len(arm_names) == 2:
-            cs = summarize({a: [r for _, r in per_arm[a]] for a in arm_names})
-        else:
-            cs = {arm_names[0]: simloop.upt_stats(
-                [r for _, r in per_arm[arm_names[0]]])}
-        for a in arm_names:
-            cs[a]["mean_ru"] = float(np.mean(ru[a])) if ru[a] else 0.0
+        recs = {a: [r for _, r in rows] for a, rows in per_arm.items()}
+        cs = summarize(recs) if len(recs) == 2 else \
+            {a: simloop.upt_stats(r) for a, r in recs.items()}
+        for a, vals in ru.items():
+            cs[a]["mean_ru"] = float(np.mean(vals))
         summary[case.value] = cs
 
     if rec_rows:
