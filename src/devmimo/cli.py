@@ -159,7 +159,7 @@ def _run_loc_case(cfg: ScenarioConfig, seeds, rows: list) -> dict:
             rows.append([r.user, r.case, f"{r.true_az:.6f}",
                          f"{r.true_el:.6f}", f"{r.est_az:.6f}",
                          f"{r.est_el:.6f}", f"{r.aoa_err_deg:.6f}",
-                         f"{r.pos_err_m:.6f}", int(r.indoor)])
+                         f"{r.pos_err_m:.6f}"])
             errs.append(r.aoa_err_deg)
             perrs.append(r.pos_err_m)
     return {"median_aoa_error_deg": float(np.median(errs)),
@@ -217,7 +217,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
                   newline="\n") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["user", "case", "true_az", "true_el", "est_az",
-                        "est_el", "aoa_err_deg", "pos_err_m", "indoor"])
+                        "est_el", "aoa_err_deg", "pos_err_m"])
             w.writerows(loc_rows)
     _write_json(os.path.join(plan.out_dir, "summary.json"), summary)
     return summary

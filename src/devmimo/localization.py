@@ -263,7 +263,6 @@ class LocResult:
     est_el: float
     aoa_err_deg: float
     pos_err_m: float
-    indoor: bool = False
 
 
 def synthesize_snapshots(va: VirtualArray, az: float, el: float, f_ghz: float,

@@ -154,7 +154,8 @@ def test_localization_outputs(tmp_path):
     plan = _loc_plan(tmp_path, "a")
     summary = run_experiment(plan)
     rows = open(os.path.join(plan.out_dir, "loc_results.csv")).readlines()
-    assert rows[0].startswith("user,case,")
+    assert rows[0].strip() == ("user,case,true_az,true_el,est_az,est_el,"
+                               "aoa_err_deg,pos_err_m")
     assert len(rows) - 1 == 4 * 3
     for c in ("loc1", "loc2", "loc3"):
         assert "median_aoa_error_deg" in summary[c]
