@@ -146,16 +146,21 @@ def _spectrum(va: VirtualArray, covs, az_grid, el_grid, f_ghz: float,
     return total
 
 
-def _refine(grid: np.ndarray, i: int, vals: np.ndarray) -> float:
-    """Quadratic peak interpolation on a uniform grid."""
-    if i == 0 or i == len(grid) - 1:
+def _refine(grid: np.ndarray, i: int, vals: np.ndarray,
+            circular: bool = False) -> float:
+    """Quadratic peak interpolation on a uniform grid; on a `circular`
+    (full-turn azimuth) grid the end bins are neighbours and the result
+    wraps into [-180, 180)."""
+    if not circular and (i == 0 or i == len(grid) - 1):
         return float(grid[i])
-    y0, y1, y2 = vals[i - 1], vals[i], vals[i + 1]
+    y0, y1, y2 = vals[i - 1], vals[i], vals[(i + 1) % len(grid)]
     denom = y0 - 2.0 * y1 + y2
     if abs(denom) < 1e-18:
         return float(grid[i])
     step = 0.5 * (y0 - y2) / denom
-    return float(grid[i] + np.clip(step, -1.0, 1.0) * (grid[1] - grid[0]))
+    x = float(grid[i] + np.clip(step, -1.0, 1.0) * (grid[1] - grid[0]))
+    return x if -180.0 <= x < 180.0 or not circular \
+        else (x + 180.0) % 360.0 - 180.0
 
 
 def _search_grid(name: str, grid) -> np.ndarray:
@@ -202,7 +207,9 @@ def noncoherent_aoa(va: VirtualArray, snapshots: np.ndarray, f_ghz: float,
     covs = _device_covariances(va, snapshots)
     spec = _spectrum(va, covs, az_grid, el_grid, f_ghz, method)
     i, j = np.unravel_index(np.argmax(spec), spec.shape)
-    az = _refine(az_grid, i, spec[:, j])
+    full_turn = az_grid.size > 1 and math.isclose(
+        az_grid.size * (az_grid[1] - az_grid[0]), 360.0)
+    az = _refine(az_grid, i, spec[:, j], full_turn)
     el = _refine(el_grid, j, spec[i, :])
     return az, el
 

@@ -299,3 +299,18 @@ def test_wider_reference_band_never_hurts():
             est_az, est_el = noncoherent_aoa(va, x, F_GHZ)
             errs[n_tones].append(aoa_error_deg(est_az, est_el, az, el))
     assert np.median(errs[240]) <= np.median(errs[120]) + 1e-9
+
+
+def test_azimuth_peak_on_the_minus_180_bin_wraps_toward_179():
+    # the full-turn azimuth grid ends at 179, so the -180 bin's other
+    # neighbour is +179 and a source at 179.7 interpolates past the seam
+    rng = np.random.default_rng(9)
+    va = _two_device_array()
+    x = _single_path_snapshots(va, 179.7, 20.0, rng)
+    spec = _spectrum(va, _device_covariances(va, x),
+                     np.arange(-180.0, 180.0, 1.0), np.arange(0.0, 90.5, 1.0),
+                     F_GHZ, "bartlett")
+    assert np.unravel_index(np.argmax(spec), spec.shape)[0] == 0
+    az, el = noncoherent_aoa(va, x, F_GHZ)
+    assert 179.0 < az < 180.0
+    assert aoa_error_deg(az, el, 179.7, 20.0) < 0.5
