@@ -50,26 +50,29 @@ def relay_gain(input_power_dbm: float, cap_dbm: float) -> float:
     return 10.0 ** ((cap_dbm - input_power_dbm) / 20.0)
 
 
-def compose_af_link(h_first: np.ndarray, w: np.ndarray, gain: float,
+def compose_af_link(h_first: np.ndarray, w: np.ndarray, gain,
                     h_second: np.ndarray, r_first: np.ndarray,
                     r_second: np.ndarray) -> EffectiveLink:
     """End-to-end channel and noise covariance of one frequency-translation
-    AF hop: first-hop channel h_first (S, n_helper_rx, n_tx) in one band,
-    receive beamformer w (n_out, n_helper_rx) and linear amplitude gain at
-    the helper, second-hop channel h_second (S, n_primary_rx, n_out) in
-    the other band, and the noise covariances r_first and r_second at the
-    two receivers (2-D inputs are one subband):
-    H_eff = H2 G W H1, R_eff = G^2 H2 W R1 W^H H2^H + R2."""
-    if gain < 0:
+    AF hop, over any leading batch axes (2-D inputs are one subband): the
+    first-hop channel h_first (..., S, m, n_tx), the helper's wideband
+    receive beamformer w (..., n_out, m) and amplitude gain (a scalar or
+    (..., n_out)), the second-hop channel h_second (..., S, p, n_out) in
+    the other band, and the noise covariances r_first, r_second at the two
+    receivers.  With G = diag(gain): H_eff = H2 G W H1 and
+    R_eff = H2 G W R1 W^H G H2^H + R2."""
+    g = np.asarray(gain, dtype=float)
+    if np.any(g < 0):
         raise ValueError("gain must be >= 0")
     h1, h2 = _ensure3(h_first), _ensure3(h_second)
     r1, r2 = _ensure3(r_first), _ensure3(r_second)
     w = np.asarray(w)
-    if h2.shape[-1] != w.shape[0] or w.shape[1] != h1.shape[1]:
+    if h2.shape[-1] != w.shape[-2] or w.shape[-1] != h1.shape[-2]:
         raise ValueError("relay chain dimension mismatch")
-    h_eff = gain * h2 @ (w[None] @ h1)
-    wr = w[None] @ r1 @ w.conj().T[None]
-    r_eff = (gain ** 2) * (h2 @ wr @ h2.conj().transpose(0, 2, 1)) + r2
+    gw = (g[..., None] * w)[..., None, :, :]           # (..., 1, n_out, m)
+    h_eff = h2 @ (gw @ h1)
+    fwd = gw @ r1 @ np.swapaxes(gw, -1, -2).conj()     # forwarded noise
+    r_eff = h2 @ fwd @ np.swapaxes(h2, -1, -2).conj() + r2
     return EffectiveLink(h_eff, r_eff)
 
 

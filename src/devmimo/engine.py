@@ -18,8 +18,8 @@ import numpy as np
 
 from . import channel as ch
 from .channel import realize_links
-from .collab import (EffectiveLink, relay_gain, relay_rx_beamformer,
-                     stack_rx, stack_tx)
+from .collab import (EffectiveLink, compose_af_link, relay_gain,
+                     relay_rx_beamformer, stack_rx, stack_tx)
 from .phy import (batched_beam_precoder, batched_mmse_se,
                   batched_rank_select)
 from .scenario import (BS_DOWNTILT_DEG, BS_HEIGHT_M, UE_HEIGHT_M,
@@ -232,7 +232,6 @@ class DlEngine(_Engine):
     noise_ue_w: float
     noise_help_w: float
     h_local: np.ndarray = field(init=False)     # (U, 1, n_prim_rx, 1)
-    hh_local: np.ndarray = field(init=False)    # (U, 1, n_prim_rx, n_prim_rx)
 
     def __post_init__(self):
         geo, cfg = self.geo, self.geo.cfg
@@ -242,7 +241,6 @@ class DlEngine(_Engine):
             geo.help.pos, geo.help.rot, self.help_elem[:1], geo.prim.pos,
             geo.prim.rot, self.ue_elem, cfg.f_high_ghz,
             cfg.helper_distance_m)[:, None]
-        self.hh_local = self.h_local @ self.h_local.conj().transpose(0, 1, 3, 2)
 
     def refresh(self, rr: int, want_relay: bool):
         """New channel realizations; returns per-arm rate tables [bps].
@@ -297,9 +295,9 @@ class DlEngine(_Engine):
                           self.noise_help_w)
 
         # whitened-MRC combiner per helper (wideband); each output stream is
-        # forwarded on its own spare f_H chunk, so streams stay orthogonal
-        # and the forwarded first-hop noise is white across streams
-        # (the relay cannot forward more streams than the BS transmits)
+        # forwarded on its own spare f_H chunk, so the streams' signals stay
+        # orthogonal (the relay cannot forward more streams than the BS
+        # transmits)
         n_str = min(cfg.relay_streams, self.help_elem.shape[0], cfg.bs_ports)
         w = relay_rx_beamformer(h_sh, r_help, n_str)                # (U,o,4)
 
@@ -315,28 +313,30 @@ class DlEngine(_Engine):
             * np.eye(self.ue_elem.shape[0])
 
         wh = np.einsum("uom,usmn->uson", w, h_sh, optimize=True)    # (U,S,o,n)
-        h_out = [self.h_local @ wh[:, :, o:o + 1, :]
-                 for o in range(n_str)]                             # (U,S,4,n)
+        # forwarded first-hop noise per output: w whitens with the mean of
+        # R1 over subbands, so this is 1 on average, not on every subband
+        wr = w[:, None] @ r_help @ np.swapaxes(w, -1, -2).conj()[:, None]
+        n1 = np.mean(np.diagonal(wr, axis1=-2, axis2=-1).real, axis=1)
 
         def relay_rates(k: int) -> np.ndarray:
-            """Rates when the relay forwards its k strongest outputs;
-            the relay power cap is split across them.  In the whitened
-            domain w R1 w^H = I, so forwarded noise has unit power.
-            h_out[o] is h_local (x) wh[:, :, o] and h_local has rank 1, so
-            the Gram of h_out[:k] is |h_local|^2 times that of wh[:, :, :k]
-            and both give the same precoder (columns up to a unit phase)."""
+            """Rates when the relay forwards its k strongest outputs, each
+            on its own f_H chunk, splitting the relay power cap across
+            them.  The relay precoder comes from the gain-free streams
+            wh[:, :, :k] (the AGC gain depends on it); h_local (rank 1) in
+            front of each stream only scales their Gram by |h_local|^2."""
             ranks_k = np.full(u_n, k)
             p_rel = batched_beam_precoder(wh[:, :, :k], ranks_k)
             a1 = wh[:, :, :k] @ p_rel[:, None]                      # (U,S,k,r)
             sig = np.mean(np.sum(np.abs(a1) ** 2, axis=3), axis=1) \
                 * (self.p_sb_w / k)                                 # (U, k)
-            g = np.sqrt(dbm_to_w(cfg.relay_max_tx_dbm) / k / (sig + 1.0))
-            stacked = stack_rx(*(
-                EffectiveLink(g_o * h_o, g_o ** 2 * self.hh_local + r_fh)
-                for g_o, h_o in zip(g.T[:, :, None, None, None], h_out)))
-            return batched_mmse_se(stacked.h_eff, p_rel,
+            g = np.sqrt(dbm_to_w(cfg.relay_max_tx_dbm) / k / (sig + n1[:, :k]))
+            second = stack_rx(*(EffectiveLink(self.h_local * e, r_fh)
+                                for e in np.eye(k)))
+            relayed = compose_af_link(h_sh, w[:, :k], g, second.h_eff,
+                                      r_help, second.r_nn)
+            return batched_mmse_se(relayed.h_eff, p_rel,
                                    self.p_sb_w / ranks_k,
-                                   stacked.r_nn) * cfg.subband_hz
+                                   relayed.r_nn) * cfg.subband_hz
 
         cand = [relay_rates(k) for k in range(1, n_str + 1)]
         totals = np.stack([c.sum(axis=1) for c in cand])            # (K, U)
@@ -471,11 +471,10 @@ class UlEngine(_Engine):
         noise_help_w = thermal_noise_w(cfg.subband_hz, NF_HELPER_DB)
         p_in = self.local_amp ** 2 * p_split + max_ul * noise_help_w
         g = relay_gain(10.0 * math.log10(p_in * 1e3), cfg.relay_max_tx_dbm)
-        a_rel = self.local_amp * g
-        relayed = EffectiveLink(
-            a_rel * h_rel,
-            r_fl[serving[weak]] + (g ** 2) * noise_help_w * (
-                h_rel @ h_rel.conj().transpose(0, 1, 3, 2)))
+        # local hop: each primary stream reaches its own helper antenna
+        eye_ul = np.eye(max_ul)
+        relayed = compose_af_link(self.local_amp * eye_ul, eye_ul, g, h_rel,
+                                  noise_help_w * eye_ul, r_fl[serving[weak]])
         stacked = stack_tx(h_fl[weak], relayed)
         ranks_s, v_s = batched_rank_select(stacked.h_eff,
                                            np.full(weak.size, p_tot),

@@ -112,6 +112,43 @@ def test_composed_chain_rejects_negative_gain():
         _scalar_hop(-1.0)
 
 
+def test_composed_chain_batches_like_its_single_subband_calls():
+    rng = np.random.default_rng(9)
+    b, s, m, n, o, p = 3, 2, 4, 6, 2, 3
+
+    def cov(*lead, size):
+        x = np.stack([_rand_h(rng, size, size) for _ in range(b * s)])
+        return (x @ x.conj().transpose(0, 2, 1)).reshape(lead + (size, size))
+
+    h1 = np.stack([_rand_h(rng, m, n) for _ in range(b * s)]).reshape(
+        b, s, m, n)
+    w = np.stack([_rand_h(rng, o, m) for _ in range(b)])
+    g = rng.uniform(0.1, 3.0, (b, o))
+    h2 = np.stack([_rand_h(rng, p, o) for _ in range(b * s)]).reshape(
+        b, s, p, o)
+    r1, r2 = cov(b, s, size=m), cov(b, s, size=p)
+    eff = compose_af_link(h1, w, g, h2, r1, r2)
+    assert eff.h_eff.shape == (b, s, p, n)
+    assert eff.r_nn.shape == (b, s, p, p)
+    for i in range(b):
+        for j in range(s):
+            one = compose_af_link(h1[i, j], w[i], g[i], h2[i, j], r1[i, j],
+                                  r2[i, j])
+            np.testing.assert_allclose(eff.h_eff[i, j], one.h_eff[0],
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(eff.r_nn[i, j], one.r_nn[0],
+                                       rtol=1e-12, atol=1e-12)
+            # a per-output gain is G = diag(g) in front of the beamformer
+            gw = compose_af_link(h1[i, j], np.diag(g[i]) @ w[i], 1.0,
+                                 h2[i, j], r1[i, j], r2[i, j])
+            np.testing.assert_allclose(one.h_eff, gw.h_eff,
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(one.r_nn, gw.r_nn,
+                                       rtol=1e-12, atol=1e-12)
+    with pytest.raises(ValueError):
+        compose_af_link(h1, w, g * np.array([1.0, -1.0]), h2, r1, r2)
+
+
 def test_composed_sinr_never_exceeds_either_hop():
     rng = np.random.default_rng(4)
     p = 1.0

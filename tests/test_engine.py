@@ -1,13 +1,14 @@
 """The DL refresh pinned to a reference that keeps the composite relay
 formulas: the relay precoder from the stacked primary-side channels
-h_local (x) w H_sh, the first-hop gain as w (H_sh p), and the f_H
-interference covariance as one einsum."""
+h_local (x) w H_sh, the first-hop gain as w (H_sh p), the f_H
+interference covariance as one einsum, and the relayed link written out
+entry by entry with the forwarded noise w R1 w^H of every subband."""
 
 import numpy as np
 import pytest
 
 from devmimo import Case, ScenarioConfig, engine
-from devmimo.collab import EffectiveLink, relay_rx_beamformer, stack_rx
+from devmimo.collab import relay_rx_beamformer
 from devmimo.phy import (batched_beam_precoder, batched_mmse_se,
                          batched_rank_select)
 
@@ -58,6 +59,11 @@ def _reference_refresh(eng, rr):
         * np.eye(eng.ue_elem.shape[0])
     wh = np.einsum("uom,usmn->uson", w, h_sh, optimize=True)
     h_out = [eng.h_local @ wh[:, :, o:o + 1, :] for o in range(n_str)]
+    # forwarded first-hop noise w R1[s] w^H on every subband
+    wr = np.einsum("uom,usmn,upn->usop", w, r_help, w.conj(), optimize=True)
+    nse = np.mean(np.diagonal(wr, axis1=2, axis2=3).real, axis=1)
+    hl = eng.h_local[:, 0, :, 0]                                  # (U, m)
+    m = hl.shape[1]
 
     cand = []
     for k in range(1, n_str + 1):
@@ -67,12 +73,20 @@ def _reference_refresh(eng, rr):
         a1 = np.einsum("uom,usmr->usor", w[:, :k], h_sh @ p_rel[:, None])
         sig = np.mean(np.sum(np.abs(a1) ** 2, axis=3), axis=1) \
             * (eng.p_sb_w / k)
-        g = np.sqrt(engine.dbm_to_w(cfg.relay_max_tx_dbm) / k / (sig + 1.0))
-        stacked = stack_rx(*(
-            EffectiveLink(g_o * h_o, g_o ** 2 * eng.hh_local + r_fh)
-            for g_o, h_o in zip(g.T[:, :, None, None, None], h_out)))
-        cand.append(batched_mmse_se(stacked.h_eff, p_rel, eng.p_sb_w / ranks_k,
-                                    stacked.r_nn) * cfg.subband_hz)
+        g = np.sqrt(engine.dbm_to_w(cfg.relay_max_tx_dbm) / k
+                    / (sig + nse[:, :k]))
+        # stream o reaches the primary as g_o h_local (w H_sh)_o on its own
+        # f_H chunk; chunks o, q share the noise g_o g_q (w R1 w^H)_oq
+        # h_local h_local^H, and each carries its own r_fh
+        h_eff = np.einsum("uo,ua,uson->usoan", g, hl, wh[:, :, :k],
+                          optimize=True).reshape(u_n, -1, k * m, wh.shape[3])
+        r_eff = np.einsum("uo,uq,usoq,ua,ub->usoaqb", g, g, wr[:, :, :k, :k],
+                          hl, hl.conj(), optimize=True)
+        for o in range(k):
+            r_eff[:, :, o, :, o, :] += r_fh
+        r_eff = r_eff.reshape(u_n, -1, k * m, k * m)
+        cand.append(batched_mmse_se(h_eff, p_rel, eng.p_sb_w / ranks_k,
+                                    r_eff) * cfg.subband_hz)
     best = np.argmax(np.stack([c.sum(axis=1) for c in cand]), axis=0)
     return {"direct": direct,
             "relayed": np.stack(cand)[best, np.arange(u_n)]}
