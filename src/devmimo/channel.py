@@ -125,21 +125,28 @@ def angles_from_vector(v: np.ndarray):
     return az, el
 
 
-def sector_element_amplitude(az_local_deg, el_local_deg,
-                             max_gain_dbi: float = 8.0) -> np.ndarray:
+def sector_element_amplitude(az_local_deg, el_local_deg) -> np.ndarray:
     """3-sector element pattern amplitude (65 deg HPBW both cuts,
-    30 dB front-to-back), boresight at local +x."""
+    30 dB front-to-back, 8 dBi peak), boresight at local +x."""
     az = np.asarray(az_local_deg, dtype=float)
     el = np.asarray(el_local_deg, dtype=float)
     a_h = -np.minimum(12.0 * (az / 65.0) ** 2, 30.0)
     a_v = -np.minimum(12.0 * (el / 65.0) ** 2, 30.0)
-    a = -np.minimum(-(a_h + a_v), 30.0) + max_gain_dbi
+    a = -np.minimum(-(a_h + a_v), 30.0) + 8.0
     return 10.0 ** (a / 20.0)
 
 
 # ---------------------------------------------------------------------------
 # clustered links
 # ---------------------------------------------------------------------------
+
+def plane_wave(pos: np.ndarray, u: np.ndarray, f_ghz: float) -> np.ndarray:
+    """Plane-wave response (n, ...) of elements `pos` (n, 3) to unit
+    direction(s) `u` (..., 3)."""
+    k = 2.0 * math.pi * f_ghz * 1e9 / C_LIGHT
+    a = 1j * k * np.einsum("na,...a->n...", pos, u)
+    return np.exp(a, out=a)
+
 
 def _response(elem: np.ndarray, rot: np.ndarray, az, el, f_ghz: float,
               sector: bool = False) -> np.ndarray:
@@ -150,8 +157,7 @@ def _response(elem: np.ndarray, rot: np.ndarray, az, el, f_ghz: float,
     ray by the 3-sector pattern amplitude.
     """
     u_loc = np.einsum("lba,lrb->lra", rot, direction_unit(az, el))
-    kw = 2.0 * math.pi * f_ghz * 1e9 / C_LIGHT
-    a = np.exp(1j * kw * np.einsum("na,lra->lnr", elem, u_loc))
+    a = np.moveaxis(plane_wave(elem, u_loc, f_ghz), 0, 1)
     if sector:
         a = a * sector_element_amplitude(*angles_from_vector(u_loc))[:, None, :]
     return a

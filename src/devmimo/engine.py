@@ -21,7 +21,7 @@ from .channel import realize_links
 from .collab import (EffectiveLink, compose_af_link, relay_gain,
                      relay_rx_beamformer, stack_rx, stack_tx)
 from .phy import (batched_beam_precoder, batched_mmse_se,
-                  batched_rank_select)
+                  batched_rank_select, interference_cov)
 from .scenario import (BS_DOWNTILT_DEG, BS_HEIGHT_M, UE_HEIGHT_M,
                        ScenarioConfig, SiteLayout, bs_port_array,
                        build_hex_layout, drop_ues, rot_y, rot_z, ue_array,
@@ -270,13 +270,9 @@ class DlEngine(_Engine):
         ql_cell = np.where(on, p_layer[tx], 0.0)
 
         def victim_r(h_i, interf, res, noise_w):
-            q = q_cell[interf]                                 # (U, K, n, r)
-            b = np.einsum("ukswn,uknr->ukswr", h_i, q, optimize=True)
-            r = np.einsum("uk,ukswr,uksvr->uswv", ql_cell[interf], b,
-                          b.conj(), optimize=True)
-            eye = np.eye(h_i.shape[3])
-            r = r + (noise_w + res * self.p_sb_w)[:, None, None, None] * eye
-            return r
+            r = interference_cov(h_i, q_cell[interf], ql_cell[interf])
+            return r + (noise_w + res * self.p_sb_w)[:, None, None, None] \
+                * np.eye(h_i.shape[3])
 
         r_prim = victim_r(h_int, geo.interf_prim, geo.res_fl_prim,
                           self.noise_ue_w)
@@ -391,82 +387,71 @@ class UlEngine(_Engine):
     def refresh(self, rr: int):
         """Per-arm, per-band UL rate tables [bps]."""
         geo, cfg = self.geo, self.geo.cfg
-        u_n = geo.n_ues
-        all_u = np.arange(u_n)
+        all_u = np.arange(geo.n_ues)
         serving = geo.serving
         p_tot = dbm_to_w(cfg.ue_max_tx_dbm) / cfg.n_subbands
         max_ul = cfg.ue_ul_config[0]
 
+        weak = np.flatnonzero(self.weak)
+        strong = np.flatnonzero(~self.weak)
         h_fl = self._links(geo.prim, serving, all_u, "fl", self.ue_elem,
                            uplink=True)
         h_fh = self._links(geo.prim, serving, all_u, "fh", self.ue_elem,
                            uplink=True)
-        h_hb = self._links(geo.help, serving, all_u, "fl", self.help_elem,
-                           uplink=True)
+        h_hb = self._links(geo.help, serving[weak], weak, "fl",
+                           self.help_elem, uplink=True)
+
+        def precode(h, power):
+            """White-noise SVD precoder of links h at total `power`, any
+            rank up to their transmit antennas, columns past each link's
+            rank zeroed, and its per-layer power."""
+            rk, v = batched_rank_select(h, np.full(h.shape[0], power),
+                                        self.noise_bs_w, h.shape[-1])
+            col = np.arange(v.shape[-1])
+            return np.where(col < rk[:, None, None], v, 0.0), power / rk
+
+        # precoders for interferers and the legacy arm: half the power per band
+        prec_fl = precode(h_fl, p_tot / 2.0)
+        prec_fh = precode(h_fh, p_tot / 2.0)
 
         # interfering UE per neighbor cell (round-robin)
         nbr = self.neighbor_cells                        # (C, K)
-        flat_cells = np.repeat(np.arange(geo.n_cells), nbr.shape[1])
-        flat_ues = geo.round_robin(rr)[nbr.reshape(-1)]
-        ok = flat_ues >= 0
+        tx = geo.round_robin(rr)[nbr]
+        tx_ues = np.maximum(tx, 0)
+        cells = np.arange(geo.n_cells)[:, None]
+        h_int_fl = self._links(geo.prim, cells, tx_ues, "fl", self.ue_elem,
+                               uplink=True)
+        h_int_fh = self._links(geo.prim, cells, tx_ues, "fh", self.ue_elem,
+                               uplink=True)
 
-        # white-noise SVD precoders for interferers and the legacy arm
-        ranks2, v2 = batched_rank_select(h_fl, np.full(u_n, p_tot / 2.0),
-                                         self.noise_bs_w, max_ul)
-        ranks2h, v2h = batched_rank_select(h_fh, np.full(u_n, p_tot / 2.0),
-                                           self.noise_bs_w, max_ul)
+        def interference(h_links, prec, exclude_weak):
+            """Interferer covariance plus noise per (victim cell, subband);
+            empty cells and, with `exclude_weak`, weak users are silent."""
+            p, p_layer = prec
+            live = (tx >= 0) & ~(exclude_weak & self.weak[tx_ues])
+            return interference_cov(h_links, p[tx_ues],
+                                    np.where(live, p_layer[tx_ues], 0.0)) \
+                + self.noise_bs_w * np.eye(self.bs_elem.shape[0])
 
-        def interference(h_links, vmat, rk, exclude_weak):
-            """Summed interferer covariance per (victim cell, subband).
+        r_fl = interference(h_int_fl, prec_fl, False)
+        r_fh_leg = interference(h_int_fh, prec_fh, False)
+        r_fh_col = interference(h_int_fh, prec_fh, True)
 
-            Each rank's precoded links form one matmul (a padded one-column
-            precoder would change the bits); dead or excluded links stay
-            zero and neighbours accumulate in index order.
-            """
-            u = np.maximum(flat_ues, 0)
-            live = ok & ~(exclude_weak & self.weak[u])
-            a = np.zeros(h_links.shape[:3] + vmat.shape[-1:], dtype=complex)
-            for r in range(1, vmat.shape[-1] + 1):
-                sel = live & (rk[u] == r)
-                p = vmat[u[sel], :, :r] * math.sqrt(p_tot / 2.0 / r)
-                a[sel, :, :, :r] = h_links[sel] @ p[:, None]
-            aa = a @ a.conj().transpose(0, 1, 3, 2)      # (C*K, S, m, m)
-            aa = aa.reshape(nbr.shape + aa.shape[1:])
-            contrib = np.zeros((geo.n_cells,) + aa.shape[2:], dtype=complex)
-            for k in range(nbr.shape[1]):
-                contrib += aa[:, k]
-            return contrib
-
-        tx_ues = np.maximum(flat_ues, 0)
-        h_int_fl = self._links(geo.prim, flat_cells, tx_ues, "fl",
-                               self.ue_elem, uplink=True)
-        h_int_fh = self._links(geo.prim, flat_cells, tx_ues, "fh",
-                               self.ue_elem, uplink=True)
-        eye = np.eye(self.bs_elem.shape[0])
-        r_fl = interference(h_int_fl, v2, ranks2, False) + self.noise_bs_w * eye
-        r_fh_leg = interference(h_int_fh, v2h, ranks2h, False) \
-            + self.noise_bs_w * eye
-        r_fh_col = interference(h_int_fh, v2h, ranks2h, True) \
-            + self.noise_bs_w * eye
-
-        def band_rates(ues, h, vmat, rk, r_cov):
-            """Rates of UEs `ues` on one band: rank-rk white-noise precoder,
-            half the power, their serving cell's covariance."""
-            col = np.arange(vmat.shape[-1])[None, :]
-            p = np.where((col < rk[ues, None])[:, None, :], vmat[ues], 0.0)
-            return batched_mmse_se(h[ues], p, p_tot / 2.0 / rk[ues], r_cov,
+        def band_rates(ues, h, prec, r_cov):
+            """Rates of UEs `ues` on one band against their serving cell's
+            covariance."""
+            p, p_layer = prec
+            return batched_mmse_se(h[ues], p[ues], p_layer[ues], r_cov,
                                    owner=serving[ues]) * cfg.subband_hz
 
-        rate_leg_fl = band_rates(all_u, h_fl, v2, ranks2, r_fl)
-        rate_leg_fh = band_rates(all_u, h_fh, v2h, ranks2h, r_fh_leg)
+        rate_leg_fl = band_rates(all_u, h_fl, prec_fl, r_fl)
+        rate_leg_fh = band_rates(all_u, h_fh, prec_fh, r_fh_leg)
 
         # collaboration: weak users stack their direct columns with the
         # relay-forwarded helper columns in f_L and leave f_H; the others
         # keep their legacy f_L rates and use f_H without the weak users'
         # interference
-        weak = np.flatnonzero(self.weak)
-        strong = np.flatnonzero(~self.weak)
-        h_rel = h_hb[weak][:, :, :, :max_ul]            # helper tx subset
+        h_rel = h_hb[:, :, :, :max_ul]                  # helper tx subset
         p_split = p_tot / 2.0
         noise_help_w = thermal_noise_w(cfg.subband_hz, NF_HELPER_DB)
         p_in = self.local_amp ** 2 * p_split + max_ul * noise_help_w
@@ -476,17 +461,12 @@ class UlEngine(_Engine):
         relayed = compose_af_link(self.local_amp * eye_ul, eye_ul, g, h_rel,
                                   noise_help_w * eye_ul, r_fl[serving[weak]])
         stacked = stack_tx(h_fl[weak], relayed)
-        ranks_s, v_s = batched_rank_select(stacked.h_eff,
-                                           np.full(weak.size, p_tot),
-                                           self.noise_bs_w, 2 * max_ul)
-        col = np.arange(v_s.shape[-1])[None, :]
-        p_s = np.where((col < ranks_s[:, None])[:, None, :], v_s, 0.0)
+        p_s, pl_s = precode(stacked.h_eff, p_tot)
         rate_col_fl = rate_leg_fl.copy()
-        rate_col_fl[weak] = batched_mmse_se(stacked.h_eff, p_s,
-                                            p_tot / ranks_s,
+        rate_col_fl[weak] = batched_mmse_se(stacked.h_eff, p_s, pl_s,
                                             stacked.r_nn) * cfg.subband_hz
         rate_col_fh = np.zeros_like(rate_leg_fh)
-        rate_col_fh[strong] = band_rates(strong, h_fh, v2h, ranks2h, r_fh_col)
+        rate_col_fh[strong] = band_rates(strong, h_fh, prec_fh, r_fh_col)
         return {"legacy_2ca": (rate_leg_fl, rate_leg_fh),
                 "collab": (rate_col_fl, rate_col_fh)}
 

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import channel as ch
 from .errors import ConfigurationError, EstimationError
-from .scenario import ArrayGeometry, ScenarioConfig, rot_z, ula
+from .scenario import (ArrayGeometry, ScenarioConfig, half_wavelength_m,
+                       rot_z, ula)
 
 SSB_SUBCARRIERS = 240
 SSB_SCS_HZ = 30e3
@@ -50,18 +51,11 @@ def build_virtual_array(devices) -> VirtualArray:
                         len(devices))
 
 
-def _steering(pos: np.ndarray, u: np.ndarray, f_ghz: float) -> np.ndarray:
-    """Plane-wave response (n, ...) of elements `pos` (n, 3) to unit
-    direction(s) `u` (..., 3)."""
-    k = 2.0 * math.pi * f_ghz * 1e9 / ch.C_LIGHT
-    a = 1j * k * np.einsum("na,...a->n...", pos, u)
-    return np.exp(a, out=a)
-
-
 def steering_vector(va: VirtualArray, az_deg, el_deg,
                     f_ghz: float) -> np.ndarray:
     """Plane-wave response (n_elements, ...) of the virtual array."""
-    return _steering(va.element_pos, ch.direction_unit(az_deg, el_deg), f_ghz)
+    return ch.plane_wave(va.element_pos, ch.direction_unit(az_deg, el_deg),
+                         f_ghz)
 
 
 def _device_covariances(va: VirtualArray, snapshots: np.ndarray):
@@ -116,7 +110,7 @@ def _grid_steering(pos: np.ndarray, grid_key, u: np.ndarray,
     if a is not None:
         _STEER.move_to_end(key)
         return a
-    a = _steering(pos, u, f_ghz)
+    a = ch.plane_wave(pos, u, f_ghz)
     if key in _SEEN:                       # second sighting: keep it
         del _SEEN[key]
         a.flags.writeable = False
@@ -239,7 +233,7 @@ def _ensemble(case: str, f_ghz: float, rng: np.random.Generator):
     loc1: wearable only (2 elements).  loc2: + handset with an orthogonal
     axis.  loc3: + two larger fixed units a few meters away.
     """
-    lam2 = 0.5 * ch.C_LIGHT / (f_ghz * 1e9)
+    lam2 = half_wavelength_m(f_ghz)
     wearable = (np.zeros(3), np.eye(3), ula(2, lam2))
     devices = [wearable]
     if case in ("loc2", "loc3"):
@@ -274,11 +268,10 @@ class LocResult:
 
 def synthesize_snapshots(va: VirtualArray, az: float, el: float, f_ghz: float,
                          snr_db: float, rng: np.random.Generator,
-                         los: bool = True,
                          n_tones: int = SSB_SUBCARRIERS) -> np.ndarray:
     """Synchronization-block snapshots across the virtual array.
 
-    One geometric ray (when LOS) plus weak clusters, per-device unknown
+    One geometric LOS ray plus weak clusters, per-device unknown
     timing/phase, additive noise at the given per-element SNR.
     """
     tones = (np.arange(n_tones) - (n_tones - 1) / 2.0) * SSB_SCS_HZ
@@ -291,14 +284,11 @@ def synthesize_snapshots(va: VirtualArray, az: float, el: float, f_ghz: float,
     w = np.exp(-c_tau / ch.DELAY_RMS_S) * 10.0 ** (
         rng.normal(0.0, ch.CLUSTER_SHADOW_STD_DB, n_c) / 10.0)
     w /= w.sum()
-    if los:
-        p = np.concatenate([[k_lin / (k_lin + 1.0)], w / (k_lin + 1.0)])
-        ray_az = np.concatenate([[az], c_az])
-        ray_el = np.concatenate([[el], c_el])
-        tau = np.concatenate([[0.0], c_tau])
-        phi = np.concatenate([[0.0], c_phi])
-    else:
-        p, ray_az, ray_el, tau, phi = w, c_az, c_el, c_tau, c_phi
+    p = np.concatenate([[k_lin / (k_lin + 1.0)], w / (k_lin + 1.0)])
+    ray_az = np.concatenate([[az], c_az])
+    ray_el = np.concatenate([[el], c_el])
+    tau = np.concatenate([[0.0], c_tau])
+    phi = np.concatenate([[0.0], c_phi])
 
     a = steering_vector(va, ray_az, ray_el, f_ghz)          # (n, R)
     g = np.sqrt(p) * np.exp(1j * phi)

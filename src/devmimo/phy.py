@@ -41,14 +41,14 @@ def _layer_sinr(g: np.ndarray) -> np.ndarray:
     return np.maximum(1.0 / np.maximum(diag, 1e-300) - 1.0, 0.0)
 
 
-def sinr_to_se(sinr, cap_bps_hz: float = SE_CAP_BPS_HZ):
-    """Capped Shannon mapping, per layer."""
+def sinr_to_se(sinr):
+    """Shannon mapping capped at SE_CAP_BPS_HZ, per layer."""
     s = np.asarray(sinr, dtype=float)
-    se = np.minimum(np.log2(1.0 + np.maximum(s, 0.0)), cap_bps_hz)
+    se = np.minimum(np.log2(1.0 + np.maximum(s, 0.0)), SE_CAP_BPS_HZ)
     return se if se.ndim else float(se)
 
 
-def effective_se(sinr: np.ndarray, cap_bps_hz: float = SE_CAP_BPS_HZ):
+def effective_se(sinr: np.ndarray):
     """Sum over layers of the subband-mean capped SE.
 
     `sinr` is (..., n_subbands, n_layers) with any leading batch axes
@@ -59,7 +59,7 @@ def effective_se(sinr: np.ndarray, cap_bps_hz: float = SE_CAP_BPS_HZ):
         s = s[:, None]
     if s.shape[-2] == 0 or s.shape[-1] == 0:
         raise ValueError("empty SINR set")
-    se = np.sum(np.mean(sinr_to_se(s, cap_bps_hz), axis=-2), axis=-1)
+    se = np.sum(np.mean(sinr_to_se(s), axis=-2), axis=-1)
     return se if se.ndim else float(se)
 
 
@@ -154,6 +154,17 @@ def batched_beam_precoder(h: np.ndarray, ranks: np.ndarray,
         qm[bad] = v[bad]
     qm = np.where(dead[:, None, :], 0.0, qm)
     return qm
+
+
+def interference_cov(h: np.ndarray, q: np.ndarray,
+                     p_layer: np.ndarray) -> np.ndarray:
+    """Summed covariance sum_k p_layer[k] (H_k Q_k)(H_k Q_k)^H of precoded
+    interferers: h (V,K,S,m,n) links of each victim's K interferers,
+    q (V,K,n,r) their precoders, p_layer (V,K) their per-layer powers
+    (0 for a silent interferer).  Returns (V,S,m,m)."""
+    b = np.einsum("vksmn,vknr->vksmr", h, q, optimize=True)
+    return np.einsum("vk,vksmr,vkslr->vsml", p_layer, b, b.conj(),
+                     optimize=True)
 
 
 def batched_mmse_sinr(h: np.ndarray, p: np.ndarray, p_layer: np.ndarray,

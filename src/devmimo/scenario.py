@@ -319,11 +319,11 @@ def _in_hexagon(p: np.ndarray, inradius: float) -> bool:
 
 
 def _sample_sector_point(rng: np.random.Generator, azimuth_deg: float,
-                         isd: float, max_tries: int = 10000) -> np.ndarray:
+                         isd: float) -> np.ndarray:
     """Uniform point in the sector wedge of the site hexagon, at least
     MIN_BS_UE_DIST_M from the site."""
     circum = isd / SQRT3
-    for _ in range(max_tries):
+    for _ in range(10000):
         p = rng.uniform(-circum, circum, size=2)
         if not _in_hexagon(p, isd / 2.0):
             continue

@@ -248,8 +248,7 @@ def test_single_ray_peak_within_one_grid_cell():
                                ula(4, LAM / 2, axis=0)),
                               (np.zeros(3), rot_z(90.0),
                                ula(4, LAM / 2, axis=0))])
-    x = synthesize_snapshots(va, 25.0, 40.0, F_GHZ, snr_db=20.0, rng=rng,
-                             los=True)
+    x = synthesize_snapshots(va, 25.0, 40.0, F_GHZ, snr_db=20.0, rng=rng)
     az, el = noncoherent_aoa(va, x, F_GHZ)
     assert aoa_error_deg(az, el, 25.0, 40.0) < 5.0
 
@@ -295,7 +294,7 @@ def test_wider_reference_band_never_hurts():
         for n_tones in (120, 240):
             rng = np.random.default_rng((trial, n_tones))
             x = synthesize_snapshots(va, az, el, F_GHZ, snr_db=0.0, rng=rng,
-                                     los=True, n_tones=n_tones)
+                                     n_tones=n_tones)
             est_az, est_el = noncoherent_aoa(va, x, F_GHZ)
             errs[n_tones].append(aoa_error_deg(est_az, est_el, az, el))
     assert np.median(errs[240]) <= np.median(errs[120]) + 1e-9

@@ -8,7 +8,8 @@ import pytest
 from devmimo import effective_se, sinr_to_se
 from devmimo.phy import (SE_CAP_BPS_HZ, _dft_beams, batched_beam_precoder,
                          batched_mmse_se, batched_mmse_sinr,
-                         batched_rank_select, mutual_information)
+                         batched_rank_select, interference_cov,
+                         mutual_information)
 
 
 def _rand_h(rng, m, n):
@@ -196,3 +197,31 @@ def test_beam_precoder_ignores_a_rank_one_left_factor(k):
     p2 = batched_beam_precoder(wh, ranks)
     overlap = np.einsum("unr,unr->ur", p1.conj(), p2)
     assert np.allclose(np.abs(overlap), 1.0, rtol=0.0, atol=1e-10)
+
+
+def test_interference_cov_matches_a_loop_over_interferers():
+    rng = np.random.default_rng(11)
+    v_n, k_n, s_n, m, n, r = 3, 4, 2, 4, 3, 2
+    h = rng.standard_normal((v_n, k_n, s_n, m, n)) \
+        + 1j * rng.standard_normal((v_n, k_n, s_n, m, n))
+    q = rng.standard_normal((v_n, k_n, n, r)) \
+        + 1j * rng.standard_normal((v_n, k_n, n, r))
+    p_layer = rng.uniform(0.5, 2.0, (v_n, k_n))
+    ref = np.zeros((v_n, s_n, m, m), dtype=complex)
+    for k in range(k_n):
+        a = h[:, k] @ q[:, k, None]                        # (V, S, m, r)
+        ref += p_layer[:, k, None, None, None] \
+            * (a @ a.conj().transpose(0, 1, 3, 2))
+    out = interference_cov(h, q, p_layer)
+    assert out.shape == (v_n, s_n, m, m)
+    assert np.allclose(out, ref, rtol=1e-12, atol=1e-12)
+    # a silent interferer and zeroed precoder columns add nothing
+    silent, masked = p_layer.copy(), q.copy()
+    silent[:, 0] = 0.0
+    masked[..., 1:] = 0.0
+    assert np.allclose(interference_cov(h, q, silent),
+                       interference_cov(h[:, 1:], q[:, 1:], p_layer[:, 1:]),
+                       rtol=1e-12, atol=1e-12)
+    assert np.allclose(interference_cov(h, masked, p_layer),
+                       interference_cov(h, q[..., :1], p_layer),
+                       rtol=1e-12, atol=1e-12)

@@ -11,7 +11,7 @@ from scipy import stats
 from devmimo import (Case, Ftp3, FullBuffer, ScenarioConfig, ThroughputRecord,
                      calibrate_load, ftp3_arrivals, pf_schedule, run_drop,
                      upt_stats)
-from devmimo import ConfigurationError, engine, simloop
+from devmimo import CalibrationError, ConfigurationError, engine, simloop
 from devmimo.simloop import (SchedulerState, measure_ru,
                              percentile_nearest_rank)
 
@@ -274,6 +274,17 @@ def test_calibration_rejects_bad_argument_by_name(arg, value):
                          **TINY)
     with pytest.raises(ConfigurationError, match=f"^{arg} "):
         calibrate_load(cfg, 0.4, **{arg: value})
+
+
+@pytest.mark.parametrize("file_bytes, kwargs, message", [
+    (1, {}, r"RU saturates at 0\.\d+ < target 0\.400"),
+    (500_000, dict(tol=0.0, max_iter=1), "did not converge")],
+    ids=["saturates", "no_convergence"])
+def test_calibration_error_names_the_failure(file_bytes, kwargs, message):
+    cfg = ScenarioConfig(case=Case.BASELINE,
+                         traffic=Ftp3(file_bytes, 1.0), **TINY)
+    with pytest.raises(CalibrationError, match=message):
+        calibrate_load(cfg, 0.4, seeds=(0,), **kwargs)
 
 
 CAL = ScenarioConfig(num_rings=0, ues_per_cell=2, sim_duration_s=0.2,
