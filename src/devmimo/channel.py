@@ -16,9 +16,14 @@ import numpy as np
 
 C_LIGHT = 3e8
 
+# Dense-urban heights; pathloss and the drop geometry read them at call time.
+BS_HEIGHT_M = 25.0
+UE_HEIGHT_M = 1.5
+
 SHADOWING_SIGMA_LOS_DB = 4.0
 SHADOWING_SIGMA_NLOS_DB = 6.0
 INSIDE_LOSS_DB_PER_M = 0.5
+O2I_SIGMA_DB = 4.4
 
 # reduced clustered-model defaults
 N_CLUSTERS = 6
@@ -33,19 +38,20 @@ CLUSTER_SHADOW_STD_DB = 3.0
 # large-scale models
 # ---------------------------------------------------------------------------
 
-def pathloss(d3d_m, f_ghz: float, los: bool,
-             h_bs: float = 25.0, h_ut: float = 1.5):
-    """Urban-macro pathloss in dB (breakpoint dual-slope LOS, NLOS floor).
+def pathloss(d3d_m, f_ghz: float, los: bool):
+    """Urban-macro pathloss in dB (breakpoint dual-slope LOS, NLOS floor)
+    between heights BS_HEIGHT_M and UE_HEIGHT_M.
 
     Accepts scalar or array d3d_m; raises on distances below 1 m.
     """
     d3d = np.asarray(d3d_m, dtype=float)
     if np.any(d3d < 1.0):
         raise ValueError("d3d must be >= 1 m")
-    dh = h_bs - h_ut
+    dh = BS_HEIGHT_M - UE_HEIGHT_M
     d2d = np.sqrt(np.maximum(d3d ** 2 - dh ** 2, 1e-12))
     # effective environment height 1 m
-    dbp = 4.0 * (h_bs - 1.0) * (h_ut - 1.0) * f_ghz * 1e9 / C_LIGHT
+    dbp = (4.0 * (BS_HEIGHT_M - 1.0) * (UE_HEIGHT_M - 1.0) * f_ghz * 1e9
+           / C_LIGHT)
     pl1 = 28.0 + 22.0 * np.log10(d3d) + 20.0 * math.log10(f_ghz)
     pl2 = (28.0 + 40.0 * np.log10(d3d) + 20.0 * math.log10(f_ghz)
            - 9.0 * math.log10(dbp ** 2 + dh ** 2))
@@ -54,7 +60,7 @@ def pathloss(d3d_m, f_ghz: float, los: bool,
         out = pl_los
     else:
         pl_n = (13.54 + 39.08 * np.log10(d3d) + 20.0 * math.log10(f_ghz)
-                - 0.6 * (h_ut - 1.5))
+                - 0.6 * (UE_HEIGHT_M - 1.5))
         out = np.maximum(pl_los, pl_n)
     return out if out.ndim else float(out)
 
@@ -68,31 +74,26 @@ def los_probability(d2d_m):
     return p if p.ndim else float(p)
 
 
-def o2i_wall_loss_db(f_ghz: float, high_loss: bool = False) -> float:
-    """Composite-material wall penetration (no depth, no random spread)."""
+def o2i_wall_loss_db(f_ghz: float) -> float:
+    """Low-loss composite wall penetration: 30% glass, 70% concrete (no
+    depth, no random spread)."""
     l_glass = 2.0 + 0.2 * f_ghz
     l_concrete = 5.0 + 4.0 * f_ghz
-    if high_loss:
-        l_irr_glass = 23.0 + 0.3 * f_ghz
-        mix = 0.7 * 10 ** (-l_irr_glass / 10.0) + 0.3 * 10 ** (-l_concrete / 10.0)
-    else:
-        mix = 0.3 * 10 ** (-l_glass / 10.0) + 0.7 * 10 ** (-l_concrete / 10.0)
+    mix = 0.3 * 10 ** (-l_glass / 10.0) + 0.7 * 10 ** (-l_concrete / 10.0)
     return 5.0 - 10.0 * math.log10(mix)
 
 
 def o2i_penetration(f_ghz: float, depth_m,
-                    rng: np.random.Generator | None = None,
-                    high_loss: bool = False):
+                    rng: np.random.Generator | None = None):
     """Wall loss + 0.5 dB/m inside loss + optional log-normal spread [dB].
 
     Accepts scalar or array depth_m (one spread draw per element)."""
     depth = np.asarray(depth_m, dtype=float)
     if np.any(depth < 0):
         raise ValueError("depth_m must be >= 0")
-    loss = o2i_wall_loss_db(f_ghz, high_loss) + INSIDE_LOSS_DB_PER_M * depth
+    loss = o2i_wall_loss_db(f_ghz) + INSIDE_LOSS_DB_PER_M * depth
     if rng is not None:
-        sigma = 6.5 if high_loss else 4.4
-        loss = loss + rng.normal(0.0, sigma, depth.shape)
+        loss = loss + rng.normal(0.0, O2I_SIGMA_DB, depth.shape)
     loss = np.maximum(loss, 0.0)
     return loss if loss.ndim else float(loss)
 

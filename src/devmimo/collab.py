@@ -64,8 +64,8 @@ def compose_af_link(h_first: np.ndarray, w: np.ndarray, gain,
     g = np.asarray(gain, dtype=float)
     if np.any(g < 0):
         raise ValueError("gain must be >= 0")
-    h1, h2 = _ensure3(h_first), _ensure3(h_second)
-    r1, r2 = _ensure3(r_first), _ensure3(r_second)
+    h1, h2 = np.asarray(h_first), np.asarray(h_second)
+    r1, r2 = np.asarray(r_first), np.asarray(r_second)
     w = np.asarray(w)
     if h2.shape[-1] != w.shape[-2] or w.shape[-1] != h1.shape[-2]:
         raise ValueError("relay chain dimension mismatch")
@@ -74,11 +74,6 @@ def compose_af_link(h_first: np.ndarray, w: np.ndarray, gain,
     fwd = gw @ r1 @ np.swapaxes(gw, -1, -2).conj()     # forwarded noise
     r_eff = h2 @ fwd @ np.swapaxes(h2, -1, -2).conj() + r2
     return EffectiveLink(h_eff, r_eff)
-
-
-def _ensure3(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x)
-    return x[None] if x.ndim == 2 else x
 
 
 def stack_rx(*links: EffectiveLink) -> EffectiveLink:

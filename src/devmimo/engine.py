@@ -22,10 +22,9 @@ from .collab import (EffectiveLink, compose_af_link, relay_gain,
                      relay_rx_beamformer, stack_rx, stack_tx)
 from .phy import (batched_beam_precoder, batched_mmse_se,
                   batched_rank_select, interference_cov)
-from .scenario import (BS_DOWNTILT_DEG, BS_HEIGHT_M, UE_HEIGHT_M,
-                       ScenarioConfig, SiteLayout, bs_port_array,
-                       build_hex_layout, drop_ues, rot_y, rot_z, ue_array,
-                       wraparound_vectors)
+from .scenario import (BS_DOWNTILT_DEG, ScenarioConfig, SiteLayout,
+                       bs_port_array, build_hex_layout, drop_ues, rot_y,
+                       rot_z, ue_array, wraparound_vectors)
 
 NF_BS_DB = 5.0
 NF_UE_DB = 7.0
@@ -101,7 +100,7 @@ def _device_tables(layout: SiteLayout, cfg: ScenarioConfig, pos: np.ndarray,
     vec = wraparound_vectors(pos_xy, cell_xy, layout)       # (N, C, 2)
     vec = vec.transpose(1, 0, 2)                            # (C, N, 2)
     d2d = np.maximum(np.linalg.norm(vec, axis=-1), 1.0)
-    d3d = np.sqrt(d2d ** 2 + (BS_HEIGHT_M - UE_HEIGHT_M) ** 2)
+    d3d = np.sqrt(d2d ** 2 + (ch.BS_HEIGHT_M - ch.UE_HEIGHT_M) ** 2)
 
     n_sites, n_dev = layout.n_sites, pos_xy.shape[0]
     site_d2d = d2d[::3]                                     # sector 0 of each site
@@ -115,22 +114,22 @@ def _device_tables(layout: SiteLayout, cfg: ScenarioConfig, pos: np.ndarray,
 
     loss = {}
     for f, key in bands:
-        pl = np.where(los, ch.pathloss(d3d, f, True, h_ut=UE_HEIGHT_M),
-                      ch.pathloss(d3d, f, False, h_ut=UE_HEIGHT_M))
+        pl = np.where(los, ch.pathloss(d3d, f, True),
+                      ch.pathloss(d3d, f, False))
         sigma = np.where(los_site, ch.SHADOWING_SIGMA_LOS_DB,
                          ch.SHADOWING_SIGMA_NLOS_DB)
         sf = np.repeat(rng.normal(0.0, 1.0, (n_sites, n_dev)) * sigma, 3, axis=0)
         loss[key] = pl + sf + pen[key][None, :]
 
     bs_eff = np.concatenate(
-        [pos_xy[None, :, :] + vec, np.full((layout.n_cells, n_dev, 1), BS_HEIGHT_M)],
-        axis=-1)
+        [pos_xy[None, :, :] + vec,
+         np.full((layout.n_cells, n_dev, 1), ch.BS_HEIGHT_M)], axis=-1)
     return vec, DeviceTables(pos, rot, bs_eff, los, loss)
 
 
 def _pattern_gain_db(vec: np.ndarray, cell_rot: np.ndarray) -> np.ndarray:
     """Sector element gain toward each device's geometric direction [dB]."""
-    dz = UE_HEIGHT_M - BS_HEIGHT_M
+    dz = ch.UE_HEIGHT_M - ch.BS_HEIGHT_M
     d = np.concatenate([vec, np.full(vec.shape[:-1] + (1,), dz)], axis=-1)
     u = d / np.linalg.norm(d, axis=-1, keepdims=True)
     u_loc = np.einsum("cba,cub->cua", cell_rot, u)
@@ -344,11 +343,10 @@ class DlEngine(_Engine):
 def make_dl_engine(geo: DropGeometry, rng: np.random.Generator) -> DlEngine:
     cfg = geo.cfg
     subc = cfg.subband_centers_hz()
-    bs = bs_port_array(cfg.bs_ports, cfg.f_low_ghz)
-    ue = ue_array(cfg.ue_dl_config[1], cfg.f_low_ghz)
-    hp = ue_array(cfg.helper_rx_antennas, cfg.f_low_ghz)
     return DlEngine(
-        geo, rng, subc, bs.positions, ue.positions, hp.positions,
+        geo, rng, subc, bs_port_array(cfg.bs_ports, cfg.f_low_ghz),
+        ue_array(cfg.ue_dl_config[1], cfg.f_low_ghz),
+        ue_array(cfg.helper_rx_antennas, cfg.f_low_ghz),
         p_sb_w=dbm_to_w(cfg.bs_tx_dbm) / cfg.n_subbands,
         noise_ue_w=thermal_noise_w(cfg.subband_hz, NF_UE_DB),
         noise_help_w=thermal_noise_w(cfg.subband_hz, NF_HELPER_DB))
@@ -474,9 +472,8 @@ class UlEngine(_Engine):
 def make_ul_engine(geo: DropGeometry, rng: np.random.Generator) -> UlEngine:
     cfg = geo.cfg
     weak = geo.snr_fh_ul_db < cfg.semistatic_threshold_db
-    bs = bs_port_array(cfg.bs_ports, cfg.f_low_ghz)
-    ue = ue_array(cfg.ue_ul_config[0], cfg.f_low_ghz)
-    hp = ue_array(cfg.helper_rx_antennas, cfg.f_low_ghz)
-    return UlEngine(geo, rng, cfg.subband_centers_hz(), bs.positions,
-                    ue.positions, hp.positions,
+    return UlEngine(geo, rng, cfg.subband_centers_hz(),
+                    bs_port_array(cfg.bs_ports, cfg.f_low_ghz),
+                    ue_array(cfg.ue_ul_config[0], cfg.f_low_ghz),
+                    ue_array(cfg.helper_rx_antennas, cfg.f_low_ghz),
                     thermal_noise_w(cfg.subband_hz, NF_BS_DB), weak)

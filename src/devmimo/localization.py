@@ -17,11 +17,16 @@ import numpy as np
 
 from . import channel as ch
 from .errors import ConfigurationError, EstimationError
-from .scenario import (ArrayGeometry, ScenarioConfig, half_wavelength_m,
-                       rot_z, ula)
+from .scenario import ScenarioConfig, half_wavelength_m, rot_z, ula
 
 SSB_SUBCARRIERS = 240
 SSB_SCS_HZ = 30e3
+
+# Direction-finding search grid [deg]: a full turn of azimuth, and elevation
+# above the horizon, which also resolves the mirror ambiguity of planar
+# device sub-arrays.
+AZ_GRID = np.arange(-180.0, 180.0, 1.0)
+EL_GRID = np.arange(0.0, 90.5, 1.0)
 
 
 @dataclass(frozen=True)
@@ -38,15 +43,15 @@ class VirtualArray:
 def build_virtual_array(devices) -> VirtualArray:
     """Stack device arrays into one virtual aperture.
 
-    `devices` is a list of (position (3,), rotation (3,3), ArrayGeometry)
-    expressed in the primary's local frame.
+    `devices` is a list of (position (3,), rotation (3,3), element
+    positions (n, 3)) expressed in the primary's local frame.
     """
     if not devices:
         raise ConfigurationError("virtual array needs at least one device")
     pos, owner = [], []
-    for i, (p, r, arr) in enumerate(devices):
-        pos.append(np.asarray(p) + arr.positions @ np.asarray(r).T)
-        owner.append(np.full(arr.n_elements, i))
+    for i, (p, r, elem) in enumerate(devices):
+        pos.append(np.asarray(p) + np.asarray(elem) @ np.asarray(r).T)
+        owner.append(np.full(len(elem), i))
     return VirtualArray(np.concatenate(pos), np.concatenate(owner),
                         len(devices))
 
@@ -157,29 +162,12 @@ def _refine(grid: np.ndarray, i: int, vals: np.ndarray,
         else (x + 180.0) % 360.0 - 180.0
 
 
-def _search_grid(name: str, grid) -> np.ndarray:
-    """`grid` as a float array, checked to be 1-D, finite and uniform
-    (`_refine` interpolates with a constant step)."""
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or g.size == 0:
-        raise EstimationError(f"{name} must be a non-empty 1-D grid")
-    if not np.all(np.isfinite(g)):
-        raise EstimationError(f"{name} must be finite")
-    step = np.diff(g)
-    if g.size > 1 and (step[0] == 0.0 or np.any(
-            np.abs(step - step[0]) > 1e-9 * abs(step[0]))):
-        raise EstimationError(f"{name} must be a uniform grid")
-    return g
-
-
 def noncoherent_aoa(va: VirtualArray, snapshots: np.ndarray, f_ghz: float,
-                    method: str = "bartlett",
-                    az_grid=None, el_grid=None) -> tuple:
-    """Arrival direction from non-coherently combined device spectra.
+                    method: str = "bartlett") -> tuple:
+    """Arrival direction from non-coherently combined device spectra,
+    searched over AZ_GRID × EL_GRID and refined between grid points.
 
-    Returns (az_deg, el_deg).  The search elevation defaults to [0, 90]
-    (source above the horizon), which also resolves the mirror ambiguity
-    of planar device sub-arrays.
+    Returns (az_deg, el_deg).
     """
     if method not in ("bartlett", "music"):
         raise EstimationError(f"method must be 'bartlett' or 'music', "
@@ -194,18 +182,11 @@ def noncoherent_aoa(va: VirtualArray, snapshots: np.ndarray, f_ghz: float,
         raise EstimationError("non-finite snapshots")
     if np.max(np.abs(snapshots)) < 1e-15:
         raise EstimationError("all-zero snapshots")
-    az_grid = np.arange(-180.0, 180.0, 1.0) if az_grid is None else az_grid
-    el_grid = np.arange(0.0, 90.5, 1.0) if el_grid is None else el_grid
-    az_grid = _search_grid("az_grid", az_grid)
-    el_grid = _search_grid("el_grid", el_grid)
     covs = _device_covariances(va, snapshots)
-    spec = _spectrum(va, covs, az_grid, el_grid, f_ghz, method)
+    spec = _spectrum(va, covs, AZ_GRID, EL_GRID, f_ghz, method)
     i, j = np.unravel_index(np.argmax(spec), spec.shape)
-    full_turn = az_grid.size > 1 and math.isclose(
-        az_grid.size * (az_grid[1] - az_grid[0]), 360.0)
-    az = _refine(az_grid, i, spec[:, j], full_turn)
-    el = _refine(el_grid, j, spec[i, :])
-    return az, el
+    return (_refine(AZ_GRID, i, spec[:, j], circular=True),
+            _refine(EL_GRID, j, spec[i, :]))
 
 
 def aoa_error_deg(az1, el1, az2, el2) -> float:
@@ -249,8 +230,7 @@ def _ensemble(case: str, f_ghz: float, rng: np.random.Generator):
             r = rng.uniform(3.0, 5.0)
             th = rng.uniform(0.0, 2.0 * math.pi)
             pos = np.array([r * math.cos(th), r * math.sin(th), 0.5])
-            devices.append((pos, rot_z(rng.uniform(0.0, 360.0)),
-                            ArrayGeometry(planar)))
+            devices.append((pos, rot_z(rng.uniform(0.0, 360.0)), planar))
     return devices
 
 

@@ -13,14 +13,13 @@ from typing import Union
 
 import numpy as np
 
-from .channel import C_LIGHT
+from . import channel as ch
 from .errors import ConfigurationError
 
 SQRT3 = math.sqrt(3.0)
 
-# Dense-urban conventions (the scenario only fixes ISD and UE count).
-BS_HEIGHT_M = 25.0
-UE_HEIGHT_M = 1.5
+# Dense-urban conventions (the scenario only fixes ISD and UE count; the
+# BS and UE heights are channel.BS_HEIGHT_M and channel.UE_HEIGHT_M).
 MIN_BS_UE_DIST_M = 35.0
 BS_DOWNTILT_DEG = 12.0
 
@@ -188,43 +187,26 @@ class ScenarioConfig:
 # arrays and devices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ArrayGeometry:
-    """Element positions in the device-local frame (meters)."""
-    positions: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.positions, dtype=float)
-        if p.ndim != 2 or p.shape[1] != 3 or p.shape[0] < 1:
-            raise ConfigurationError("positions must be (n, 3) with n >= 1")
-        if not np.all(np.isfinite(p)):
-            raise ConfigurationError("element positions must be finite")
-        object.__setattr__(self, "positions", p)
-
-    @property
-    def n_elements(self) -> int:
-        return self.positions.shape[0]
-
-
-def ula(n: int, spacing_m: float, axis: int = 0) -> ArrayGeometry:
-    """Centered uniform linear array along a coordinate axis."""
+def ula(n: int, spacing_m: float, axis: int = 0) -> np.ndarray:
+    """Element positions (n, 3) in the device-local frame [m] of a centered
+    uniform linear array along a coordinate axis."""
     pos = np.zeros((n, 3))
     pos[:, axis] = (np.arange(n) - (n - 1) / 2.0) * spacing_m
-    return ArrayGeometry(pos)
+    return pos
 
 
 def half_wavelength_m(f_ghz: float) -> float:
-    return 0.5 * C_LIGHT / (f_ghz * 1e9)
+    return 0.5 * ch.C_LIGHT / (f_ghz * 1e9)
 
 
-def bs_port_array(n_ports: int, f_ghz: float) -> ArrayGeometry:
+def bs_port_array(n_ports: int, f_ghz: float) -> np.ndarray:
     """BS sector array: half-wavelength ULA across the local y axis,
     boresight along local +x (the links give its elements the 3-sector
     pattern)."""
     return ula(n_ports, half_wavelength_m(f_ghz), axis=1)
 
 
-def ue_array(n_antennas: int, f_ghz: float) -> ArrayGeometry:
+def ue_array(n_antennas: int, f_ghz: float) -> np.ndarray:
     return ula(n_antennas, half_wavelength_m(f_ghz), axis=0)
 
 
@@ -348,7 +330,8 @@ def drop_ues(layout: SiteLayout, cfg: ScenarioConfig,
         site_xy = layout.cell_position(ci)
         for _ in range(cfg.ues_per_cell):
             p = _sample_sector_point(rng, layout.cell_azimuth_deg[ci], cfg.isd)
-            pos = np.array([site_xy[0] + p[0], site_xy[1] + p[1], UE_HEIGHT_M])
+            pos = np.array([site_xy[0] + p[0], site_xy[1] + p[1],
+                            ch.UE_HEIGHT_M])
             prim_pos.append(pos)
             prim_rot.append(rot_z(rng.uniform(0.0, 360.0)))
             bearing = rng.uniform(0.0, 2.0 * math.pi)

@@ -21,6 +21,7 @@ from .scenario import Case, Ftp3, FullBuffer, ScenarioConfig
 
 PF_AVG_WINDOW_SLOTS = 100
 PF_RATE_FLOOR_BPS = 1.0
+CAL_LAM_INIT_PER_S = 0.25                # first λ probe of calibrate_load
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +322,7 @@ def _ru_of_load(cfg: ScenarioConfig, seeds):
 
 
 def calibrate_load(cfg: ScenarioConfig, target_ru: float, tol: float = 0.02,
-                   seeds=(0, 1, 2), max_iter: int = 12,
-                   lam_init: float = 0.25) -> tuple:
+                   seeds=(0, 1, 2), max_iter: int = 12) -> tuple:
     """Bisection on the per-user file arrival rate to hit a target RU.
 
     Returns (lambda_per_s, achieved_ru), where achieved_ru is
@@ -338,14 +338,12 @@ def calibrate_load(cfg: ScenarioConfig, target_ru: float, tol: float = 0.02,
         raise ConfigurationError("tol must be finite and >= 0")
     if max_iter < 1:
         raise ConfigurationError("max_iter must be >= 1")
-    if not 0.0 < lam_init < math.inf:
-        raise ConfigurationError("lam_init must be positive and finite")
     seeds = tuple(seeds)
     if not seeds:
         raise ConfigurationError("seeds must not be empty")
 
     probe = _ru_of_load(cfg, seeds)
-    lo, hi = 0.0, lam_init
+    lo, hi = 0.0, CAL_LAM_INIT_PER_S
     ru_hi = probe(hi)
     expansions = 0
     while ru_hi < target_ru:

@@ -155,11 +155,7 @@ def cold_memo():
     ("method", "foo"),
     ("snapshots", np.ones(4, complex)),
     ("snapshots", np.ones((4, 0), complex)),
-    ("az_grid", np.array([])),
-    ("az_grid", np.array([-10.0, np.nan, 10.0])),
-    ("el_grid", np.array([0.0, 10.0, 30.0])),
-], ids=["method", "snapshots-1d", "snapshots-no-samples", "az_grid-empty",
-        "az_grid-nan", "el_grid-nonuniform"])
+], ids=["method", "snapshots-1d", "snapshots-no-samples"])
 def test_aoa_estimator_rejects_bad_argument_by_name(arg, value, cold_memo):
     va = _two_device_array()
     kwargs = {"snapshots": np.ones((4, 8), complex), arg: value}
@@ -167,14 +163,6 @@ def test_aoa_estimator_rejects_bad_argument_by_name(arg, value, cold_memo):
         noncoherent_aoa(va, f_ghz=F_GHZ, **kwargs)
     assert not (localization._GRID_UNITS or localization._SEEN
                 or localization._STEER)
-
-
-def test_aoa_estimator_accepts_a_single_point_grid():
-    rng = np.random.default_rng(4)
-    va = _two_device_array()
-    x = _single_path_snapshots(va, 30.0, 20.0, rng)
-    az, el = noncoherent_aoa(va, x, F_GHZ, el_grid=[20.0])
-    assert el == 20.0 and abs(az - 30.0) < 1.0
 
 
 def _reference_spectrum(va, covs, az_grid, el_grid, f_ghz, method):

@@ -128,9 +128,11 @@ def test_rotations_orthonormal():
 
 
 def test_ula_element_count_and_finiteness():
-    arr = ula(4, 0.025)
-    assert arr.n_elements == 4
-    assert np.all(np.isfinite(arr.positions))
+    pos = ula(4, 0.025, axis=1)
+    assert pos.shape == (4, 3)
+    assert np.all(np.isfinite(pos))
+    assert np.allclose(pos[:, 1], [-0.0375, -0.0125, 0.0125, 0.0375])
+    assert not np.any(pos[:, [0, 2]])
 
 
 def test_config_validation_errors():

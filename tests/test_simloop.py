@@ -267,8 +267,8 @@ def test_calibration_rejects_bad_target():
 
 
 @pytest.mark.parametrize("arg, value", [
-    ("seeds", ()), ("tol", math.nan), ("max_iter", 0), ("lam_init", 0.0)],
-    ids=["seeds", "tol", "max_iter", "lam_init"])
+    ("seeds", ()), ("tol", math.nan), ("max_iter", 0)],
+    ids=["seeds", "tol", "max_iter"])
 def test_calibration_rejects_bad_argument_by_name(arg, value):
     cfg = ScenarioConfig(case=Case.BASELINE, traffic=Ftp3(500_000, 1.0),
                          **TINY)
