@@ -44,6 +44,20 @@ class ExperimentPlan:
     def __post_init__(self):
         if len(self.cases) < 1 or len(self.seeds) < 1:
             raise ConfigurationError("plan needs >= 1 case and >= 1 seed")
+        if (case := _first_repeat(self.cases)) is not None:
+            raise ConfigurationError(f"case {case.value!r} repeats")
+        if (seed := _first_repeat(self.seeds)) is not None:
+            raise ConfigurationError(f"seed {seed} repeats")
+
+
+def _first_repeat(items):
+    """The first item met a second time, or None."""
+    seen = set()
+    for x in items:
+        if x in seen:
+            return x
+        seen.add(x)
+    return None
 
 
 def parse_cases(spec: str) -> tuple:
@@ -52,16 +66,24 @@ def parse_cases(spec: str) -> tuple:
         name = name.strip()
         if name not in _CASE_NAMES:
             raise ConfigurationError(f"unknown case {name!r}")
+        if _CASE_NAMES[name] in cases:
+            raise ConfigurationError(f"case {name!r} repeats")
         cases.append(_CASE_NAMES[name])
     return tuple(cases)
 
 
 def parse_seeds(spec: str) -> tuple:
-    """Comma-separated drop seeds; ValueError unless each is an integer
-    >= 0 (the range np.random.SeedSequence takes)."""
-    seeds = tuple(int(t) for t in spec.split(","))
+    """Comma-separated distinct drop seeds; ValueError unless each is an
+    integer >= 0 (the range np.random.SeedSequence takes) and none
+    repeats."""
+    try:
+        seeds = tuple(int(t) for t in spec.split(","))
+    except ValueError:
+        raise ValueError("seeds must be integers") from None
     if min(seeds) < 0:
-        raise ValueError(f"negative seed in {spec!r}")
+        raise ValueError("seeds must be >= 0")
+    if (seed := _first_repeat(seeds)) is not None:
+        raise ValueError(f"seed {seed} repeats")
     return seeds
 
 
@@ -129,14 +151,15 @@ def parse_config(path: str) -> ExperimentPlan:
 
 def _write_json(path: str, obj) -> None:
     with open(path, "w", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
 def summarize(per_arm_records: dict) -> dict:
     """UPT summary per arm plus treatment-vs-baseline percentage gains.
 
-    The first entry is the baseline arm; raises when no pair is present.
+    The first entry is the baseline arm; a gain over a baseline that
+    completed no file is None.  Raises when no pair is present.
     """
     if len(per_arm_records) < 2:
         raise ConfigurationError(
@@ -148,7 +171,7 @@ def summarize(per_arm_records: dict) -> dict:
                         ("mean_bps", "gain_mean_pct")):
         base = out[ref][metric]
         out[key] = (100.0 * (out[new][metric] - base) / base
-                    if base > 0 else math.inf)
+                    if base > 0 else None)
     return out
 
 
@@ -253,16 +276,16 @@ def main(argv=None) -> int:
         if args.seeds is not None:
             try:
                 seeds = parse_seeds(args.seeds)
-            except ValueError:
+            except ValueError as exc:
                 raise ConfigurationError(
-                    f"bad value for --seeds: {args.seeds!r}") from None
+                    f"bad value for --seeds: {args.seeds!r} ({exc})") from None
             plan = replace(plan, seeds=seeds)
         plan = replace(plan, out_dir=args.out)
         summary = run_experiment(plan)
     except (ConfigurationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False))
     return 0
 
 

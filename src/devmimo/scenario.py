@@ -126,10 +126,16 @@ class ScenarioConfig:
             if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(
                     isinstance(n, (int, np.integer)) and n >= 1 for n in pair)):
                 raise ConfigurationError(f"{name} must be two ints >= 1")
-        for name in ("isd", "f_low_ghz", "scs_khz", "sim_duration_s",
+        for name in ("f_low_ghz", "scs_khz", "sim_duration_s",
                      "helper_distance_m"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive")
+        # the site hexagon's inradius isd/2 must exceed the minimum BS-UE
+        # distance, or no sector point can be drawn
+        if self.isd <= 2.0 * MIN_BS_UE_DIST_M:
+            raise ConfigurationError(
+                f"isd must exceed {2.0 * MIN_BS_UE_DIST_M:g} m (twice the "
+                f"minimum BS-UE distance)")
         if not 0.0 <= self.fh_activity <= 1.0:
             raise ConfigurationError("fh_activity must be in [0, 1]")
         if self.channel_update_slots < 1:

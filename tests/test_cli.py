@@ -2,14 +2,16 @@
 
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import devmimo
 from devmimo import Case, ConfigurationError, ThroughputRecord
-from devmimo.cli import (ExperimentPlan, main, parse_cases, parse_config,
-                         run_experiment, summarize)
+from devmimo.cli import (_KEYS, ExperimentPlan, main, parse_cases,
+                         parse_config, run_experiment, summarize)
 from devmimo.scenario import Ftp3, ScenarioConfig
 
 
@@ -76,6 +78,7 @@ def _last_key(text):
     "bs_tx_dbm = nan", "relay_max_tx_dbm = nan", "f_high_ghz = inf",
     "bandwidth_mhz = nan", "semistatic_threshold_db = nan", "seeds = 0,-1",
     pytest.param("isd_m = nan", id="isd_m-nan"),
+    pytest.param("isd_m = 50", id="isd_m-50"),
     pytest.param("ftp3_file_bytes = 1000", id="ftp3_file_bytes-full_buffer"),
     pytest.param("traffic = full_buffer\nftp3_lambda_per_s = 1",
                  id="ftp3_lambda_per_s-full_buffer"),
@@ -111,6 +114,19 @@ def test_parse_cases():
         parse_cases("bogus")
 
 
+def test_repeated_case_or_seed_is_rejected_by_name(tmp_path, capsys):
+    with pytest.raises(ConfigurationError, match="case 'loc1' repeats"):
+        parse_cases("loc1,loc2,loc1")
+    with pytest.raises(ConfigurationError, match="case 'baseline' repeats"):
+        ExperimentPlan(ScenarioConfig(), cases=(Case.BASELINE,) * 2)
+    with pytest.raises(ConfigurationError, match="seed 3 repeats"):
+        ExperimentPlan(ScenarioConfig(), seeds=(3, 1, 3))
+    rc = main(["--case", "baseline,baseline", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "case 'baseline' repeats" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_plan_requires_cases_and_seeds():
     with pytest.raises(ConfigurationError):
         ExperimentPlan(ScenarioConfig(), cases=(), seeds=(0,))
@@ -137,6 +153,24 @@ def test_summary_gain_arithmetic():
     out = summarize({"baseline": _recs([2.0] * 10),
                      "treatment": _recs([2.34] * 10)})
     assert abs(out["gain_mean_pct"] - 17.0) < 1e-6
+
+
+def test_summary_json_is_strict_json_without_reference_files(tmp_path):
+    # ten slots at 0.5 files/s: the reference arm completes no file
+    scen = ScenarioConfig(num_rings=0, sim_duration_s=0.005,
+                          traffic=Ftp3(500_000, 0.5))
+    plan = ExperimentPlan(scen, cases=(Case.DIVERSITY,),
+                          out_dir=str(tmp_path / "dl"))
+    summary = run_experiment(plan)
+    sec = summary["diversity"]
+    assert sec["baseline"]["n_files"] == 0
+    assert sec["gain_cell_edge_pct"] is None and sec["gain_mean_pct"] is None
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    with open(os.path.join(plan.out_dir, "summary.json")) as fh:
+        assert json.load(fh, parse_constant=reject) == summary
 
 
 def test_summary_requires_two_arms():
@@ -207,7 +241,7 @@ def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
     assert "fooo" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("seeds", ["a", "0,a", "1.5", "-1", "", "0,"])
+@pytest.mark.parametrize("seeds", ["a", "0,a", "1.5", "-1", "", "0,", "0,0"])
 def test_cli_names_the_flag_on_a_bad_seed(tmp_path, capsys, seeds):
     rc = main(["--case", "loc1", "--seeds", seeds, "--out",
                str(tmp_path / "out")])
@@ -215,3 +249,14 @@ def test_cli_names_the_flag_on_a_bad_seed(tmp_path, capsys, seeds):
     assert rc == 2
     assert f"bad value for --seeds: {seeds!r}" in err
     assert "invalid literal" not in err
+
+
+def test_readme_config_table_lists_exactly_the_accepted_keys():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Config files", 1)[1].split("\n## ", 1)[0]
+    documented = set()
+    for row in re.findall(r"^\| (.+?) \|", section, re.MULTILINE):
+        documented.update(re.findall(r"`([a-z0-9_]+)`", row))
+    accepted = set(_KEYS) | {"case", "seeds", "traffic", "ftp3_file_bytes",
+                             "ftp3_lambda_per_s"}
+    assert documented == accepted

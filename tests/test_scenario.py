@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from devmimo import (ConfigurationError, ScenarioConfig, build_hex_layout,
-                     drop_ues)
+                     drop_ues, engine)
+from devmimo import channel as ch
 from devmimo.scenario import rot_y, rot_z, ula, wraparound_vectors
 
 
@@ -133,6 +134,19 @@ def test_ula_element_count_and_finiteness():
     assert np.all(np.isfinite(pos))
     assert np.allclose(pos[:, 1], [-0.0375, -0.0125, 0.0125, 0.0375])
     assert not np.any(pos[:, [0, 2]])
+
+
+def test_one_bs_height_moves_pathloss_and_drop_geometry(monkeypatch):
+    cfg = ScenarioConfig(num_rings=0, ues_per_cell=2)
+    pl_ref = ch.pathloss(100.0, 2.0, True)
+    assert np.all(engine.build_drop_geometry(cfg, 0).prim.bs_eff[..., 2]
+                  == 25.0)
+    # at 5 m the LOS breakpoint falls to 53 m, inside the 100 m point
+    monkeypatch.setattr(ch, "BS_HEIGHT_M", 5.0)
+    assert ch.pathloss(100.0, 2.0, True) > pl_ref + 1.0
+    geo = engine.build_drop_geometry(cfg, 0)
+    assert np.all(geo.prim.bs_eff[..., 2] == 5.0)
+    assert np.all(geo.help.bs_eff[..., 2] == 5.0)
 
 
 def test_config_validation_errors():
