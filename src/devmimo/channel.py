@@ -39,8 +39,7 @@ CLUSTER_SHADOW_STD_DB = 3.0
 # ---------------------------------------------------------------------------
 
 def pathloss(d3d_m, f_ghz: float, los: bool):
-    """Urban-macro pathloss in dB (breakpoint dual-slope LOS, NLOS floor)
-    between heights BS_HEIGHT_M and UE_HEIGHT_M.
+    """Urban-macro pathloss in dB (breakpoint dual-slope LOS, NLOS floor).
 
     Accepts scalar or array d3d_m; raises on distances below 1 m.
     """

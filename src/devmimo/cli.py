@@ -50,14 +50,9 @@ class ExperimentPlan:
             raise ConfigurationError(f"seed {seed} repeats")
 
 
-def _first_repeat(items):
+def _first_repeat(items: tuple):
     """The first item met a second time, or None."""
-    seen = set()
-    for x in items:
-        if x in seen:
-            return x
-        seen.add(x)
-    return None
+    return next((x for i, x in enumerate(items) if x in items[:i]), None)
 
 
 def parse_cases(spec: str) -> tuple:
@@ -73,9 +68,8 @@ def parse_cases(spec: str) -> tuple:
 
 
 def parse_seeds(spec: str) -> tuple:
-    """Comma-separated distinct drop seeds; ValueError unless each is an
-    integer >= 0 (the range np.random.SeedSequence takes) and none
-    repeats."""
+    """Distinct comma-separated drop seeds; ValueError unless each is an
+    integer >= 0 (the range np.random.SeedSequence takes)."""
     try:
         seeds = tuple(int(t) for t in spec.split(","))
     except ValueError:
@@ -156,11 +150,9 @@ def _write_json(path: str, obj) -> None:
 
 
 def summarize(per_arm_records: dict) -> dict:
-    """UPT summary per arm plus treatment-vs-baseline percentage gains.
-
-    The first entry is the baseline arm; a gain over a baseline that
-    completed no file is None.  Raises when no pair is present.
-    """
+    """UPT summary per arm plus treatment-vs-baseline percentage gains
+    (None over a baseline that completed no file); the first entry is the
+    baseline arm.  Raises when no pair is present."""
     if len(per_arm_records) < 2:
         raise ConfigurationError(
             "summary needs a baseline arm and a treatment arm")

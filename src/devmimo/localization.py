@@ -22,9 +22,8 @@ from .scenario import ScenarioConfig, half_wavelength_m, rot_z, ula
 SSB_SUBCARRIERS = 240
 SSB_SCS_HZ = 30e3
 
-# Direction-finding search grid [deg]: a full turn of azimuth, and elevation
-# above the horizon, which also resolves the mirror ambiguity of planar
-# device sub-arrays.
+# Search grid [deg]: a full turn of azimuth; elevation above the horizon,
+# which also resolves the mirror ambiguity of planar device sub-arrays.
 AZ_GRID = np.arange(-180.0, 180.0, 1.0)
 EL_GRID = np.arange(0.0, 90.5, 1.0)
 

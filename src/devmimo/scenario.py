@@ -18,8 +18,7 @@ from .errors import ConfigurationError
 
 SQRT3 = math.sqrt(3.0)
 
-# Dense-urban conventions (the scenario only fixes ISD and UE count; the
-# BS and UE heights are channel.BS_HEIGHT_M and channel.UE_HEIGHT_M).
+# Dense-urban conventions (heights: channel.BS_HEIGHT_M, UE_HEIGHT_M).
 MIN_BS_UE_DIST_M = 35.0
 BS_DOWNTILT_DEG = 12.0
 
@@ -130,12 +129,9 @@ class ScenarioConfig:
                      "helper_distance_m"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive")
-        # the site hexagon's inradius isd/2 must exceed the minimum BS-UE
-        # distance, or no sector point can be drawn
-        if self.isd <= 2.0 * MIN_BS_UE_DIST_M:
+        if self.isd <= 2.0 * MIN_BS_UE_DIST_M:    # else no UE can be dropped
             raise ConfigurationError(
-                f"isd must exceed {2.0 * MIN_BS_UE_DIST_M:g} m (twice the "
-                f"minimum BS-UE distance)")
+                f"isd must exceed {2.0 * MIN_BS_UE_DIST_M:g} m")
         if not 0.0 <= self.fh_activity <= 1.0:
             raise ConfigurationError("fh_activity must be in [0, 1]")
         if self.channel_update_slots < 1:
@@ -237,9 +233,6 @@ class SiteLayout:
     def n_cells(self) -> int:
         return self.cell_site.shape[0]
 
-    def cell_position(self, cell: int) -> np.ndarray:
-        return self.site_positions[self.cell_site[cell]]
-
 
 def build_hex_layout(num_rings: int, isd: float) -> SiteLayout:
     """Hexagonal site lattice with `num_rings` rings around a center site,
@@ -333,7 +326,7 @@ def drop_ues(layout: SiteLayout, cfg: ScenarioConfig,
     local-to-global rotations (U, 3, 3), UE u's helper at row u."""
     prim_pos, prim_rot, help_pos, help_az = [], [], [], []
     for ci in range(layout.n_cells):
-        site_xy = layout.cell_position(ci)
+        site_xy = layout.site_positions[layout.cell_site[ci]]
         for _ in range(cfg.ues_per_cell):
             p = _sample_sector_point(rng, layout.cell_azimuth_deg[ci], cfg.isd)
             pos = np.array([site_xy[0] + p[0], site_xy[1] + p[1],
