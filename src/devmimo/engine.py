@@ -22,7 +22,7 @@ from .collab import (EffectiveLink, compose_af_link, relay_gain,
                      relay_rx_beamformer, stack_rx, stack_tx)
 from .phy import (batched_beam_precoder, batched_mmse_se,
                   batched_rank_select, interference_cov)
-from .scenario import (BS_DOWNTILT_DEG, ScenarioConfig, SiteLayout,
+from .scenario import (BS_DOWNTILT_DEG, Case, ScenarioConfig, SiteLayout,
                        bs_port_array, build_hex_layout, drop_ues, rot_y,
                        rot_z, ue_array, wraparound_vectors)
 
@@ -71,7 +71,6 @@ class DropGeometry:
     res_fl_prim: np.ndarray       # (U,) residual linear coupling sum
     res_fl_help: np.ndarray
     res_fh_prim: np.ndarray
-    snr_fh_ul_db: np.ndarray      # (U,) wideband UL SNR in f_H (large-scale)
 
     @property
     def n_ues(self) -> int:
@@ -141,7 +140,6 @@ def build_drop_geometry(cfg: ScenarioConfig, seed: int) -> DropGeometry:
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xD0)))
     layout = build_hex_layout(cfg.num_rings, cfg.isd)
     prim_pos, prim_rot, help_pos, help_rot = drop_ues(layout, cfg, rng)
-    n_u = prim_pos.shape[0]
 
     cell_rot = np.array([rot_z(az) @ rot_y(BS_DOWNTILT_DEG)
                          for az in layout.cell_azimuth_deg])
@@ -175,15 +173,9 @@ def build_drop_geometry(cfg: ScenarioConfig, seed: int) -> DropGeometry:
     coup_fh = -prim.loss["fh"] + pat_p
     interf_fh, res_fh = interferers(coup_fh)               # all cells interfere in f_H
 
-    bw = cfg.n_prb * cfg.prb_hz
-    noise_bs = thermal_noise_w(bw, NF_BS_DB)
-    serv_loss_fh = prim.loss["fh"][serving, np.arange(n_u)]
-    snr_fh_ul = (cfg.ue_max_tx_dbm - serv_loss_fh
-                 - (10.0 * np.log10(noise_bs * 1e3)))
-
     return DropGeometry(
         cfg, layout, cell_rot, prim, help_, pat_p, serving, ue_of_cell,
-        interf_p, interf_h, interf_fh, res_p, res_h, res_fh, snr_fh_ul)
+        interf_p, interf_h, interf_fh, res_p, res_h, res_fh)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +218,7 @@ class _Engine:
 
 @dataclass
 class DlEngine(_Engine):
-    """DL refresh: the direct arm and the helper-relayed arm."""
+    """DL refresh: the baseline arm and the diversity arm."""
     p_sb_w: float
     noise_ue_w: float
     noise_help_w: float
@@ -241,12 +233,12 @@ class DlEngine(_Engine):
             geo.prim.rot, self.ue_elem, cfg.f_high_ghz,
             cfg.helper_distance_m)[:, None]
 
-    def refresh(self, rr: int, want_relay: bool):
-        """New channel realizations; returns per-arm rate tables [bps].
-
-        Output dict: direct (U, S), and with `want_relay` also relayed
-        (U, S), the best of the relay's stream-count candidates per UE.
-        """
+    def refresh(self, rr: int):
+        """New channel realizations; returns ({arm: ((U, S) rates [bps],)},
+        relayed): the baseline arm (direct link) and, in a diversity drop,
+        the diversity arm, per subband the better of the direct link and
+        the best relay stream count (ties go direct).  `relayed` (U,) marks
+        the UEs that take the relay on some subband."""
         geo, cfg = self.geo, self.geo.cfg
         u_n = geo.n_ues
         serving = geo.serving
@@ -268,26 +260,23 @@ class DlEngine(_Engine):
         q_cell = np.where(on[:, None, None], pmat[tx], 0.0)
         ql_cell = np.where(on, p_layer[tx], 0.0)
 
-        def victim_r(h_i, interf, res, noise_w):
-            r = interference_cov(h_i, q_cell[interf], ql_cell[interf])
-            return r + (noise_w + res * self.p_sb_w)[:, None, None, None] \
-                * np.eye(h_i.shape[3])
-
-        r_prim = victim_r(h_int, geo.interf_prim, geo.res_fl_prim,
-                          self.noise_ue_w)
+        r_prim = interference_cov(
+            h_int, q_cell[geo.interf_prim], ql_cell[geo.interf_prim],
+            self.noise_ue_w + geo.res_fl_prim * self.p_sb_w)
         rate_direct = batched_mmse_se(h_serv, pmat, p_layer, r_prim) \
             * cfg.subband_hz
 
-        out = {"direct": rate_direct}
-        if not want_relay:
-            return out
+        arms = {"baseline": (rate_direct,)}
+        if cfg.case is not Case.DIVERSITY:
+            return arms, np.zeros(u_n, dtype=bool)
 
         # --- relayed arm: BS -> helper (f_L) -> AF -> primary (f_H) ---
         h_sh = self._links(geo.help, serving, all_u, "fl", self.help_elem)
         h_ih = self._links(geo.help, geo.interf_help, all_u[:, None], "fl",
                            self.help_elem)
-        r_help = victim_r(h_ih, geo.interf_help, geo.res_fl_help,
-                          self.noise_help_w)
+        r_help = interference_cov(
+            h_ih, q_cell[geo.interf_help], ql_cell[geo.interf_help],
+            self.noise_help_w + geo.res_fl_help * self.p_sb_w)
 
         # whitened-MRC combiner per helper (wideband); each output stream is
         # forwarded on its own spare f_H chunk, so the streams' signals stay
@@ -336,15 +325,18 @@ class DlEngine(_Engine):
         cand = [relay_rates(k) for k in range(1, n_str + 1)]
         totals = np.stack([c.sum(axis=1) for c in cand])            # (K, U)
         best = np.argmax(totals, axis=0)
-        out["relayed"] = np.stack(cand)[best, np.arange(u_n)]
-        return out
+        rate_relayed = np.stack(cand)[best, np.arange(u_n)]
+        sel = rate_relayed > rate_direct
+        arms["diversity"] = (np.where(sel, rate_relayed, rate_direct),)
+        return arms, sel.any(axis=1)
 
 
-def make_dl_engine(geo: DropGeometry, rng: np.random.Generator) -> DlEngine:
+def make_dl_engine(geo: DropGeometry, seed: int) -> DlEngine:
+    """DL engine of drop `seed`, with its own channel generator."""
     cfg = geo.cfg
-    subc = cfg.subband_centers_hz()
     return DlEngine(
-        geo, rng, subc, bs_port_array(cfg.bs_ports, cfg.f_low_ghz),
+        geo, np.random.default_rng(np.random.SeedSequence((seed, 0xC4))),
+        cfg.subband_centers_hz(), bs_port_array(cfg.bs_ports, cfg.f_low_ghz),
         ue_array(cfg.ue_dl_config[1], cfg.f_low_ghz),
         ue_array(cfg.helper_rx_antennas, cfg.f_low_ghz),
         p_sb_w=dbm_to_w(cfg.bs_tx_dbm) / cfg.n_subbands,
@@ -383,7 +375,8 @@ class UlEngine(_Engine):
         self.neighbor_cells = np.argsort(-score.T, axis=1)[:, :k]
 
     def refresh(self, rr: int):
-        """Per-arm, per-band UL rate tables [bps]."""
+        """New channel realizations; returns ({arm: (f_L, f_H) (U, S) rates
+        [bps]}, weak): the legacy 2CA arm, then the collaboration arm."""
         geo, cfg = self.geo, self.geo.cfg
         all_u = np.arange(geo.n_ues)
         serving = geo.serving
@@ -428,8 +421,8 @@ class UlEngine(_Engine):
             p, p_layer = prec
             live = (tx >= 0) & ~(exclude_weak & self.weak[tx_ues])
             return interference_cov(h_links, p[tx_ues],
-                                    np.where(live, p_layer[tx_ues], 0.0)) \
-                + self.noise_bs_w * np.eye(self.bs_elem.shape[0])
+                                    np.where(live, p_layer[tx_ues], 0.0),
+                                    self.noise_bs_w)
 
         r_fl = interference(h_int_fl, prec_fl, False)
         r_fh_leg = interference(h_int_fh, prec_fh, False)
@@ -465,15 +458,22 @@ class UlEngine(_Engine):
                                             stacked.r_nn) * cfg.subband_hz
         rate_col_fh = np.zeros_like(rate_leg_fh)
         rate_col_fh[strong] = band_rates(strong, h_fh, prec_fh, r_fh_col)
-        return {"legacy_2ca": (rate_leg_fl, rate_leg_fh),
-                "collab": (rate_col_fl, rate_col_fh)}
+        return ({"legacy_2ca": (rate_leg_fl, rate_leg_fh),
+                 "collab": (rate_col_fl, rate_col_fh)}, self.weak)
 
 
-def make_ul_engine(geo: DropGeometry, rng: np.random.Generator) -> UlEngine:
+def make_ul_engine(geo: DropGeometry, seed: int) -> UlEngine:
+    """UL engine of drop `seed`, with its own channel generator; its weak
+    users have a wideband f_H SNR (large-scale) below the threshold."""
     cfg = geo.cfg
-    weak = geo.snr_fh_ul_db < cfg.semistatic_threshold_db
-    return UlEngine(geo, rng, cfg.subband_centers_hz(),
-                    bs_port_array(cfg.bs_ports, cfg.f_low_ghz),
-                    ue_array(cfg.ue_ul_config[0], cfg.f_low_ghz),
-                    ue_array(cfg.helper_rx_antennas, cfg.f_low_ghz),
-                    thermal_noise_w(cfg.subband_hz, NF_BS_DB), weak)
+    noise_bs = thermal_noise_w(cfg.n_prb * cfg.prb_hz, NF_BS_DB)
+    serv_loss_fh = geo.prim.loss["fh"][geo.serving, np.arange(geo.n_ues)]
+    snr_fh_db = (cfg.ue_max_tx_dbm - serv_loss_fh
+                 - (10.0 * np.log10(noise_bs * 1e3)))
+    return UlEngine(
+        geo, np.random.default_rng(np.random.SeedSequence((seed, 0xC5))),
+        cfg.subband_centers_hz(), bs_port_array(cfg.bs_ports, cfg.f_low_ghz),
+        ue_array(cfg.ue_ul_config[0], cfg.f_low_ghz),
+        ue_array(cfg.helper_rx_antennas, cfg.f_low_ghz),
+        thermal_noise_w(cfg.subband_hz, NF_BS_DB),
+        snr_fh_db < cfg.semistatic_threshold_db)

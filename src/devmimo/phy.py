@@ -156,15 +156,17 @@ def batched_beam_precoder(h: np.ndarray, ranks: np.ndarray,
     return qm
 
 
-def interference_cov(h: np.ndarray, q: np.ndarray,
-                     p_layer: np.ndarray) -> np.ndarray:
-    """Summed covariance sum_k p_layer[k] (H_k Q_k)(H_k Q_k)^H of precoded
-    interferers: h (V,K,S,m,n) links of each victim's K interferers,
-    q (V,K,n,r) their precoders, p_layer (V,K) their per-layer powers
-    (0 for a silent interferer).  Returns (V,S,m,m)."""
+def interference_cov(h: np.ndarray, q: np.ndarray, p_layer: np.ndarray,
+                     noise_w) -> np.ndarray:
+    """Covariance sum_k p_layer[k] (H_k Q_k)(H_k Q_k)^H + noise_w I of
+    precoded interferers plus white noise: h (V,K,S,m,n) links of each
+    victim's K interferers, q (V,K,n,r) their precoders, p_layer (V,K)
+    their per-layer powers (0 for a silent interferer), noise_w one noise
+    power or (V,) one per victim.  Returns (V,S,m,m)."""
     b = np.einsum("vksmn,vknr->vksmr", h, q, optimize=True)
-    return np.einsum("vk,vksmr,vkslr->vsml", p_layer, b, b.conj(),
-                     optimize=True)
+    r = np.einsum("vk,vksmr,vkslr->vsml", p_layer, b, b.conj(),
+                  optimize=True)
+    return r + np.reshape(noise_w, (-1, 1, 1, 1)) * np.eye(h.shape[3])
 
 
 def batched_mmse_sinr(h: np.ndarray, p: np.ndarray, p_layer: np.ndarray,

@@ -174,32 +174,14 @@ def upt_stats(records) -> dict:
 # drop driver: channel stage, then one scheduling loop
 # ---------------------------------------------------------------------------
 
-def _channel_stage(cfg: ScenarioConfig, geo: engine.DropGeometry, seed: int):
-    """Refresh the channel once per call to next().
-
-    Yields ({arm: per-band (U, S) rate tables [bps]}, relayed) where the
-    first arm is the reference and `relayed` (U,) marks the treatment
-    arm's users that take the relay path: per-subband path selection on
-    the DL (ties go direct), the semi-static weak-user set on the UL.
-    """
-    def rng(key):
-        return np.random.default_rng(np.random.SeedSequence((seed, key)))
-
-    if cfg.case is Case.RANK_AUG:
-        eng = engine.make_ul_engine(geo, rng(0xC5))
-        for rr in itertools.count():
-            yield eng.refresh(rr), eng.weak
-    want_relay = cfg.case is Case.DIVERSITY
-    eng = engine.make_dl_engine(geo, rng(0xC4))
+def _channel_stage(geo: engine.DropGeometry, seed: int):
+    """Refresh the channel once per call to next(); yields the engine's
+    ({arm: per-band (U, S) rate tables [bps]}, relayed), reference arm
+    first, `relayed` (U,) marking the treatment arm's relay-path users."""
+    eng = (engine.make_ul_engine if geo.cfg.case is Case.RANK_AUG
+           else engine.make_dl_engine)(geo, seed)
     for rr in itertools.count():
-        tab = eng.refresh(rr, want_relay)
-        arms = {"baseline": (tab["direct"],)}
-        relayed = np.zeros(geo.n_ues, dtype=bool)
-        if want_relay:
-            sel = tab["relayed"] > tab["direct"]
-            arms["diversity"] = (np.where(sel, tab["relayed"], tab["direct"]),)
-            relayed = sel.any(axis=1)
-        yield arms, relayed
+        yield eng.refresh(rr)
 
 
 def _scheduling_stage(cfg: ScenarioConfig, seed: int, ue_of_cell,
@@ -285,7 +267,7 @@ def run_drop(cfg: ScenarioConfig, seed: int) -> dict:
     _check_case(cfg)
     geo = engine.build_drop_geometry(cfg, seed)
     return _scheduling_stage(cfg, seed, geo.ue_of_cell,
-                             _channel_stage(cfg, geo, seed))
+                             _channel_stage(geo, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +292,7 @@ def _ru_of_load(cfg: ScenarioConfig, seeds):
     for s in seeds:
         geo = engine.build_drop_geometry(cfg, s)
         drops.append((s, geo.ue_of_cell, list(itertools.islice(
-            _channel_stage(cfg, geo, s), cfg.n_refreshes))))
+            _channel_stage(geo, s), cfg.n_refreshes))))
 
     def ru(lam: float) -> float:
         c = cfg.replace(traffic=Ftp3(cfg.traffic.file_bytes, lam))

@@ -1,8 +1,9 @@
-"""The DL refresh pinned to a reference that keeps the composite relay
-formulas: the relay precoder from the stacked primary-side channels
-h_local (x) w H_sh, the first-hop gain as w (H_sh p), the f_H
-interference covariance as one einsum, and the relayed link written out
-entry by entry with the forwarded noise w R1 w^H of every subband."""
+"""The refresh contract both engines keep, and the DL refresh pinned to a
+reference that keeps the composite relay formulas: the relay precoder
+from the stacked primary-side channels h_local (x) w H_sh, the first-hop
+gain as w (H_sh p), the f_H interference covariance as one einsum, and
+the relayed link written out entry by entry with the forwarded noise
+w R1 w^H of every subband."""
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from devmimo.phy import (batched_beam_precoder, batched_mmse_se,
 
 
 def _reference_refresh(eng, rr):
-    """DlEngine.refresh(rr, True) with the composite relay formulas; the
-    links are drawn in the engine's order from the engine's generator."""
+    """The direct and best relayed rates of a diversity DlEngine.refresh(rr)
+    with the composite relay formulas; the links are drawn in the engine's
+    order from the engine's generator."""
     geo, cfg = eng.geo, eng.geo.cfg
     u_n, serving = geo.n_ues, geo.serving
     all_u = np.arange(u_n)
@@ -92,21 +94,59 @@ def _reference_refresh(eng, rr):
             "relayed": np.stack(cand)[best, np.arange(u_n)]}
 
 
-def _engine(geo, seed):
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC4)))
-    return engine.make_dl_engine(geo, rng)
-
-
 @pytest.mark.parametrize("rings", [0, 1])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_relay_arm_matches_composite_reference(rings, seed):
     cfg = ScenarioConfig(num_rings=rings, case=Case.DIVERSITY)
     geo = engine.build_drop_geometry(cfg, seed)
-    eng, ref = _engine(geo, seed), _engine(geo, seed)
+    eng, ref = engine.make_dl_engine(geo, seed), \
+        engine.make_dl_engine(geo, seed)
     for rr in range(3):
-        got = eng.refresh(rr, True)
+        (got_direct,), (got_div,) = eng.refresh(rr)[0].values()
         want = _reference_refresh(ref, rr)
-        assert np.array_equal(got["direct"], want["direct"])
+        assert np.array_equal(got_direct, want["direct"])
         assert np.all(want["relayed"] > 0.0)
-        np.testing.assert_allclose(got["relayed"], want["relayed"],
-                                   rtol=1e-9, atol=0.0)
+        # the diversity arm takes the better path per subband
+        want_div = np.where(want["relayed"] > want["direct"],
+                            want["relayed"], want["direct"])
+        np.testing.assert_allclose(got_div, want_div, rtol=1e-9, atol=0.0)
+
+
+ARMS = {Case.BASELINE: ["baseline"], Case.DIVERSITY: ["baseline", "diversity"],
+        Case.RANK_AUG: ["legacy_2ca", "collab"]}
+
+
+@pytest.mark.parametrize("case", list(ARMS), ids=lambda c: c.value)
+def test_refresh_contract(case):
+    """Each engine returns ({arm: per-band (U, S) tables}, relayed (U,)),
+    reference arm first: one band on the DL, f_L and f_H on the UL."""
+    cfg = ScenarioConfig(num_rings=0, ues_per_cell=2, case=case)
+    geo = engine.build_drop_geometry(cfg, 0)
+    make = engine.make_ul_engine if case is Case.RANK_AUG \
+        else engine.make_dl_engine
+    arms, relayed = make(geo, 0).refresh(0)
+    assert list(arms) == ARMS[case]
+    for tables in arms.values():
+        assert len(tables) == (2 if case is Case.RANK_AUG else 1)
+        for t in tables:
+            assert t.shape == (geo.n_ues, cfg.n_subbands)
+            assert np.all(np.isfinite(t)) and np.all(t >= 0.0)
+    assert relayed.shape == (geo.n_ues,) and relayed.dtype == bool
+
+    if case is Case.BASELINE:
+        assert not relayed.any()
+    elif case is Case.DIVERSITY:
+        (base,), (div,) = arms.values()
+        assert np.all(div >= base)
+        assert np.array_equal(relayed, (div > base).any(axis=1))
+        # the relay links are drawn after the direct ones, so refresh 0's
+        # baseline arm is a baseline drop's refresh 0
+        cfg0 = cfg.replace(case=Case.BASELINE)
+        eng0 = engine.make_dl_engine(engine.build_drop_geometry(cfg0, 0), 0)
+        assert np.array_equal(eng0.refresh(0)[0]["baseline"][0], base)
+    else:
+        noise_dbm = 10.0 * np.log10(1e3 * engine.thermal_noise_w(
+            cfg.n_prb * cfg.prb_hz, engine.NF_BS_DB))
+        loss = geo.prim.loss["fh"][geo.serving, np.arange(geo.n_ues)]
+        snr_db = cfg.ue_max_tx_dbm - loss - noise_dbm
+        assert np.array_equal(relayed, snr_db < cfg.semistatic_threshold_db)

@@ -212,16 +212,25 @@ def test_interference_cov_matches_a_loop_over_interferers():
         a = h[:, k] @ q[:, k, None]                        # (V, S, m, r)
         ref += p_layer[:, k, None, None, None] \
             * (a @ a.conj().transpose(0, 1, 3, 2))
-    out = interference_cov(h, q, p_layer)
+    out = interference_cov(h, q, p_layer, 0.0)
     assert out.shape == (v_n, s_n, m, m)
     assert np.allclose(out, ref, rtol=1e-12, atol=1e-12)
+    # white noise: one power for every victim, or one per victim
+    noise = rng.uniform(0.1, 1.0, v_n)
+    eye = np.eye(m)
+    assert np.allclose(interference_cov(h, q, p_layer, 0.3), ref + 0.3 * eye,
+                       rtol=1e-12, atol=1e-12)
+    assert np.allclose(interference_cov(h, q, p_layer, noise),
+                       ref + noise[:, None, None, None] * eye,
+                       rtol=1e-12, atol=1e-12)
     # a silent interferer and zeroed precoder columns add nothing
     silent, masked = p_layer.copy(), q.copy()
     silent[:, 0] = 0.0
     masked[..., 1:] = 0.0
-    assert np.allclose(interference_cov(h, q, silent),
-                       interference_cov(h[:, 1:], q[:, 1:], p_layer[:, 1:]),
+    assert np.allclose(interference_cov(h, q, silent, noise),
+                       interference_cov(h[:, 1:], q[:, 1:], p_layer[:, 1:],
+                                        noise),
                        rtol=1e-12, atol=1e-12)
-    assert np.allclose(interference_cov(h, masked, p_layer),
-                       interference_cov(h, q[..., :1], p_layer),
+    assert np.allclose(interference_cov(h, masked, p_layer, noise),
+                       interference_cov(h, q[..., :1], p_layer, noise),
                        rtol=1e-12, atol=1e-12)

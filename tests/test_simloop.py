@@ -225,7 +225,7 @@ def test_lone_file_throughput_matches_isolated_link_rate():
     out = run_drop(cfg, 3)
 
     geo = engine.build_drop_geometry(cfg, 3)
-    tables = simloop._channel_stage(cfg, geo, 3)
+    tables = simloop._channel_stage(geo, 3)
     rate = np.mean([next(tables)[0]["baseline"][0].sum(axis=1)
                     for _ in range(cfg.n_refreshes)], axis=0)
 
@@ -317,9 +317,9 @@ def test_calibration_refreshes_each_channel_once(monkeypatch):
     refresh = engine.DlEngine.refresh
     stage = simloop._scheduling_stage
 
-    def counted_refresh(self, rr, want_relay):
+    def counted_refresh(self, rr):
         calls["refresh"] += 1
-        return refresh(self, rr, want_relay)
+        return refresh(self, rr)
 
     def counted_stage(*args):
         calls["schedule"] += 1
@@ -347,7 +347,7 @@ def test_rank_drop_with_uniform_collaboration_decision(threshold_db):
     assert list(out) == ["legacy_2ca", "collab"]
 
     geo = engine.build_drop_geometry(cfg, 0)
-    tables, weak = next(simloop._channel_stage(cfg, geo, 0))
+    tables, weak = next(simloop._channel_stage(geo, 0))
     (leg_fl, leg_fh), (col_fl, col_fh) = tables["legacy_2ca"], tables["collab"]
     if threshold_db < 0:
         assert not weak.any()
