@@ -46,13 +46,25 @@ class ExperimentPlan:
             raise ConfigurationError("plan needs >= 1 case and >= 1 seed")
         if (case := _first_repeat(self.cases)) is not None:
             raise ConfigurationError(f"case {case.value!r} repeats")
-        if (seed := _first_repeat(self.seeds)) is not None:
-            raise ConfigurationError(f"seed {seed} repeats")
+        try:
+            _check_seeds(self.seeds)
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from None
 
 
 def _first_repeat(items: tuple):
     """The first item met a second time, or None."""
     return next((x for i, x in enumerate(items) if x in items[:i]), None)
+
+
+def _check_seeds(seeds: tuple) -> None:
+    """ValueError naming the first seed that is not an integer >= 0 (the
+    range np.random.SeedSequence takes), or the first one that repeats."""
+    for seed in seeds:
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"seed {seed!r} is not an integer >= 0")
+    if (seed := _first_repeat(seeds)) is not None:
+        raise ValueError(f"seed {seed} repeats")
 
 
 def parse_cases(spec: str) -> tuple:
@@ -68,16 +80,12 @@ def parse_cases(spec: str) -> tuple:
 
 
 def parse_seeds(spec: str) -> tuple:
-    """Distinct comma-separated drop seeds; ValueError unless each is an
-    integer >= 0 (the range np.random.SeedSequence takes)."""
+    """Comma-separated drop seeds, checked as `_check_seeds` does."""
     try:
         seeds = tuple(int(t) for t in spec.split(","))
     except ValueError:
         raise ValueError("seeds must be integers") from None
-    if min(seeds) < 0:
-        raise ValueError("seeds must be >= 0")
-    if (seed := _first_repeat(seeds)) is not None:
-        raise ValueError(f"seed {seed} repeats")
+    _check_seeds(seeds)
     return seeds
 
 

@@ -121,6 +121,12 @@ def test_repeated_case_or_seed_is_rejected_by_name(tmp_path, capsys):
         ExperimentPlan(ScenarioConfig(), cases=(Case.BASELINE,) * 2)
     with pytest.raises(ConfigurationError, match="seed 3 repeats"):
         ExperimentPlan(ScenarioConfig(), seeds=(3, 1, 3))
+    # numpy integers pass; a negative or non-integer seed is named
+    assert ExperimentPlan(ScenarioConfig(), seeds=(np.int64(2),)).seeds == (2,)
+    for bad, name in (((-1,), "-1"), ((0.5,), "0.5"), ((0, -2), "-2")):
+        with pytest.raises(ConfigurationError,
+                           match=f"^seed {name} is not an integer >= 0$"):
+            ExperimentPlan(ScenarioConfig(), seeds=bad)
     rc = main(["--case", "baseline,baseline", "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "case 'baseline' repeats" in capsys.readouterr().err
