@@ -314,7 +314,3 @@ def run_loc_experiment(cfg: ScenarioConfig, seed: int = 0) -> list:
                                  float(np.linalg.norm(pos))))
     return results
 
-
-def median_aoa_error(results) -> float:
-    return float(np.median([r.aoa_err_deg for r in results]))
-

@@ -23,16 +23,6 @@ def _dft_beams(n_tx: int, shift: int) -> np.ndarray:
 AMP_LEVELS = np.concatenate([[0.0], np.sqrt(2.0) ** -(np.arange(6, -1, -1))])
 
 
-def _solve_psd(r: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve r x = b for Hermitian PSD r, regularizing near singularity."""
-    try:
-        return np.linalg.solve(r, b)
-    except np.linalg.LinAlgError:
-        n = r.shape[-1]
-        eps = 1e-12 * np.trace(r).real / n + 1e-300
-        return np.linalg.solve(r + eps * np.eye(n), b)
-
-
 def _layer_sinr(g: np.ndarray) -> np.ndarray:
     """Per-layer MMSE SINR 1 / [(I + G)^-1]_kk - 1 from G = A^H R^-1 A,
     for any leading batch axes (..., r, r) -> (..., r)."""
@@ -61,14 +51,6 @@ def effective_se(sinr: np.ndarray):
         raise ValueError("empty SINR set")
     se = np.sum(np.mean(sinr_to_se(s), axis=-2), axis=-1)
     return se if se.ndim else float(se)
-
-
-def mutual_information(a: np.ndarray, r_nn: np.ndarray) -> float:
-    """log2 det(I + A^H R^-1 A), the exact-covariance capacity in bits."""
-    a = np.asarray(a)
-    t = np.eye(a.shape[-1]) + a.conj().T @ _solve_psd(np.asarray(r_nn), a)
-    sign, logdet = np.linalg.slogdet(t)
-    return float(logdet / math.log(2.0))
 
 
 # ---------------------------------------------------------------------------

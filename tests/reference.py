@@ -1,9 +1,14 @@
-"""Single-link reference for the clustered channel of `channel.realize_links`.
+"""Reference helpers that only the tests use.
 
-`ray_channel` draws one link's rays from the generator in the order
-`realize_links` draws a batch of one and sums their outer products
-subband by subband, ray by ray.  Only the angle and sector-pattern
-helpers are shared with the code under test.
+`ray_channel` is a single-link reference for the clustered channel of
+`channel.realize_links`: it draws one link's rays from the generator in
+the order `realize_links` draws a batch of one and sums their outer
+products subband by subband, ray by ray.  Only the angle and
+sector-pattern helpers are shared with the code under test.
+
+`mutual_information` is the exact-covariance capacity that the MIMO
+tests and acceptance criteria 1 and 2 compare against, and
+`median_aoa_error` the per-case median of criterion 6.
 """
 
 import math
@@ -56,3 +61,26 @@ def ray_channel(rng, f_ghz, subc_hz, tx_pos, rx_pos, tx_rot, rx_rot,
                 1j * (phase[r] - 2.0 * math.pi * f * delay[r]))
             h[s] += g * np.outer(a_rx[:, r], a_tx[:, r].conj())
     return 10.0 ** (-loss_db / 20.0) * h
+
+
+def _solve_psd(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve r x = b for Hermitian PSD r, regularizing near singularity."""
+    try:
+        return np.linalg.solve(r, b)
+    except np.linalg.LinAlgError:
+        n = r.shape[-1]
+        eps = 1e-12 * np.trace(r).real / n + 1e-300
+        return np.linalg.solve(r + eps * np.eye(n), b)
+
+
+def mutual_information(a: np.ndarray, r_nn: np.ndarray) -> float:
+    """log2 det(I + A^H R^-1 A), the exact-covariance capacity in bits."""
+    a = np.asarray(a)
+    t = np.eye(a.shape[-1]) + a.conj().T @ _solve_psd(np.asarray(r_nn), a)
+    sign, logdet = np.linalg.slogdet(t)
+    return float(logdet / math.log(2.0))
+
+
+def median_aoa_error(results) -> float:
+    """Median AoA error [deg] of localization results."""
+    return float(np.median([r.aoa_err_deg for r in results]))

@@ -19,10 +19,11 @@ from devmimo import (Case, Ftp3, FullBuffer, ScenarioConfig,
 from devmimo.cli import ExperimentPlan, run_experiment
 from devmimo.collab import EffectiveLink
 from devmimo.localization import (_device_covariances, _ensemble, _spectrum,
-                                  build_virtual_array, median_aoa_error)
-from devmimo.phy import batched_mmse_sinr, mutual_information
+                                  build_virtual_array)
+from devmimo.phy import batched_mmse_sinr
 from devmimo.scenario import rot_z, ula
 from devmimo.simloop import SchedulerState, upt_stats
+from reference import median_aoa_error, mutual_information
 
 
 def _check(num: int, label: str, ok: bool, detail: str) -> None:

@@ -11,8 +11,9 @@ from devmimo import (Case, EstimationError, ScenarioConfig,
 from devmimo import localization
 from devmimo.localization import (VirtualArray, _ensemble, _spectrum,
                                   _device_covariances, aoa_error_deg,
-                                  median_aoa_error, synthesize_snapshots)
+                                  synthesize_snapshots)
 from devmimo.scenario import rot_z, ula
+from reference import median_aoa_error
 
 
 F_GHZ = 2.0
