@@ -198,7 +198,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     except OSError as exc:
         raise OSError(f"cannot create output dir {plan.out_dir!r}: {exc}")
 
-    summary: dict = {"seeds": list(plan.seeds),
+    summary: dict = {"seeds": [int(s) for s in plan.seeds],
                      "cases": [c.value for c in plan.cases]}
     rec_rows: list = []
     loc_rows: list = []

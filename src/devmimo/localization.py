@@ -313,4 +313,3 @@ def run_loc_experiment(cfg: ScenarioConfig, seed: int = 0) -> list:
         results.append(LocResult(u, case, az, el, est_az, est_el, err,
                                  float(np.linalg.norm(pos))))
     return results
-

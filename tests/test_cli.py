@@ -121,8 +121,6 @@ def test_repeated_case_or_seed_is_rejected_by_name(tmp_path, capsys):
         ExperimentPlan(ScenarioConfig(), cases=(Case.BASELINE,) * 2)
     with pytest.raises(ConfigurationError, match="seed 3 repeats"):
         ExperimentPlan(ScenarioConfig(), seeds=(3, 1, 3))
-    # numpy integers pass; a negative or non-integer seed is named
-    assert ExperimentPlan(ScenarioConfig(), seeds=(np.int64(2),)).seeds == (2,)
     for bad, name in (((-1,), "-1"), ((0.5,), "0.5"), ((0, -2), "-2")):
         with pytest.raises(ConfigurationError,
                            match=f"^seed {name} is not an integer >= 0$"):
@@ -131,6 +129,13 @@ def test_repeated_case_or_seed_is_rejected_by_name(tmp_path, capsys):
     assert rc == 2
     assert "case 'baseline' repeats" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_plan_takes_numpy_integer_seeds(tmp_path):
+    plan = ExperimentPlan(ScenarioConfig(loc_users=2), cases=(Case.LOC1,),
+                          seeds=(np.int64(2),), out_dir=str(tmp_path))
+    assert run_experiment(plan)["seeds"] == [2]
+    assert json.loads((tmp_path / "summary.json").read_text())["seeds"] == [2]
 
 
 def test_plan_requires_cases_and_seeds():
