@@ -99,8 +99,8 @@ def _reference_refresh(eng, rr):
 def test_relay_arm_matches_composite_reference(rings, seed):
     cfg = ScenarioConfig(num_rings=rings, case=Case.DIVERSITY)
     geo = engine.build_drop_geometry(cfg, seed)
-    eng, ref = engine.make_dl_engine(geo, seed), \
-        engine.make_dl_engine(geo, seed)
+    eng = engine.make_dl_engine(geo, seed)
+    ref = engine.make_dl_engine(geo, seed)
     for rr in range(3):
         (got_direct,), (got_div,) = eng.refresh(rr)[0].values()
         want = _reference_refresh(ref, rr)
