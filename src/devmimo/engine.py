@@ -245,9 +245,6 @@ class DlEngine(_Engine):
         all_u = np.arange(u_n)
 
         h_serv = self._links(geo.prim, serving, all_u, "fl", self.ue_elem)
-        h_int = self._links(geo.prim, geo.interf_prim, all_u[:, None], "fl",
-                            self.ue_elem)
-
         ranks, v = batched_rank_select(
             h_serv, np.full(u_n, self.p_sb_w), self.noise_ue_w,
             min(cfg.ue_dl_config[1], cfg.bs_ports))
@@ -260,8 +257,12 @@ class DlEngine(_Engine):
         q_cell = np.where(on[:, None, None], pmat[tx], 0.0)
         ql_cell = np.where(on, p_layer[tx], 0.0)
 
+        # the interferer links are needed only for their covariance, so
+        # each tensor is freed as soon as it is built
         r_prim = interference_cov(
-            h_int, q_cell[geo.interf_prim], ql_cell[geo.interf_prim],
+            self._links(geo.prim, geo.interf_prim, all_u[:, None], "fl",
+                        self.ue_elem),
+            q_cell[geo.interf_prim], ql_cell[geo.interf_prim],
             self.noise_ue_w + geo.res_fl_prim * self.p_sb_w)
         rate_direct = batched_mmse_se(h_serv, pmat, p_layer, r_prim) \
             * cfg.subband_hz
@@ -272,10 +273,10 @@ class DlEngine(_Engine):
 
         # --- relayed arm: BS -> helper (f_L) -> AF -> primary (f_H) ---
         h_sh = self._links(geo.help, serving, all_u, "fl", self.help_elem)
-        h_ih = self._links(geo.help, geo.interf_help, all_u[:, None], "fl",
-                           self.help_elem)
         r_help = interference_cov(
-            h_ih, q_cell[geo.interf_help], ql_cell[geo.interf_help],
+            self._links(geo.help, geo.interf_help, all_u[:, None], "fl",
+                        self.help_elem),
+            q_cell[geo.interf_help], ql_cell[geo.interf_help],
             self.noise_help_w + geo.res_fl_help * self.p_sb_w)
 
         # whitened-MRC combiner per helper (wideband); each output stream is
@@ -285,17 +286,7 @@ class DlEngine(_Engine):
         n_str = min(cfg.relay_streams, self.help_elem.shape[0], cfg.bs_ports)
         w = relay_rx_beamformer(h_sh, r_help, n_str)                # (U,o,4)
 
-        # f_H interference at the primary: legacy co-channel transmissions
-        # at the configured duty cycle
-        h_fh = self._links(geo.prim, geo.interf_fh_prim, all_u[:, None], "fh",
-                           self.ue_elem)
-        x = np.moveaxis(h_fh, 1, 3).reshape(u_n, *h_fh.shape[2:4], -1)
-        r_fh = x @ x.conj().transpose(0, 1, 3, 2) \
-            * (self.p_sb_w * cfg.fh_activity / cfg.bs_ports)
-        r_fh = r_fh + (self.noise_ue_w + geo.res_fh_prim * cfg.fh_activity
-                       * self.p_sb_w)[:, None, None, None] \
-            * np.eye(self.ue_elem.shape[0])
-
+        r_fh = self._fh_cov()
         wh = np.einsum("uom,usmn->uson", w, h_sh, optimize=True)    # (U,S,o,n)
         # forwarded first-hop noise per output: w whitens with the mean of
         # R1 over subbands, so this is 1 on average, not on every subband
@@ -329,6 +320,21 @@ class DlEngine(_Engine):
         sel = rate_relayed > rate_direct
         arms["diversity"] = (np.where(sel, rate_relayed, rate_direct),)
         return arms, sel.any(axis=1)
+
+    def _fh_cov(self) -> np.ndarray:
+        """(U, S, m, m) f_H interference-plus-noise covariance at the
+        primaries: legacy co-channel transmissions at the configured duty
+        cycle.  Its links live only in this frame."""
+        geo, cfg = self.geo, self.geo.cfg
+        x = np.moveaxis(self._links(geo.prim, geo.interf_fh_prim,
+                                    np.arange(geo.n_ues)[:, None], "fh",
+                                    self.ue_elem), 1, 3)
+        x = x.reshape(*x.shape[:3], -1)                  # (U, S, m, K n)
+        r_fh = x @ x.conj().transpose(0, 1, 3, 2) \
+            * (self.p_sb_w * cfg.fh_activity / cfg.bs_ports)
+        return r_fh + (self.noise_ue_w + geo.res_fh_prim * cfg.fh_activity
+                       * self.p_sb_w)[:, None, None, None] \
+            * np.eye(self.ue_elem.shape[0])
 
 
 def make_dl_engine(geo: DropGeometry, seed: int) -> DlEngine:
