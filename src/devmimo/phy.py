@@ -4,8 +4,11 @@ efficiency."""
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
+
+from ._blocks import map_rows
 
 SE_CAP_BPS_HZ = 7.4        # per-layer cap (~256-QAM max efficiency)
 _RANK_TOL = 1e-10
@@ -66,6 +69,11 @@ def batched_rank_select(h: np.ndarray, power: np.ndarray, noise_w: float,
     """
     if max_rank < 1:
         raise ValueError("max_rank must be >= 1")
+    return map_rows(partial(_rank_select_rows, noise_w=noise_w,
+                            max_rank=max_rank), h, power)
+
+
+def _rank_select_rows(h, power, noise_w, max_rank):
     u_n, s_n, m, n = h.shape
     hw = h.reshape(u_n, s_n * m, n)
     _, sv, vh = np.linalg.svd(hw, full_matrices=False)
@@ -97,15 +105,21 @@ def batched_beam_precoder(h: np.ndarray, ranks: np.ndarray,
     u_n = h.shape[0]
     hw = h.reshape(u_n, -1, h.shape[-1])
     n_tx = hw.shape[-1]
-    n_beams = min(N_BEAMS, n_tx)
     rmax = int(ranks.max())
+    bases = np.stack([_dft_beams(n_tx, q) for q in range(OVERSAMPLING)])
+    rows = partial(_beam_precoder_rows, rmax=rmax, bases=bases)
+    return map_rows(rows, hw, ranks) if v is None \
+        else map_rows(rows, hw, ranks, v)
 
+
+def _beam_precoder_rows(hw, ranks, v=None, *, rmax, bases):
+    u_n, _, n_tx = hw.shape
+    n_beams = min(N_BEAMS, n_tx)
     if v is None:
         _, _, vh = np.linalg.svd(hw, full_matrices=False)
         v = vh[:, :rmax].conj().transpose(0, 2, 1)
     v = v[..., :rmax]                                          # (U, n, rmax)
 
-    bases = np.stack([_dft_beams(n_tx, q) for q in range(OVERSAMPLING)])
     pw = np.stack([np.sum(np.abs(hw @ bases[q]) ** 2, axis=1)
                    for q in range(OVERSAMPLING)])              # (O, U, n)
     top = -np.sort(-pw, axis=2)[:, :, :n_beams].sum(axis=2)    # (O, U)
@@ -145,10 +159,18 @@ def interference_cov(h: np.ndarray, q: np.ndarray, p_layer: np.ndarray,
     victim's K interferers, q (V,K,n,r) their precoders, p_layer (V,K)
     their per-layer powers (0 for a silent interferer), noise_w one noise
     power or (V,) one per victim.  Returns (V,S,m,m)."""
+    m = h.shape[3]
+    # a broadcast view: one noise power stays a stride-0 axis
+    noise = np.broadcast_to(np.reshape(noise_w, (-1, 1, 1, 1)) * np.eye(m),
+                            (h.shape[0], 1, m, m))
+    return map_rows(_cov_rows, h, q, p_layer, noise)
+
+
+def _cov_rows(h, q, p_layer, noise):
     b = np.einsum("vksmn,vknr->vksmr", h, q, optimize=True)
     r = np.einsum("vk,vksmr,vkslr->vsml", p_layer, b, b.conj(),
                   optimize=True)
-    return r + np.reshape(noise_w, (-1, 1, 1, 1)) * np.eye(h.shape[3])
+    return r + noise
 
 
 def batched_mmse_sinr(h: np.ndarray, p: np.ndarray, p_layer: np.ndarray,
@@ -177,8 +199,13 @@ def batched_mmse_sinr(h: np.ndarray, p: np.ndarray, p_layer: np.ndarray,
     width = int(count.max(initial=0))
     rhs = np.zeros((r_nn.shape[0], s_n, m, width, r_n), dtype=complex)
     rhs[owner, :, :, slot] = a
-    x = np.linalg.solve(r_nn, rhs.reshape(rhs.shape[:3] + (width * r_n,)))
+    x = map_rows(np.linalg.solve, r_nn,
+                 rhs.reshape(rhs.shape[:3] + (width * r_n,)))
     ra = x.reshape(rhs.shape)[owner, :, :, slot]              # (U, S, m, r)
+    return map_rows(_mmse_layer_sinr, a, ra)
+
+
+def _mmse_layer_sinr(a, ra):
     return _layer_sinr(a.conj().transpose(0, 1, 3, 2) @ ra)
 
 

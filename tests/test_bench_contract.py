@@ -7,9 +7,12 @@ tests catch it here.
 
 import importlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from devmimo import _blocks
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = [w["name"] for w in
@@ -73,3 +76,20 @@ def test_tiny_iteration_runs_under_the_tracer(bench, name, tmp_path):
     assert SPANS[name] <= {span[0] for span in tracer.spans}
     metrics = tracing.layer_metrics(tracer, [1.0], [1.0])
     assert metrics["cli.run_experiment.busy_s"][1] == "s"
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_pool_threads_record_no_span(bench, name, tmp_path, monkeypatch):
+    # the kernels' row blocks run on pool threads, which must call no
+    # wrapped name: span and count totals equal a one-CPU run's
+    tracing, workloads = bench
+    monkeypatch.setattr(_blocks, "BLOCK_ROWS", 2)
+    runs = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(_blocks, "_workers", lambda: cpus - 1)
+        tracer = tracing.Tracer()
+        wl = workloads.WORKLOADS[name](0, True)
+        tracer.run(lambda: wl.run(str(tmp_path / str(cpus))))
+        runs.append((Counter(span[0] for span in tracer.spans),
+                     tracer.counts))
+    assert runs[1] == runs[0]

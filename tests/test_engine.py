@@ -3,12 +3,18 @@ reference that keeps the composite relay formulas: the relay precoder
 from the stacked primary-side channels h_local (x) w H_sh, the first-hop
 gain as w (H_sh p), the f_H interference covariance as one einsum, and
 the relayed link written out entry by entry with the forwarded noise
-w R1 w^H of every subband."""
+w R1 w^H of every subband.  A drop's bytes do not depend on how many
+CPUs its kernels' row blocks run on, and a forked child runs them too."""
+
+import multiprocessing
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from devmimo import Case, ScenarioConfig, engine
+from devmimo import Case, ScenarioConfig, _blocks, engine, simloop
 from devmimo.collab import relay_rx_beamformer
 from devmimo.phy import (batched_beam_precoder, batched_mmse_se,
                          batched_rank_select)
@@ -150,3 +156,60 @@ def test_refresh_contract(case):
         loss = geo.prim.loss["fh"][geo.serving, np.arange(geo.n_ues)]
         snr_db = cfg.ue_max_tx_dbm - loss - noise_dbm
         assert np.array_equal(relayed, snr_db < cfg.semistatic_threshold_db)
+
+
+def _drop_bits(cfg):
+    return [(name, st.records, st.resource_utilization,
+             st.served_bytes.tobytes(), st.path_share_relayed)
+            for name, st in simloop.run_drop(cfg, 1).items()]
+
+
+@pytest.mark.parametrize("case,threshold_db", [
+    (Case.BASELINE, 10.0), (Case.DIVERSITY, 10.0), (Case.RANK_AUG, 10.0),
+    (Case.RANK_AUG, -1e3)], ids=["baseline", "diversity", "rank",
+                                 "rank-no-weak-user"])
+def test_drop_bytes_do_not_depend_on_the_cpu_count(case, threshold_db,
+                                                   monkeypatch):
+    cfg = ScenarioConfig(num_rings=0, ues_per_cell=4, sim_duration_s=0.02,
+                         case=case, semistatic_threshold_db=threshold_db)
+    geo = engine.build_drop_geometry(cfg, 1)
+    if case is Case.RANK_AUG:
+        assert engine.make_ul_engine(geo, 1).weak.any() == (threshold_db > 0)
+    monkeypatch.setattr(_blocks, "BLOCK_ROWS", 5)
+    got = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(_blocks, "_workers", lambda: cpus - 1)
+        got.append(_drop_bits(cfg))
+    assert got[1] == got[0] and got[2] == got[0]
+
+
+def _fork_child():
+    """A tiny refresh, then exit 1 unless row blocks reach a pool thread."""
+    cfg = ScenarioConfig(num_rings=0, ues_per_cell=4, case=Case.DIVERSITY)
+    engine.make_dl_engine(engine.build_drop_geometry(cfg, 0), 0).refresh(0)
+    threads = set()
+
+    def body(rows):
+        threads.add(threading.get_ident())
+        time.sleep(0.01)
+        return rows
+
+    _blocks.map_rows(body, np.arange(20))
+    sys.exit(0 if len(threads) > 1 else 1)
+
+
+def test_a_forked_child_runs_the_kernels_on_its_own_pool(monkeypatch):
+    # a forked child has none of the parent's pool threads, so it must
+    # make its own pool
+    monkeypatch.setattr(_blocks, "BLOCK_ROWS", 5)
+    monkeypatch.setattr(_blocks, "_workers", lambda: 1)
+    cfg = ScenarioConfig(num_rings=0, ues_per_cell=4, case=Case.DIVERSITY)
+    engine.make_dl_engine(engine.build_drop_geometry(cfg, 0), 0).refresh(0)
+    assert _blocks._pool is not None
+    child = multiprocessing.get_context("fork").Process(target=_fork_child)
+    child.start()
+    child.join(timeout=30)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0

@@ -1,14 +1,19 @@
 """Precoding, combining, and link-adaptation closed-form checks."""
 
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from devmimo import effective_se, sinr_to_se
+from devmimo import _blocks, effective_se, sinr_to_se
+from devmimo.channel import realize_links
+from devmimo.collab import relay_rx_beamformer
 from devmimo.phy import (SE_CAP_BPS_HZ, _dft_beams, batched_beam_precoder,
                          batched_mmse_se, batched_mmse_sinr,
                          batched_rank_select, interference_cov)
+from devmimo.scenario import bs_port_array, rot_z, ue_array
 from reference import mutual_information
 
 
@@ -234,3 +239,93 @@ def test_interference_cov_matches_a_loop_over_interferers():
     assert np.allclose(interference_cov(h, masked, p_layer, noise),
                        interference_cov(h, q[..., :1], p_layer, noise),
                        rtol=1e-12, atol=1e-12)
+
+
+def _kernel_calls():
+    """One call of each row-blocked kernel on 23 random rows (ragged in
+    blocks of 5), keyed by name; each returns an array or a tuple."""
+    rng = np.random.default_rng(17)
+    n = 23
+
+    def crandn(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    h, h_int, q = crandn(n, 3, 4, 8), crandn(n, 2, 3, 4, 8), crandn(n, 2, 8, 2)
+    p_layer, noise = rng.uniform(0.5, 2.0, (n, 2)), rng.uniform(0.1, 1.0, n)
+    a = crandn(n, 3, 4, 4)
+    r_nn = a @ a.conj().transpose(0, 1, 3, 2) + np.eye(4)
+    p = np.linalg.qr(crandn(n, 8, 2))[0]
+    owner = rng.integers(0, 7, n)
+    tx = np.column_stack([rng.uniform(-300, 300, (n, 2)), np.full(n, 25.0)])
+    rx = np.column_stack([rng.uniform(-300, 300, (n, 2)), np.full(n, 1.5)])
+    rot = np.broadcast_to(rot_z(30.0), (n, 3, 3))
+    amp, los = rng.uniform(1e-6, 1e-4, n), rng.uniform(size=n) < 0.5
+    ranks, v = batched_rank_select(h, np.full(n, 2.0), 1.0, 2)
+    return {
+        "realize_links": lambda: realize_links(
+            np.random.default_rng(3), 2.0, np.array([-1e6, 0.0, 2e6]), tx,
+            rx, rot, rot, bs_port_array(8, 2.0), ue_array(4, 2.0), amp, los,
+            tx_sector=True),
+        "batched_rank_select": lambda: batched_rank_select(
+            h, np.full(n, 2.0), 1.0, 4),
+        "batched_beam_precoder": lambda: (
+            batched_beam_precoder(h, ranks),
+            batched_beam_precoder(h, ranks, v=v)),
+        "interference_cov": lambda: (
+            interference_cov(h_int, q, p_layer, 0.3),
+            interference_cov(h_int, q, p_layer, noise)),
+        "batched_mmse_sinr": lambda: (
+            batched_mmse_sinr(h, p, p_layer[:, 0], r_nn),
+            batched_mmse_sinr(h, p, p_layer[:, 0], r_nn[:7], owner)),
+        "relay_rx_beamformer": lambda: relay_rx_beamformer(h, r_nn, 2),
+    }
+
+
+def _bits(out):
+    """Dtype, shape, memory layout and bytes of an array or a tuple."""
+    if isinstance(out, tuple):
+        return [_bits(x) for x in out]
+    return out.dtype, out.shape, out.strides, out.tobytes()
+
+
+@pytest.mark.parametrize("kernel", list(_kernel_calls()))
+def test_kernel_bits_do_not_depend_on_the_cpu_count(kernel, monkeypatch):
+    monkeypatch.setattr(_blocks, "BLOCK_ROWS", 5)
+    got = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(_blocks, "_workers", lambda: cpus - 1)
+        got.append(_bits(_kernel_calls()[kernel]()))
+    assert got[1] == got[0] and got[2] == got[0]
+
+
+def test_row_blocks_run_on_the_pool_and_wait_for_every_block(monkeypatch):
+    monkeypatch.setattr(_blocks, "BLOCK_ROWS", 2)
+    monkeypatch.setattr(_blocks, "_workers", lambda: 2)
+    caller = threading.get_ident()
+    seen = []
+
+    def body(rows):
+        seen.append((rows[0], threading.get_ident()))
+        time.sleep(0.01)
+        return rows[:, None] * np.ones(3), -rows
+
+    out, neg = _blocks.map_rows(body, np.arange(11))
+    assert np.array_equal(out, np.arange(11)[:, None] * np.ones(3))
+    assert np.array_equal(neg, -np.arange(11))
+    assert sorted(s for s, _ in seen) == list(range(0, 11, 2))
+    assert {t for _, t in seen} - {caller}
+    # an error is raised only once every started block has finished
+    done = []
+
+    def failing(rows):
+        time.sleep(0.02)
+        done.append(rows[0])
+        if rows[0] == 2:
+            raise ValueError("block 2")
+        return rows
+
+    with pytest.raises(ValueError, match="block 2"):
+        _blocks.map_rows(failing, np.arange(11))
+    n_done = len(done)
+    time.sleep(0.1)
+    assert len(done) == n_done
