@@ -1,6 +1,8 @@
-"""Precoding, combining, and link-adaptation closed-form checks."""
+"""Precoding, combining, and link-adaptation closed-form checks, and the
+row-block map the batched kernels run on."""
 
 import math
+import sys
 import threading
 import time
 
@@ -329,3 +331,21 @@ def test_row_blocks_run_on_the_pool_and_wait_for_every_block(monkeypatch):
     n_done = len(done)
     time.sleep(0.1)
     assert len(done) == n_done
+
+
+def test_row_blocks_take_each_row_once_under_thread_switching(monkeypatch):
+    # more pool threads than CPUs and a short switch interval: a block
+    # taken twice, or a row written by two blocks, changes the counts
+    monkeypatch.setattr(_blocks, "BLOCK_ROWS", 1)
+    monkeypatch.setattr(_blocks, "_workers", lambda: 4)
+    taken = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            out = _blocks.map_rows(lambda rows: taken.extend(rows) or 2 * rows,
+                                   np.arange(200))
+            assert np.array_equal(out, 2 * np.arange(200))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(taken) == sorted(list(range(200)) * 20)
