@@ -1,4 +1,5 @@
-"""Row-block map of the batched kernels over the usable CPUs.
+"""Row-block map of the batched kernels, and of the localization
+spectrum, over the usable CPUs.
 
 A kernel whose rows are independent hands `map_rows` a private function
 of its batched arrays, which runs on row blocks of them.  Each row goes
@@ -54,9 +55,9 @@ def _rows(fn, arrays, b):
     return fn(*(a[b] for a in arrays))
 
 
-def map_rows(fn, *arrays):
-    """fn(*arrays), computed in blocks of BLOCK_ROWS rows of the arrays'
-    common leading axis.
+def map_rows(fn, *arrays, block_rows=None):
+    """fn(*arrays), computed in blocks of `block_rows` rows (BLOCK_ROWS
+    unless given) of the arrays' common leading axis.
 
     fn returns an array, or a tuple of arrays, whose leading axis holds
     the rows of its inputs.  With one usable CPU or one block the batch
@@ -66,12 +67,12 @@ def map_rows(fn, *arrays):
     threads are runnable than there are usable CPUs.  Returns or raises
     only after every started block has finished.
     """
+    rows = BLOCK_ROWS if block_rows is None else block_rows
     n = len(arrays[0])
     n_workers = _workers()
-    if n_workers < 1 or n <= BLOCK_ROWS:
+    if n_workers < 1 or n <= rows:
         return fn(*arrays)
-    todo = iter([slice(lo, min(lo + BLOCK_ROWS, n))
-                 for lo in range(BLOCK_ROWS, n, BLOCK_ROWS)])
+    todo = iter([slice(lo, min(lo + rows, n)) for lo in range(rows, n, rows)])
     lock = threading.Lock()
     ready = threading.Event()
     outs = []
@@ -94,12 +95,12 @@ def map_rows(fn, *arrays):
 
     pool = _executor(n_workers)
     futures = [pool.submit(drain)
-               for _ in range(min(n_workers, -(-n // BLOCK_ROWS) - 1))]
+               for _ in range(min(n_workers, -(-n // rows) - 1))]
     try:
-        first = _rows(fn, arrays, slice(0, BLOCK_ROWS))
+        first = _rows(fn, arrays, slice(0, rows))
         outs.extend(np.empty_like(r, shape=(n,) + r.shape[1:]) for r in
                     (first if isinstance(first, tuple) else (first,)))
-        fill(slice(0, BLOCK_ROWS), first)
+        fill(slice(0, rows), first)
         ready.set()
         drain()
     finally:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blocks
 from . import channel as ch
 from .errors import ConfigurationError, EstimationError
 from .scenario import ScenarioConfig, half_wavelength_m, rot_z, ula
@@ -26,6 +27,9 @@ SSB_SCS_HZ = 30e3
 # which also resolves the mirror ambiguity of planar device sub-arrays.
 AZ_GRID = np.arange(-180.0, 180.0, 1.0)
 EL_GRID = np.arange(0.0, 90.5, 1.0)
+# azimuth rows per spectrum block: AZ_GRID makes 4 even blocks, so 2 or 4
+# CPUs share the search evenly
+SPECTRUM_ROWS = 90
 
 
 @dataclass(frozen=True)
@@ -107,41 +111,61 @@ def _grid_units(az_grid, el_grid):
 
 
 def _grid_steering(pos: np.ndarray, grid_key, u: np.ndarray,
-                   f_ghz: float) -> np.ndarray:
-    """Steering (n, A, E) of elements `pos` over a grid from `_grid_units`."""
+                   f_ghz: float):
+    """Kept steering (n, A, E) of elements `pos` over a grid from
+    `_grid_units`, or None for a device met the first time, whose steering
+    the spectrum blocks build and drop."""
     key = (pos.shape, pos.tobytes(), f_ghz, grid_key)
     a = _STEER.get(key)
     if a is not None:
         _STEER.move_to_end(key)
         return a
-    a = ch.plane_wave(pos, u, f_ghz)
-    if key in _SEEN:                       # second sighting: keep it
-        del _SEEN[key]
-        a.flags.writeable = False
-        _lru_put(_STEER, key, a, _STEER_SLOTS)
-    else:
+    if key not in _SEEN:
         _lru_put(_SEEN, key, None, _SEEN_SLOTS)
+        return None
+    del _SEEN[key]                         # second sighting: keep it
+    a = ch.plane_wave(pos, u, f_ghz)
+    a.flags.writeable = False
+    _lru_put(_STEER, key, a, _STEER_SLOTS)
     return a
 
 
 def _spectrum(va: VirtualArray, covs, az_grid, el_grid, f_ghz: float,
               method: str) -> np.ndarray:
+    """Combined spectrum (A, E), computed in blocks of SPECTRUM_ROWS
+    azimuth rows on the usable CPUs.  The memos, and MUSIC's noise
+    subspaces, are resolved on the calling thread first."""
     grid_key, u = _grid_units(az_grid, el_grid)
-    total = np.zeros(u.shape[:-1])
+    fresh, kept, weights = [], [], []
     for d in range(va.n_devices):
-        idx = va.elements_of(d)
-        a = _grid_steering(va.element_pos[idx], grid_key, u, f_ghz)
-        r = covs[d]
+        pos = va.element_pos[va.elements_of(d)]
+        a = _grid_steering(pos, grid_key, u, f_ghz)
+        fresh.append(pos if a is None else None)    # built per block
+        if a is not None:
+            kept.append(np.moveaxis(a, 1, 0))   # azimuth rows lead
         if method == "bartlett":
-            num = np.real(np.einsum("nae,nm,mae->ae", a.conj(), r, a))
-            total += num / len(idx)
-        else:  # MUSIC with a single-source signal subspace
-            ev, evec = np.linalg.eigh(r)
-            en = evec[:, :-1]                                # noise subspace
-            proj = np.einsum("nk,nae->kae", en.conj(), a)
-            denom = np.einsum("kae,kae->ae", proj.conj(), proj).real
-            total += len(idx) / np.maximum(denom, 1e-18)
-    return total
+            weights.append(covs[d])
+        else:  # MUSIC with a single-source signal subspace: the
+            # conjugated noise subspace
+            weights.append(np.linalg.eigh(covs[d])[1][:, :-1].conj())
+
+    def rows(u_rows, *kept_rows):
+        kept_rows = iter(kept_rows)
+        total = np.zeros(u_rows.shape[:-1])
+        for pos, w in zip(fresh, weights):
+            a = (np.moveaxis(next(kept_rows), 0, 1) if pos is None
+                 else ch.plane_wave(pos, u_rows, f_ghz))
+            n = len(a)
+            if method == "bartlett":
+                num = np.real(np.einsum("nae,nm,mae->ae", a.conj(), w, a))
+                total += num / n
+            else:
+                proj = np.einsum("nk,nae->kae", w, a)
+                denom = np.einsum("kae,kae->ae", proj.conj(), proj).real
+                total += n / np.maximum(denom, 1e-18)
+        return total
+
+    return _blocks.map_rows(rows, u, *kept, block_rows=SPECTRUM_ROWS)
 
 
 def _refine(grid: np.ndarray, i: int, vals: np.ndarray,

@@ -8,7 +8,7 @@ import pytest
 from devmimo import (Case, EstimationError, ScenarioConfig,
                      build_virtual_array, localize, noncoherent_aoa,
                      run_loc_experiment, steering_vector)
-from devmimo import localization
+from devmimo import _blocks, localization
 from devmimo.localization import (VirtualArray, _ensemble, _spectrum,
                                   _device_covariances, aoa_error_deg,
                                   synthesize_snapshots)
@@ -223,12 +223,58 @@ def test_steering_memo_keeps_only_fixed_devices(cold_memo, monkeypatch):
         put(memo, key, value, slots)
 
     monkeypatch.setattr(localization, "_lru_put", record)
+    monkeypatch.setattr(localization, "SPECTRUM_ROWS", 7)
     cfg = ScenarioConfig(loc_users=8, loc_snr_db=10.0, case=Case.LOC3)
-    run_loc_experiment(cfg, seed=0)
     va = build_virtual_array(_ensemble("loc2", cfg.f_low_ghz, None))
     fixed = {va.element_pos[va.elements_of(d)].tobytes() for d in (0, 1)}
-    assert set(kept) == fixed
-    assert {key[1] for key in localization._STEER} == fixed
+    for cpus in (1, 3):
+        monkeypatch.setattr(_blocks, "_workers", lambda: cpus - 1)
+        for memo in (localization._GRID_UNITS, localization._STEER,
+                     localization._SEEN):
+            memo.clear()
+        kept.clear()
+        run_loc_experiment(cfg, seed=0)
+        assert set(kept) == fixed
+        assert {key[1] for key in localization._STEER} == fixed
+
+
+def _bits(x):
+    return x.dtype, x.shape, x.strides, x.tobytes()
+
+
+@pytest.mark.parametrize("method", ["bartlett", "music"])
+def test_spectrum_bits_do_not_depend_on_the_cpu_count(method, monkeypatch):
+    # ragged blocks: 7 rows split neither 360 nor 90 azimuths evenly; each
+    # grid is searched cold, at the second sighting and from the memo
+    monkeypatch.setattr(localization, "SPECTRUM_ROWS", 7)
+    rng = np.random.default_rng(5)
+    va = build_virtual_array(_ensemble("loc3", F_GHZ, rng))
+    covs = _device_covariances(va, _single_path_snapshots(va, -40.0, 25.0,
+                                                          rng))
+    grids = [(localization.AZ_GRID, localization.EL_GRID),
+             (np.arange(-180.0, 180.0, 4.0), np.arange(0.0, 90.5, 3.0))]
+    got = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(_blocks, "_workers", lambda: cpus - 1)
+        for memo in (localization._GRID_UNITS, localization._STEER,
+                     localization._SEEN):
+            memo.clear()
+        got.append([_bits(_spectrum(va, covs, *g, F_GHZ, method))
+                    for g in grids for _ in range(3)])
+    assert got[1] == got[0] and got[2] == got[0]
+
+
+@pytest.mark.parametrize("method", ["bartlett", "music"])
+def test_loc_experiment_does_not_depend_on_the_cpu_count(method, cold_memo,
+                                                         monkeypatch):
+    monkeypatch.setattr(localization, "SPECTRUM_ROWS", 7)
+    cfg = ScenarioConfig(loc_users=6, loc_snr_db=10.0, case=Case.LOC3,
+                         loc_method=method)
+    got = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(_blocks, "_workers", lambda: cpus - 1)
+        got.append(run_loc_experiment(cfg, seed=2))
+    assert got[1] == got[0] and got[2] == got[0]
 
 
 def test_single_ray_peak_within_one_grid_cell():
