@@ -179,7 +179,7 @@ def _run_loc_case(cfg: ScenarioConfig, seeds, rows: list) -> dict:
     errs, perrs = [], []
     for seed in seeds:
         for r in localization.run_loc_experiment(cfg, seed):
-            rows.append([r.user, r.case, f"{r.true_az:.6f}",
+            rows.append([r.user, r.case, seed, f"{r.true_az:.6f}",
                          f"{r.true_el:.6f}", f"{r.est_az:.6f}",
                          f"{r.est_el:.6f}", f"{r.aoa_err_deg:.6f}",
                          f"{r.pos_err_m:.6f}"])
@@ -239,8 +239,8 @@ def run_experiment(plan: ExperimentPlan) -> dict:
         with open(os.path.join(plan.out_dir, "loc_results.csv"), "w",
                   newline="\n") as fh:
             w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["user", "case", "true_az", "true_el", "est_az",
-                        "est_el", "aoa_err_deg", "pos_err_m"])
+            w.writerow(["user", "case", "seed", "true_az", "true_el",
+                        "est_az", "est_el", "aoa_err_deg", "pos_err_m"])
             w.writerows(loc_rows)
     _write_json(os.path.join(plan.out_dir, "summary.json"), summary)
     return summary

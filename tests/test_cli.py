@@ -1,5 +1,6 @@
 """Config parsing, experiment runner outputs, and gain summaries."""
 
+import csv
 import json
 import os
 import re
@@ -189,23 +190,30 @@ def test_summary_requires_two_arms():
         summarize({"baseline": _recs([1.0])})
 
 
-def _loc_plan(tmp_path, sub):
+def _loc_plan(tmp_path, sub, seeds=(0,)):
     scen = ScenarioConfig(loc_users=4)
     return ExperimentPlan(scen, cases=(Case.LOC1, Case.LOC2, Case.LOC3),
-                          seeds=(0,), out_dir=str(tmp_path / sub))
+                          seeds=seeds, out_dir=str(tmp_path / sub))
 
 
 def test_localization_outputs(tmp_path):
     plan = _loc_plan(tmp_path, "a")
     summary = run_experiment(plan)
     rows = open(os.path.join(plan.out_dir, "loc_results.csv")).readlines()
-    assert rows[0].strip() == ("user,case,true_az,true_el,est_az,est_el,"
-                               "aoa_err_deg,pos_err_m")
+    assert rows[0].strip() == ("user,case,seed,true_az,true_el,est_az,"
+                               "est_el,aoa_err_deg,pos_err_m")
     assert len(rows) - 1 == 4 * 3
     for c in ("loc1", "loc2", "loc3"):
         assert "median_aoa_error_deg" in summary[c]
     on_disk = json.load(open(os.path.join(plan.out_dir, "summary.json")))
     assert on_disk["cases"] == ["loc1", "loc2", "loc3"]
+    # with two seeds, each trial row is told apart by (user, case, seed)
+    plan = _loc_plan(tmp_path, "b", seeds=(0, 1))
+    run_experiment(plan)
+    with open(os.path.join(plan.out_dir, "loc_results.csv")) as fh:
+        keys = [(r["user"], r["case"], r["seed"]) for r in csv.DictReader(fh)]
+    assert len(keys) == len(set(keys)) == 4 * 3 * 2
+    assert {k[2] for k in keys} == {"0", "1"}
 
 
 def test_rerun_is_byte_identical(tmp_path):
