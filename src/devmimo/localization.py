@@ -145,9 +145,9 @@ def _spectrum(va: VirtualArray, covs, az_grid, el_grid, f_ghz: float,
             kept.append(np.moveaxis(a, 1, 0))   # azimuth rows lead
         if method == "bartlett":
             weights.append(covs[d])
-        else:  # MUSIC with a single-source signal subspace: the
-            # conjugated noise subspace
-            weights.append(np.linalg.eigh(covs[d])[1][:, :-1].conj())
+        else:  # MUSIC with a single-source signal subspace
+            en = np.linalg.eigh(covs[d])[1][:, :-1]          # noise subspace
+            weights.append(en.conj())
 
     def rows(u_rows, *kept_rows):
         kept_rows = iter(kept_rows)

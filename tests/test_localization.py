@@ -145,11 +145,15 @@ def test_aoa_estimator_input_validation():
         noncoherent_aoa(va, bad, F_GHZ)
 
 
-@pytest.fixture
-def cold_memo():
+def _clear_memos():
     for memo in (localization._GRID_UNITS, localization._STEER,
                  localization._SEEN):
         memo.clear()
+
+
+@pytest.fixture
+def cold_memo():
+    _clear_memos()
 
 
 @pytest.mark.parametrize("arg, value", [
@@ -229,9 +233,7 @@ def test_steering_memo_keeps_only_fixed_devices(cold_memo, monkeypatch):
     fixed = {va.element_pos[va.elements_of(d)].tobytes() for d in (0, 1)}
     for cpus in (1, 3):
         monkeypatch.setattr(_blocks, "_workers", lambda: cpus - 1)
-        for memo in (localization._GRID_UNITS, localization._STEER,
-                     localization._SEEN):
-            memo.clear()
+        _clear_memos()
         kept.clear()
         run_loc_experiment(cfg, seed=0)
         assert set(kept) == fixed
@@ -256,9 +258,7 @@ def test_spectrum_bits_do_not_depend_on_the_cpu_count(method, monkeypatch):
     got = []
     for cpus in (1, 2, 3):
         monkeypatch.setattr(_blocks, "_workers", lambda: cpus - 1)
-        for memo in (localization._GRID_UNITS, localization._STEER,
-                     localization._SEEN):
-            memo.clear()
+        _clear_memos()
         got.append([_bits(_spectrum(va, covs, *g, F_GHZ, method))
                     for g in grids for _ in range(3)])
     assert got[1] == got[0] and got[2] == got[0]
