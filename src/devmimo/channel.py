@@ -212,8 +212,10 @@ def realize_links(rng: np.random.Generator, f_ghz: float, subc_hz: np.ndarray,
         a_rx = _response(rx_elem, rx_rot, arr_az, arr_el, f_ghz, rx_sector)
         coef = (np.sqrt(powers) * np.exp(1j * phases))[:, :, None] * np.exp(
             -2j * math.pi * delays[:, :, None] * subc_hz[None, None, :])  # (L,R,S)
-        return amp[:, None, None, None] * np.einsum(
-            "lnr,lrs,lmr->lsnm", a_rx, coef, a_tx.conj(), optimize=True)
+        h = np.einsum("lnr,lrs,lmr->lsnm", a_rx, coef, a_tx.conj(),
+                      optimize=True)
+        h *= amp[:, None, None, None]      # in place: no second link tensor
+        return h
 
     return map_rows(rows, tx_rot, rx_rot, r_dep_az, r_dep_el, r_arr_az,
                     r_arr_el, powers, phases, delays, amp)
