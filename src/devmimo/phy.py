@@ -8,12 +8,16 @@ from functools import partial
 
 import numpy as np
 
+from . import _blocks
 from ._blocks import map_rows
 
 SE_CAP_BPS_HZ = 7.4        # per-layer cap (~256-QAM max efficiency)
 _RANK_TOL = 1e-10
 N_BEAMS = 4                # beams combined by the codebook precoder
 OVERSAMPLING = 4           # DFT grid rotations it searches
+# largest MMSE system order whose solve keeps blocks of BLOCK_ROWS
+# covariances: the DL's per-UE (4) and two-stream relayed (8) systems
+_SOLVE_ORDER = 8
 
 
 def _dft_beams(n_tx: int, shift: int) -> np.ndarray:
@@ -197,12 +201,24 @@ def batched_mmse_sinr(h: np.ndarray, p: np.ndarray, p_layer: np.ndarray,
     slot = np.empty(u_n, dtype=int)
     slot[order] = np.arange(u_n) - first[owner[order]]
     width = int(count.max(initial=0))
-    rhs = np.zeros((r_nn.shape[0], s_n, m, width, r_n), dtype=complex)
+    c_n = r_nn.shape[0]
+    rhs = np.zeros((c_n, s_n, m, width, r_n), dtype=complex)
     rhs[owner, :, :, slot] = a
-    x = map_rows(np.linalg.solve, r_nn,
-                 rhs.reshape(rhs.shape[:3] + (width * r_n,)))
+    # one system per (covariance, subband); LAPACK solves each on its own,
+    # so any split gives the same bytes
+    x = map_rows(np.linalg.solve, r_nn.reshape((c_n * s_n, m, m)),
+                 rhs.reshape((c_n * s_n, m, width * r_n)),
+                 block_rows=_solve_block(s_n, m))
     ra = x.reshape(rhs.shape)[owner, :, :, slot]              # (U, S, m, r)
     return map_rows(_mmse_layer_sinr, a, ra)
+
+
+def _solve_block(s_n: int, m: int) -> int:
+    """Systems per solve block: BLOCK_ROWS covariances' worth for orders up
+    to _SOLVE_ORDER, then fewer in proportion to the LU work (m^3), so
+    that the 1-ring UL's few 32x32 covariances split across the CPUs."""
+    scale = max(1, m // _SOLVE_ORDER) ** 3
+    return max(1, _blocks.BLOCK_ROWS * s_n // scale)
 
 
 def _mmse_layer_sinr(a, ra):

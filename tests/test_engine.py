@@ -183,6 +183,36 @@ def test_drop_bytes_do_not_depend_on_the_cpu_count(case, threshold_db,
     assert got[1] == got[0] and got[2] == got[0]
 
 
+def test_a_1_ring_refresh_splits_its_solves_per_matrix(monkeypatch):
+    # the 1-ring UL's 21 covariances of order 32 fit one row block, so its
+    # solves split per (covariance, subband) system to reach the pool; the
+    # DL's per-UE 4x4 solve keeps blocks of BLOCK_ROWS UEs
+    monkeypatch.setattr(_blocks, "_workers", lambda: 1)
+    solves = []
+    rows = _blocks._rows
+
+    def record(fn, arrays, b):
+        if fn is np.linalg.solve:
+            solves.append((arrays[0].shape[1:], b, threading.get_ident()))
+        return rows(fn, arrays, b)
+
+    monkeypatch.setattr(_blocks, "_rows", record)
+    cfg = ScenarioConfig(num_rings=1, case=Case.RANK_AUG)
+    engine.make_ul_engine(engine.build_drop_geometry(cfg, 0), 0).refresh(0)
+    assert {shape for shape, _, _ in solves} == {(32, 32)}
+    assert {t for _, _, t in solves} - {threading.get_ident()}
+
+    solves.clear()
+    monkeypatch.setattr(_blocks, "BLOCK_ROWS", 64)
+    cfg = cfg.replace(case=Case.BASELINE)
+    geo = engine.build_drop_geometry(cfg, 0)
+    engine.make_dl_engine(geo, 0).refresh(0)
+    s_n = cfg.n_subbands
+    assert sorted((b.start, b.stop) for _, b, _ in solves) == [
+        (lo * s_n, min(lo + 64, geo.n_ues) * s_n)
+        for lo in range(0, geo.n_ues, 64)]
+
+
 def _fork_child():
     """A tiny refresh, then exit 1 unless row blocks reach a pool thread."""
     cfg = ScenarioConfig(num_rings=0, ues_per_cell=4, case=Case.DIVERSITY)

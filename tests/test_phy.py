@@ -245,7 +245,8 @@ def test_interference_cov_matches_a_loop_over_interferers():
 
 def _kernel_calls():
     """One call of each row-blocked kernel on 23 random rows (ragged in
-    blocks of 5), keyed by name; each returns an array or a tuple."""
+    blocks of 5), keyed by name, and the MMSE kernel also on UL-shaped
+    and empty batches; each returns an array or a tuple."""
     rng = np.random.default_rng(17)
     n = 23
 
@@ -263,6 +264,14 @@ def _kernel_calls():
     rot = np.broadcast_to(rot_z(30.0), (n, 3, 3))
     amp, los = rng.uniform(1e-6, 1e-4, n), rng.uniform(size=n) < 0.5
     ranks, v = batched_rank_select(h, np.full(n, 2.0), 1.0, 2)
+    # UL-shaped: 9 links share 3 covariances of order 32 over 2 subbands,
+    # whose 6 systems the solve splits into several blocks
+    h_ul = crandn(9, 2, 32, 3)
+    a_ul = crandn(3, 2, 32, 32)
+    r_ul = a_ul @ a_ul.conj().transpose(0, 1, 3, 2) + np.eye(32)
+    p_ul = np.linalg.qr(crandn(9, 3, 2))[0]
+    owner_ul = rng.integers(0, 3, 9)
+    empty = np.zeros((0, 2, 32, 3), dtype=complex)
     return {
         "realize_links": lambda: realize_links(
             np.random.default_rng(3), 2.0, np.array([-1e6, 0.0, 2e6]), tx,
@@ -278,7 +287,10 @@ def _kernel_calls():
             interference_cov(h_int, q, p_layer, noise)),
         "batched_mmse_sinr": lambda: (
             batched_mmse_sinr(h, p, p_layer[:, 0], r_nn),
-            batched_mmse_sinr(h, p, p_layer[:, 0], r_nn[:7], owner)),
+            batched_mmse_sinr(h, p, p_layer[:, 0], r_nn[:7], owner),
+            batched_mmse_sinr(h_ul, p_ul, p_layer[:9, 0], r_ul, owner_ul),
+            batched_mmse_sinr(empty, p_ul[:0], np.ones(0),
+                              np.zeros((0, 2, 32, 32), dtype=complex))),
         "relay_rx_beamformer": lambda: relay_rx_beamformer(h, r_nn, 2),
     }
 
