@@ -215,8 +215,9 @@ def batched_mmse_sinr(h: np.ndarray, p: np.ndarray, p_layer: np.ndarray,
 
 def _solve_block(s_n: int, m: int) -> int:
     """Systems per solve block: BLOCK_ROWS covariances' worth for orders up
-    to _SOLVE_ORDER, then fewer in proportion to the LU work (m^3), so
-    that the 1-ring UL's few 32x32 covariances split across the CPUs."""
+    to _SOLVE_ORDER, and (m // _SOLVE_ORDER)^3 times fewer above it, in
+    step with the LU work, so that the 1-ring UL's few 32x32 covariances
+    split across the CPUs."""
     scale = max(1, m // _SOLVE_ORDER) ** 3
     return max(1, _blocks.BLOCK_ROWS * s_n // scale)
 
