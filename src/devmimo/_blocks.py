@@ -2,11 +2,14 @@
 spectrum, over the usable CPUs.
 
 A kernel whose rows are independent hands `map_rows` a private function
-of its batched arrays, which runs on row blocks of them.  Each row goes
-through the same numpy calls on the same data whichever thread runs it,
-and the output takes the memory layout of the first block's, which is the
-layout the whole batch gets in one call, so the output bytes (and what
-later kernels compute from them) do not depend on the CPU count.  The
+of its batched arrays, which runs on row blocks of them: by default
+near-equal blocks of at most BLOCK_ROWS rows, one per usable CPU as far
+as each keeps BLOCK_ROWS // 4 rows, or else the caller's `block_rows`.
+Each row goes through the same numpy calls on the same data whichever
+thread runs it, and the output takes the memory layout of the first
+block's, which is the layout the whole batch gets in one call, so the
+output bytes (and what later kernels compute from them) do not depend on
+the CPU count or on the blocks.  The
 block functions call no public entry point, so every public call is
 still made once, from the caller's thread.
 """
@@ -18,8 +21,10 @@ import threading
 
 import numpy as np
 
-# large enough that each block's numpy calls outweigh their Python overhead,
-# and that a 1-ring drop's per-UE batches (210 rows) stay one call
+# most rows in a default block; a block of a quarter of it is still large
+# enough that its numpy calls outweigh their Python overhead, so a 1-ring
+# drop's per-UE batches (210 rows) split across 2 CPUs while the UL's weak
+# users (~80 rows) stay one call
 BLOCK_ROWS = 256
 
 _pool = None          # (workers, ThreadPoolExecutor), made on first use
@@ -27,8 +32,10 @@ _pool = None          # (workers, ThreadPoolExecutor), made on first use
 
 def _workers() -> int:
     """Pool threads beside the calling thread: one per further usable
-    CPU (`taskset` limits them)."""
-    return len(os.sched_getaffinity(0)) - 1
+    CPU (`taskset` limits them where the OS reports the affinity)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) - 1
+    return (os.cpu_count() or 1) - 1
 
 
 def _forget_pool() -> None:
@@ -37,7 +44,8 @@ def _forget_pool() -> None:
     _pool = None
 
 
-os.register_at_fork(after_in_child=_forget_pool)
+if hasattr(os, "register_at_fork"):       # not on Windows, which has no fork
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _executor(workers: int):
@@ -55,9 +63,26 @@ def _rows(fn, arrays, b):
     return fn(*(a[b] for a in arrays))
 
 
+def _slices(n: int, cpus: int, block_rows: int | None = None) -> list:
+    """Row blocks of an n-row batch on `cpus` usable CPUs: `block_rows`
+    rows each (the last one shorter) when given; otherwise
+    k = max(ceil(n / BLOCK_ROWS), min(cpus, n // max(1, BLOCK_ROWS // 4)))
+    blocks whose sizes differ by at most 1, the longer ones first."""
+    if block_rows is not None:
+        return [slice(lo, min(lo + block_rows, n))
+                for lo in range(0, n, block_rows)]
+    k = max(1, -(-n // BLOCK_ROWS),
+            min(cpus, n // max(1, BLOCK_ROWS // 4)))
+    size, longer = divmod(n, k)
+    ends = [i * size + min(i, longer) for i in range(k + 1)]
+    return [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
+
+
 def map_rows(fn, *arrays, block_rows=None):
-    """fn(*arrays), computed in blocks of `block_rows` rows (BLOCK_ROWS
-    unless given) of the arrays' common leading axis.
+    """fn(*arrays), computed in row blocks of the arrays' common leading
+    axis: blocks of `block_rows` rows when given, else near-equal blocks
+    of at most BLOCK_ROWS rows, one per usable CPU as far as each keeps
+    BLOCK_ROWS // 4 rows (`_slices`).
 
     fn returns an array, or a tuple of arrays, whose leading axis holds
     the rows of its inputs.  With one usable CPU or one block the batch
@@ -67,12 +92,12 @@ def map_rows(fn, *arrays, block_rows=None):
     threads are runnable than there are usable CPUs.  Returns or raises
     only after every started block has finished.
     """
-    rows = BLOCK_ROWS if block_rows is None else block_rows
     n = len(arrays[0])
     n_workers = _workers()
-    if n_workers < 1 or n <= rows:
+    blocks = _slices(n, n_workers + 1, block_rows)
+    if n_workers < 1 or len(blocks) < 2:
         return fn(*arrays)
-    todo = iter([slice(lo, min(lo + rows, n)) for lo in range(rows, n, rows)])
+    todo = iter(blocks[1:])
     lock = threading.Lock()
     ready = threading.Event()
     outs = []
@@ -95,12 +120,12 @@ def map_rows(fn, *arrays, block_rows=None):
 
     pool = _executor(n_workers)
     futures = [pool.submit(drain)
-               for _ in range(min(n_workers, -(-n // rows) - 1))]
+               for _ in range(min(n_workers, len(blocks) - 1))]
     try:
-        first = _rows(fn, arrays, slice(0, rows))
+        first = _rows(fn, arrays, blocks[0])
         outs.extend(np.empty_like(r, shape=(n,) + r.shape[1:]) for r in
                     (first if isinstance(first, tuple) else (first,)))
-        fill(slice(0, rows), first)
+        fill(blocks[0], first)
         ready.set()
         drain()
     finally:

@@ -6,7 +6,9 @@ the relayed link written out entry by entry with the forwarded noise
 w R1 w^H of every subband.  A drop's bytes do not depend on how many
 CPUs its kernels' row blocks run on, and a forked child runs them too."""
 
+import importlib.util
 import multiprocessing
+import os
 import sys
 import threading
 import time
@@ -14,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from devmimo import Case, ScenarioConfig, _blocks, engine, simloop
+from devmimo import Case, ScenarioConfig, _blocks, engine, phy, simloop
 from devmimo.collab import relay_rx_beamformer
 from devmimo.phy import (batched_beam_precoder, batched_mmse_se,
                          batched_rank_select)
@@ -213,6 +215,43 @@ def test_a_1_ring_refresh_splits_its_solves_per_matrix(monkeypatch):
         for lo in range(0, geo.n_ues, 64)]
 
 
+def test_a_1_ring_refresh_splits_its_per_ue_batches(monkeypatch):
+    # on 2 CPUs the DL's 210 UE rows split in two, so the rank selection's
+    # SVD and the beam precoder reach the pool thread; the UL's weak users
+    # (fewer than BLOCK_ROWS // 2) stack their links in one call
+    monkeypatch.setattr(_blocks, "_workers", lambda: 1)
+    caller = threading.get_ident()
+    pooled = set()
+    rows = _blocks._rows
+
+    def record(fn, arrays, b):
+        if threading.get_ident() == caller:
+            time.sleep(0.02)          # a started pool thread takes a block
+        else:
+            pooled.add(getattr(fn, "func", fn).__name__)
+        return rows(fn, arrays, b)
+
+    monkeypatch.setattr(_blocks, "_rows", record)
+    cfg = ScenarioConfig(num_rings=1, case=Case.BASELINE)
+    engine.make_dl_engine(engine.build_drop_geometry(cfg, 0), 0).refresh(0)
+    assert {"_rank_select_rows", "_beam_precoder_rows"} <= pooled
+
+    calls = []
+    rank_rows = phy._rank_select_rows
+
+    def rank_record(h, *args, **kwargs):
+        calls.append((h.shape, threading.get_ident()))
+        return rank_rows(h, *args, **kwargs)
+
+    monkeypatch.setattr(phy, "_rank_select_rows", rank_record)
+    cfg = cfg.replace(case=Case.RANK_AUG)
+    eng = engine.make_ul_engine(engine.build_drop_geometry(cfg, 0), 0)
+    eng.refresh(0)
+    n_tx = 2 * cfg.ue_ul_config[0]         # direct plus relayed columns
+    assert [(shape[0], t) for shape, t in calls if shape[-1] == n_tx] == [
+        (eng.weak.sum(), caller)]
+
+
 def _fork_child():
     """A tiny refresh, then exit 1 unless row blocks reach a pool thread."""
     cfg = ScenarioConfig(num_rings=0, ues_per_cell=4, case=Case.DIVERSITY)
@@ -243,3 +282,48 @@ def test_a_forked_child_runs_the_kernels_on_its_own_pool(monkeypatch):
         child.kill()
         child.join()
     assert child.exitcode == 0
+
+
+def test_the_row_map_runs_where_os_reports_no_affinity(monkeypatch):
+    # os.sched_getaffinity exists only on Linux; elsewhere the pool takes
+    # one thread per further CPU of os.cpu_count()
+    cfg = ScenarioConfig(num_rings=0, ues_per_cell=4, case=Case.DIVERSITY)
+    geo = engine.build_drop_geometry(cfg, 0)
+    monkeypatch.setattr(_blocks, "_workers", lambda: 0)
+    want = engine.make_dl_engine(geo, 0).refresh(0)
+    monkeypatch.undo()
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(_blocks, "BLOCK_ROWS", 5)
+    assert _blocks._workers() == 2
+    threads = set()
+
+    def body(rows):
+        threads.add(threading.get_ident())
+        time.sleep(0.01)
+        return rows
+
+    assert np.array_equal(_blocks.map_rows(body, np.arange(20)),
+                          np.arange(20))
+    assert len(threads) > 1
+    arms, relayed = engine.make_dl_engine(geo, 0).refresh(0)
+    assert arms.keys() == want[0].keys() and all(
+        np.array_equal(a, b) for name in arms
+        for a, b in zip(arms[name], want[0][name]))
+    assert np.array_equal(relayed, want[1])
+
+
+def test_the_row_map_imports_where_os_cannot_fork(monkeypatch):
+    # Windows has no os.register_at_fork, and no forked child to reset
+    monkeypatch.delattr(os, "register_at_fork")
+    spec = importlib.util.spec_from_file_location("rows_without_fork",
+                                                  _blocks.__file__)
+    rows = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(rows)
+    monkeypatch.setattr(rows, "_workers", lambda: 1)
+    try:
+        assert np.array_equal(rows.map_rows(lambda r: 2 * r, np.arange(600)),
+                              2 * np.arange(600))
+    finally:
+        if rows._pool is not None:
+            rows._pool[1].shutdown()
