@@ -4,7 +4,8 @@ spectrum, over the usable CPUs.
 A kernel whose rows are independent hands `map_rows` a private function
 of its batched arrays, which runs on row blocks of them: by default
 near-equal blocks of at most BLOCK_ROWS rows, one per usable CPU as far
-as each keeps BLOCK_ROWS // 4 rows, or else the caller's `block_rows`.
+as each keeps BLOCK_ROWS // 4 rows and a multiple of the CPU count above
+that, or else the caller's `block_rows`.
 Each row goes through the same numpy calls on the same data whichever
 thread runs it, and the output takes the memory layout of the first
 block's, which is the layout the whole batch gets in one call, so the
@@ -65,14 +66,19 @@ def _rows(fn, arrays, b):
 
 def _slices(n: int, cpus: int, block_rows: int | None = None) -> list:
     """Row blocks of an n-row batch on `cpus` usable CPUs: `block_rows`
-    rows each (the last one shorter) when given; otherwise
+    rows each (the last one shorter) when given; otherwise k blocks whose
+    sizes differ by at most 1, the longer ones first, with
     k = max(ceil(n / BLOCK_ROWS), min(cpus, n // max(1, BLOCK_ROWS // 4)))
-    blocks whose sizes differ by at most 1, the longer ones first."""
+    rounded up to a multiple of `cpus` (at most n) once it exceeds them,
+    so that every CPU takes as many blocks (570 rows on 2 CPUs: 4 x 142.5,
+    not 3 x 190, whose last block runs alone)."""
     if block_rows is not None:
         return [slice(lo, min(lo + block_rows, n))
                 for lo in range(0, n, block_rows)]
     k = max(1, -(-n // BLOCK_ROWS),
             min(cpus, n // max(1, BLOCK_ROWS // 4)))
+    if k > cpus:
+        k = min(n, -(-k // cpus) * cpus)
     size, longer = divmod(n, k)
     ends = [i * size + min(i, longer) for i in range(k + 1)]
     return [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
@@ -82,7 +88,8 @@ def map_rows(fn, *arrays, block_rows=None):
     """fn(*arrays), computed in row blocks of the arrays' common leading
     axis: blocks of `block_rows` rows when given, else near-equal blocks
     of at most BLOCK_ROWS rows, one per usable CPU as far as each keeps
-    BLOCK_ROWS // 4 rows (`_slices`).
+    BLOCK_ROWS // 4 rows and a multiple of the CPU count above that
+    (`_slices`).
 
     fn returns an array, or a tuple of arrays, whose leading axis holds
     the rows of its inputs.  With one usable CPU or one block the batch

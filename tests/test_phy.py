@@ -371,9 +371,10 @@ def test_row_blocks_take_each_row_once_under_thread_switching(monkeypatch):
        cpus=st.integers(1, 5), given_rows=st.none() | st.integers(1, 300))
 def test_row_blocks_balance_a_default_batch_over_the_cpus(
         n, block_rows, cpus, given_rows):
-    # a default batch runs in max(ceil(n / BLOCK_ROWS),
-    # min(cpus, n // max(1, BLOCK_ROWS // 4))) blocks whose sizes differ
-    # by at most 1; a block_rows= caller gets exactly its blocks
+    # a default batch runs in k = max(ceil(n / BLOCK_ROWS),
+    # min(cpus, n // max(1, BLOCK_ROWS // 4))) blocks, rounded up to a
+    # multiple of cpus above it, whose sizes differ by at most 1; a
+    # block_rows= caller gets exactly its blocks
     blocks = []
     lock = threading.Lock()
 
@@ -394,6 +395,8 @@ def test_row_blocks_balance_a_default_batch_over_the_cpus(
     else:
         k = max(-(-n // block_rows),
                 min(cpus, n // max(1, block_rows // 4)))
+        if k > cpus:
+            k = min(n, -(-k // cpus) * cpus)
         size, longer = divmod(n, k) if k else (0, 0)
         want = [size + 1] * longer + [size] * (k - longer)
     if cpus == 1 or len(want) < 2:
