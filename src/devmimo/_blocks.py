@@ -5,14 +5,13 @@ A kernel whose rows are independent hands `map_rows` a private function
 of its batched arrays, which runs on row blocks of them: by default
 near-equal blocks of at most BLOCK_ROWS rows, one per usable CPU as far
 as each keeps BLOCK_ROWS // 4 rows and a multiple of the CPU count above
-that, or else the caller's `block_rows`.
-Each row goes through the same numpy calls on the same data whichever
-thread runs it, and the output takes the memory layout of the first
-block's, which is the layout the whole batch gets in one call, so the
-output bytes (and what later kernels compute from them) do not depend on
-the CPU count or on the blocks.  The
-block functions call no public entry point, so every public call is
-still made once, from the caller's thread.
+that, or else the caller's `block_rows`.  Each row goes through the same
+numpy calls on the same data whichever thread runs it, and the output
+takes the memory layout of the first block's, which is the layout the
+whole batch gets in one call, so the output bytes (and what later
+kernels compute from them) do not depend on the CPU count or on the
+blocks.  The block functions call no public entry point, so every
+public call is still made once, from the caller's thread.
 """
 
 from __future__ import annotations

@@ -289,9 +289,9 @@ def test_the_row_map_runs_where_os_reports_no_affinity(monkeypatch):
     # one thread per further CPU of os.cpu_count()
     cfg = ScenarioConfig(num_rings=0, ues_per_cell=4, case=Case.DIVERSITY)
     geo = engine.build_drop_geometry(cfg, 0)
-    monkeypatch.setattr(_blocks, "_workers", lambda: 0)
-    want = engine.make_dl_engine(geo, 0).refresh(0)
-    monkeypatch.undo()
+    with monkeypatch.context() as one_cpu:
+        one_cpu.setattr(_blocks, "_workers", lambda: 0)
+        want = engine.make_dl_engine(geo, 0).refresh(0)
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     monkeypatch.setattr(_blocks, "BLOCK_ROWS", 5)
