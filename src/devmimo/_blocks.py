@@ -2,13 +2,11 @@
 spectrum, over the usable CPUs.
 
 A kernel whose rows are independent hands `map_rows` a private function
-of its batched arrays, which runs on row blocks of them: by default
-near-equal blocks of at most BLOCK_ROWS rows, one per usable CPU as far
-as each keeps BLOCK_ROWS // 4 rows and a multiple of the CPU count above
-that, or else the caller's `block_rows`.  Each row goes through the same
-numpy calls on the same data whichever thread runs it, and the output
-takes the memory layout of the first block's, which is the layout the
-whole batch gets in one call, so the output bytes (and what later
+of its batched arrays, which runs on the row blocks `_slices` makes;
+this module alone decides how a batch splits.  Each row goes through the
+same numpy calls on the same data whichever thread runs it, and the
+output takes the memory layout of the first block's, which is the layout
+the whole batch gets in one call, so the output bytes (and what later
 kernels compute from them) do not depend on the CPU count or on the
 blocks.  The block functions call no public entry point, so every
 public call is still made once, from the caller's thread.
@@ -21,10 +19,8 @@ import threading
 
 import numpy as np
 
-# most rows in a default block; a block of a quarter of it is still large
-# enough that its numpy calls outweigh their Python overhead, so a 1-ring
-# drop's per-UE batches (210 rows) split across 2 CPUs while the UL's weak
-# users (~80 rows) stay one call
+# most rows in a block; 128 kept the spectrum's peak RSS but raised the
+# UL's and saved no time
 BLOCK_ROWS = 256
 
 _pool = None          # (workers, ThreadPoolExecutor), made on first use
@@ -63,32 +59,22 @@ def _rows(fn, arrays, b):
     return fn(*(a[b] for a in arrays))
 
 
-def _slices(n: int, cpus: int, block_rows: int | None = None) -> list:
-    """Row blocks of an n-row batch on `cpus` usable CPUs: `block_rows`
-    rows each (the last one shorter) when given; otherwise k blocks whose
-    sizes differ by at most 1, the longer ones first, with
-    k = max(ceil(n / BLOCK_ROWS), min(cpus, n // max(1, BLOCK_ROWS // 4)))
-    rounded up to a multiple of `cpus` (at most n) once it exceeds them,
-    so that every CPU takes as many blocks (570 rows on 2 CPUs: 4 x 142.5,
-    not 3 x 190, whose last block runs alone)."""
-    if block_rows is not None:
-        return [slice(lo, min(lo + block_rows, n))
-                for lo in range(0, n, block_rows)]
-    k = max(1, -(-n // BLOCK_ROWS),
-            min(cpus, n // max(1, BLOCK_ROWS // 4)))
-    if k > cpus:
-        k = min(n, -(-k // cpus) * cpus)
+def _slices(n: int, cpus: int) -> list:
+    """Row blocks of an n-row batch on `cpus` usable CPUs:
+    k = min(n, cpus * ceil(n / (BLOCK_ROWS * cpus))) blocks whose sizes
+    differ by at most 1, the longer ones first: the fewest blocks of at
+    most BLOCK_ROWS rows that every CPU takes the same number of (on 2
+    CPUs, 78 rows run as 2 x 39 and 570 as 4 x ~143).  An empty batch is
+    one block."""
+    k = max(1, min(n, cpus * -(-n // (BLOCK_ROWS * cpus))))
     size, longer = divmod(n, k)
     ends = [i * size + min(i, longer) for i in range(k + 1)]
     return [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
 
 
-def map_rows(fn, *arrays, block_rows=None):
-    """fn(*arrays), computed in row blocks of the arrays' common leading
-    axis: blocks of `block_rows` rows when given, else near-equal blocks
-    of at most BLOCK_ROWS rows, one per usable CPU as far as each keeps
-    BLOCK_ROWS // 4 rows and a multiple of the CPU count above that
-    (`_slices`).
+def map_rows(fn, *arrays):
+    """fn(*arrays), computed in the row blocks `_slices` makes of the
+    arrays' common leading axis.
 
     fn returns an array, or a tuple of arrays, whose leading axis holds
     the rows of its inputs.  With one usable CPU or one block the batch
@@ -100,7 +86,7 @@ def map_rows(fn, *arrays, block_rows=None):
     """
     n = len(arrays[0])
     n_workers = _workers()
-    blocks = _slices(n, n_workers + 1, block_rows)
+    blocks = _slices(n, n_workers + 1)
     if n_workers < 1 or len(blocks) < 2:
         return fn(*arrays)
     todo = iter(blocks[1:])

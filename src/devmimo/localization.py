@@ -27,9 +27,6 @@ SSB_SCS_HZ = 30e3
 # which also resolves the mirror ambiguity of planar device sub-arrays.
 AZ_GRID = np.arange(-180.0, 180.0, 1.0)
 EL_GRID = np.arange(0.0, 90.5, 1.0)
-# azimuth rows per spectrum block: AZ_GRID makes 4 even blocks, so 2 or 4
-# CPUs share the search evenly
-SPECTRUM_ROWS = 90
 
 
 @dataclass(frozen=True)
@@ -132,9 +129,9 @@ def _grid_steering(pos: np.ndarray, grid_key, u: np.ndarray,
 
 def _spectrum(va: VirtualArray, covs, az_grid, el_grid, f_ghz: float,
               method: str) -> np.ndarray:
-    """Combined spectrum (A, E), computed in blocks of SPECTRUM_ROWS
-    azimuth rows on the usable CPUs.  The memos, and MUSIC's noise
-    subspaces, are resolved on the calling thread first."""
+    """Combined spectrum (A, E), computed in blocks of azimuth rows on
+    the usable CPUs.  The memos, and MUSIC's noise subspaces, are
+    resolved on the calling thread first."""
     grid_key, u = _grid_units(az_grid, el_grid)
     fresh, kept, weights = [], [], []
     for d in range(va.n_devices):
@@ -165,7 +162,7 @@ def _spectrum(va: VirtualArray, covs, az_grid, el_grid, f_ghz: float,
                 total += n / np.maximum(denom, 1e-18)
         return total
 
-    return _blocks.map_rows(rows, u, *kept, block_rows=SPECTRUM_ROWS)
+    return _blocks.map_rows(rows, u, *kept)
 
 
 def _refine(grid: np.ndarray, i: int, vals: np.ndarray,

@@ -186,39 +186,38 @@ def test_drop_bytes_do_not_depend_on_the_cpu_count(case, threshold_db,
 
 
 def test_a_1_ring_refresh_splits_its_solves_per_matrix(monkeypatch):
-    # the 1-ring UL's 21 covariances of order 32 fit one row block, so its
-    # solves split per (covariance, subband) system to reach the pool; the
-    # DL's per-UE 4x4 solve keeps blocks of BLOCK_ROWS UEs
+    # the solves split per (covariance, subband) system, so the 1-ring
+    # UL's 126 systems of order 32 and the DL's 1 260 per-UE 4x4 systems
+    # both reach the pool thread
     monkeypatch.setattr(_blocks, "_workers", lambda: 1)
+    caller = threading.get_ident()
     solves = []
     rows = _blocks._rows
 
     def record(fn, arrays, b):
         if fn is np.linalg.solve:
-            solves.append((arrays[0].shape[1:], b, threading.get_ident()))
+            if threading.get_ident() == caller:
+                time.sleep(0.02)      # a started pool thread takes a block
+            solves.append((arrays[0].shape[1:], threading.get_ident()))
         return rows(fn, arrays, b)
 
     monkeypatch.setattr(_blocks, "_rows", record)
     cfg = ScenarioConfig(num_rings=1, case=Case.RANK_AUG)
     engine.make_ul_engine(engine.build_drop_geometry(cfg, 0), 0).refresh(0)
-    assert {shape for shape, _, _ in solves} == {(32, 32)}
-    assert {t for _, _, t in solves} - {threading.get_ident()}
+    assert {shape for shape, _ in solves} == {(32, 32)}
+    assert {t for _, t in solves} - {caller}
 
     solves.clear()
-    monkeypatch.setattr(_blocks, "BLOCK_ROWS", 64)
     cfg = cfg.replace(case=Case.BASELINE)
-    geo = engine.build_drop_geometry(cfg, 0)
-    engine.make_dl_engine(geo, 0).refresh(0)
-    s_n = cfg.n_subbands
-    assert sorted((b.start, b.stop) for _, b, _ in solves) == [
-        (lo * s_n, min(lo + 64, geo.n_ues) * s_n)
-        for lo in range(0, geo.n_ues, 64)]
+    engine.make_dl_engine(engine.build_drop_geometry(cfg, 0), 0).refresh(0)
+    assert {shape for shape, _ in solves} == {(4, 4)}
+    assert {t for _, t in solves} - {caller}
 
 
 def test_a_1_ring_refresh_splits_its_per_ue_batches(monkeypatch):
     # on 2 CPUs the DL's 210 UE rows split in two, so the rank selection's
-    # SVD and the beam precoder reach the pool thread; the UL's weak users
-    # (fewer than BLOCK_ROWS // 2) stack their links in one call
+    # SVD and the beam precoder reach the pool thread, and so does the
+    # UL's stacked rank selection of its weak users
     monkeypatch.setattr(_blocks, "_workers", lambda: 1)
     caller = threading.get_ident()
     pooled = set()
@@ -248,8 +247,9 @@ def test_a_1_ring_refresh_splits_its_per_ue_batches(monkeypatch):
     eng = engine.make_ul_engine(engine.build_drop_geometry(cfg, 0), 0)
     eng.refresh(0)
     n_tx = 2 * cfg.ue_ul_config[0]         # direct plus relayed columns
-    assert [(shape[0], t) for shape, t in calls if shape[-1] == n_tx] == [
-        (eng.weak.sum(), caller)]
+    stacked = [(shape[0], t) for shape, t in calls if shape[-1] == n_tx]
+    assert sum(n for n, _ in stacked) == eng.weak.sum()
+    assert {t for _, t in stacked} - {caller}
 
 
 def _fork_child():

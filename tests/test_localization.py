@@ -227,7 +227,7 @@ def test_steering_memo_keeps_only_fixed_devices(cold_memo, monkeypatch):
         put(memo, key, value, slots)
 
     monkeypatch.setattr(localization, "_lru_put", record)
-    monkeypatch.setattr(localization, "SPECTRUM_ROWS", 7)
+    monkeypatch.setattr(_blocks, "BLOCK_ROWS", 7)
     cfg = ScenarioConfig(loc_users=8, loc_snr_db=10.0, case=Case.LOC3)
     va = build_virtual_array(_ensemble("loc2", cfg.f_low_ghz, None))
     fixed = {va.element_pos[va.elements_of(d)].tobytes() for d in (0, 1)}
@@ -246,9 +246,10 @@ def _bits(x):
 
 @pytest.mark.parametrize("method", ["bartlett", "music"])
 def test_spectrum_bits_do_not_depend_on_the_cpu_count(method, monkeypatch):
-    # ragged blocks: 7 rows split neither 360 nor 90 azimuths evenly; each
-    # grid is searched cold, at the second sighting and from the memo
-    monkeypatch.setattr(localization, "SPECTRUM_ROWS", 7)
+    # ragged blocks: blocks of at most 7 rows split 360 azimuths into 52
+    # (2 CPUs) or 54 (3 CPUs) blocks of 6 or 7; each grid is searched cold,
+    # at the second sighting and from the memo
+    monkeypatch.setattr(_blocks, "BLOCK_ROWS", 7)
     rng = np.random.default_rng(5)
     va = build_virtual_array(_ensemble("loc3", F_GHZ, rng))
     covs = _device_covariances(va, _single_path_snapshots(va, -40.0, 25.0,
@@ -267,7 +268,7 @@ def test_spectrum_bits_do_not_depend_on_the_cpu_count(method, monkeypatch):
 @pytest.mark.parametrize("method", ["bartlett", "music"])
 def test_loc_experiment_does_not_depend_on_the_cpu_count(method, cold_memo,
                                                          monkeypatch):
-    monkeypatch.setattr(localization, "SPECTRUM_ROWS", 7)
+    monkeypatch.setattr(_blocks, "BLOCK_ROWS", 7)
     cfg = ScenarioConfig(loc_users=6, loc_snr_db=10.0, case=Case.LOC3,
                          loc_method=method)
     got = []

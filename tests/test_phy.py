@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from devmimo import _blocks, effective_se, sinr_to_se
@@ -368,13 +368,12 @@ def test_row_blocks_take_each_row_once_under_thread_switching(monkeypatch):
 
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(0, 1500), block_rows=st.integers(1, 300),
-       cpus=st.integers(1, 5), given_rows=st.none() | st.integers(1, 300))
-def test_row_blocks_balance_a_default_batch_over_the_cpus(
-        n, block_rows, cpus, given_rows):
-    # a default batch runs in k = max(ceil(n / BLOCK_ROWS),
-    # min(cpus, n // max(1, BLOCK_ROWS // 4))) blocks, rounded up to a
-    # multiple of cpus above it, whose sizes differ by at most 1; a
-    # block_rows= caller gets exactly its blocks
+       cpus=st.integers(1, 5))
+@example(n=126, block_rows=256, cpus=2)     # the 1-ring UL's solves
+def test_row_blocks_balance_a_default_batch_over_the_cpus(n, block_rows,
+                                                          cpus):
+    # a batch runs in k = min(n, cpus * ceil(n / (BLOCK_ROWS * cpus)))
+    # blocks whose sizes differ by at most 1, the longer first
     blocks = []
     lock = threading.Lock()
 
@@ -385,20 +384,14 @@ def test_row_blocks_balance_a_default_batch_over_the_cpus(
 
     with mock.patch.object(_blocks, "BLOCK_ROWS", block_rows), \
             mock.patch.object(_blocks, "_workers", lambda: cpus - 1):
-        out = _blocks.map_rows(body, np.arange(n), block_rows=given_rows)
+        out = _blocks.map_rows(body, np.arange(n))
     assert np.array_equal(out, 2 * np.arange(n))
     blocks.sort(key=lambda b: b[0] if len(b) else -1)
     # every row once, each block a run of consecutive rows
     assert np.array_equal(np.concatenate(blocks), np.arange(n))
-    if given_rows is not None:
-        want = [min(given_rows, n - lo) for lo in range(0, n, given_rows)]
-    else:
-        k = max(-(-n // block_rows),
-                min(cpus, n // max(1, block_rows // 4)))
-        if k > cpus:
-            k = min(n, -(-k // cpus) * cpus)
-        size, longer = divmod(n, k) if k else (0, 0)
-        want = [size + 1] * longer + [size] * (k - longer)
+    k = min(n, cpus * -(-n // (block_rows * cpus)))
+    size, longer = divmod(n, k) if k else (0, 0)
+    want = [size + 1] * longer + [size] * (k - longer)
     if cpus == 1 or len(want) < 2:
         want = [n]                    # one call
     assert [len(b) for b in blocks] == want
