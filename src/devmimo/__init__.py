@@ -17,7 +17,8 @@ from .phy import effective_se, sinr_to_se
 from .scenario import (Case, Ftp3, FullBuffer, ScenarioConfig, SiteLayout,
                        build_hex_layout, drop_ues)
 from .simloop import (DropStats, ThroughputRecord, calibrate_load,
-                      ftp3_arrivals, pf_schedule, run_drop, upt_stats)
+                      ftp3_arrivals, map_drops, pf_schedule, run_drop,
+                      upt_stats)
 
 __all__ = [
     "CalibrationError", "Case", "ConfigurationError", "DropStats",
@@ -25,6 +26,7 @@ __all__ = [
     "ThroughputRecord", "build_hex_layout", "build_virtual_array",
     "calibrate_load", "compose_af_link", "drop_ues", "effective_se",
     "friis_db", "ftp3_arrivals", "localize", "los_probability",
+    "map_drops",
     "noncoherent_aoa", "o2i_penetration", "o2i_wall_loss_db", "pathloss",
     "pf_schedule", "relay_gain", "relay_rx_beamformer", "run_drop",
     "run_loc_experiment", "sinr_to_se", "stack_rx", "stack_tx",

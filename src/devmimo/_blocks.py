@@ -10,10 +10,14 @@ the whole batch gets in one call, so the output bytes (and what later
 kernels compute from them) do not depend on the CPU count or on the
 blocks.  The block functions call no public entry point, so every
 public call is still made once, from the caller's thread.
+
+`simloop.map_drops` runs drops in processes sized by the same CPU count,
+and gives each process's blocks its share of the CPUs (`cpu_share`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 
@@ -24,14 +28,29 @@ import numpy as np
 BLOCK_ROWS = 256
 
 _pool = None          # (workers, ThreadPoolExecutor), made on first use
+_share = None         # CPUs of this process's share of a drop pool
 
 
 def _workers() -> int:
     """Pool threads beside the calling thread: one per further usable
-    CPU (`taskset` limits them where the OS reports the affinity)."""
+    CPU (`taskset` limits them where the OS reports the affinity), or per
+    further CPU of the share `cpu_share` sets."""
+    if _share is not None:
+        return _share - 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0)) - 1
     return (os.cpu_count() or 1) - 1
+
+
+@contextlib.contextmanager
+def cpu_share(cpus: int):
+    """Run the row blocks inside the block on `cpus` CPUs."""
+    global _share
+    saved, _share = _share, cpus
+    try:
+        yield
+    finally:
+        _share = saved
 
 
 def _forget_pool() -> None:

@@ -209,8 +209,8 @@ def run_experiment(plan: ExperimentPlan) -> dict:
             continue
         # arms in run_drop's order: the reference arm first
         per_arm, ru = {}, {}
-        for seed in plan.seeds:
-            for a, st in simloop.run_drop(cfg, seed).items():
+        for seed, drop in zip(plan.seeds, simloop.map_drops(cfg, plan.seeds)):
+            for a, st in drop.items():
                 per_arm.setdefault(a, []).extend((seed, r) for r in st.records)
                 ru.setdefault(a, []).append(st.resource_utilization)
         for a, rows in per_arm.items():

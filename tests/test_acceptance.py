@@ -12,7 +12,7 @@ import numpy as np
 from scipy import stats
 
 from devmimo import (Case, Ftp3, FullBuffer, ScenarioConfig,
-                     calibrate_load, ftp3_arrivals, pf_schedule,
+                     calibrate_load, ftp3_arrivals, map_drops, pf_schedule,
                      relay_gain, relay_rx_beamformer, run_drop,
                      run_loc_experiment, stack_rx, compose_af_link,
                      friis_db, pathloss)
@@ -131,8 +131,7 @@ def test_criterion_4_downlink_diversity_gains():
 
     cfg = base.replace(case=Case.DIVERSITY, traffic=Ftp3(500_000, lam))
     pooled = {"baseline": [], "diversity": []}
-    for seed in range(5):
-        out = run_drop(cfg, seed)
+    for out in map_drops(cfg, range(5)):
         for arm in pooled:
             pooled[arm].extend(out[arm].records)
     s_b = upt_stats(pooled["baseline"])
@@ -156,8 +155,7 @@ def test_criterion_5_uplink_rank_gains():
                          case=Case.RANK_AUG, traffic=Ftp3(500_000, 2.0))
     pooled = {"legacy_2ca": [], "collab": []}
     weak = []
-    for seed in range(4):
-        out = run_drop(cfg, seed)
+    for out in map_drops(cfg, range(4)):
         for arm in pooled:
             pooled[arm].extend(out[arm].records)
         weak.append(out["collab"].path_share_relayed)

@@ -79,6 +79,23 @@ def test_tiny_iteration_runs_under_the_tracer(bench, name, tmp_path):
     assert metrics["cli.run_experiment.busy_s"][1] == "s"
 
 
+@pytest.mark.parametrize("name", ["dl_diversity", "ul_rank"])
+def test_traced_drops_run_in_the_calling_process(bench, name, tmp_path,
+                                                  monkeypatch):
+    # a drop run in a worker process records its spans there, where the
+    # tracer never sees them, so a traced plan runs every drop in the
+    # calling process, also on 2 CPUs
+    tracing, workloads = bench
+    monkeypatch.setattr(_blocks, "_workers", lambda: 1)
+    tracer = tracing.Tracer()
+    wl = workloads.WORKLOADS[name](0, True)
+    tracer.run(lambda: wl.run(str(tmp_path)))
+    calls = Counter(span[0] for span in tracer.spans)
+    assert len(wl.inputs["drop_seeds"]) == 2
+    assert calls["simloop.run_drop"] == 2
+    assert calls["engine.build_drop_geometry"] == 2
+
+
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_pool_threads_record_no_span(bench, name, tmp_path, monkeypatch):
     # the row blocks of the kernels and of the localization spectrum run

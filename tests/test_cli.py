@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import devmimo
-from devmimo import Case, ConfigurationError, ThroughputRecord
+from devmimo import (Case, ConfigurationError, ThroughputRecord, _blocks,
+                     engine, simloop)
 from devmimo.cli import (_KEYS, ExperimentPlan, main, parse_cases,
                          parse_config, run_experiment, summarize)
 from devmimo.scenario import Ftp3, ScenarioConfig
@@ -224,6 +225,44 @@ def test_rerun_is_byte_identical(tmp_path):
         out.append({f: open(os.path.join(plan.out_dir, f), "rb").read()
                     for f in ("loc_results.csv", "summary.json")})
     assert out[0] == out[1]
+
+
+@pytest.mark.skipif(simloop._START_METHOD != "fork",
+                    reason="the drop recorder reaches workers by fork")
+@pytest.mark.parametrize("case", [Case.DIVERSITY, Case.RANK_AUG],
+                         ids=["diversity", "rank"])
+def test_pooled_drops_write_the_bytes_of_one_process(tmp_path, monkeypatch,
+                                                     case):
+    # three seeds on 2 CPUs: the caller runs seeds 0 and 2, a worker seed
+    # 1; a replaced run_drop keeps every drop in the calling process
+    monkeypatch.setattr(_blocks, "_workers", lambda: 1)
+    build = engine.build_drop_geometry
+
+    def recorded(cfg, seed):
+        (tmp_path / mode / f"{seed}-{os.getpid()}").touch()
+        return build(cfg, seed)
+
+    monkeypatch.setattr(engine, "build_drop_geometry", recorded)
+    scen = ScenarioConfig(num_rings=0, ues_per_cell=2, sim_duration_s=0.05,
+                          traffic=Ftp3(20_000, 20.0))
+    out, pids = {}, {}
+    for mode in ("pool", "one"):
+        if mode == "one":
+            run_drop = simloop.run_drop
+            monkeypatch.setattr(simloop, "run_drop",
+                                lambda cfg, seed: run_drop(cfg, seed))
+        plan = ExperimentPlan(scen, cases=(case,), seeds=(0, 1, 2),
+                              out_dir=str(tmp_path / mode))
+        run_experiment(plan)
+        out[mode] = {f: (tmp_path / mode / f).read_bytes()
+                     for f in ("records.csv", "summary.json")}
+        pids[mode] = dict(map(int, p.name.split("-"))
+                          for p in (tmp_path / mode).glob("*-*"))
+    assert out["pool"]["records.csv"].count(b"\n") > 1
+    assert out["pool"] == out["one"]
+    me = os.getpid()
+    assert pids["one"] == {0: me, 1: me, 2: me}
+    assert pids["pool"][0] == pids["pool"][2] == me != pids["pool"][1]
 
 
 def test_throughput_experiment_summary_schema(tmp_path):

@@ -1,6 +1,8 @@
 """Traffic, scheduling, and drop-loop statistics."""
 
 import math
+import multiprocessing
+import os
 from collections import Counter
 from dataclasses import replace
 
@@ -11,7 +13,8 @@ from scipy import stats
 from devmimo import (Case, Ftp3, FullBuffer, ScenarioConfig, ThroughputRecord,
                      calibrate_load, ftp3_arrivals, pf_schedule, run_drop,
                      upt_stats)
-from devmimo import CalibrationError, ConfigurationError, engine, simloop
+from devmimo import (CalibrationError, ConfigurationError, _blocks, engine,
+                     simloop)
 from devmimo.simloop import (SchedulerState, measure_ru,
                              percentile_nearest_rank)
 
@@ -156,6 +159,76 @@ def test_drop_is_deterministic():
     for arm in a:
         assert a[arm].records == b[arm].records
         assert a[arm].resource_utilization == b[arm].resource_utilization
+
+
+def _bits(drops):
+    return [[(name, st.records, st.resource_utilization,
+              st.served_bytes.tobytes(), st.path_share_relayed)
+             for name, st in drop.items()] for drop in drops]
+
+
+@pytest.mark.skipif(simloop._START_METHOD != "fork",
+                    reason="the drop recorder reaches workers by fork")
+@pytest.mark.parametrize("seeds,share", [((0, 1), 2), ((0, 1, 2), 1)])
+def test_map_drops_splits_the_cpus_between_its_processes(monkeypatch, seeds,
+                                                         share):
+    # on 4 usable CPUs, every process's row blocks get 4 // P of them
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    ran = multiprocessing.get_context("fork").Queue()
+    build = engine.build_drop_geometry
+
+    def recorded(cfg, seed):
+        ran.put((seed, os.getpid(), _blocks._workers() + 1))
+        return build(cfg, seed)
+
+    monkeypatch.setattr(engine, "build_drop_geometry", recorded)
+    cfg = ScenarioConfig(case=Case.DIVERSITY,
+                         traffic=Ftp3(100_000, 2.0), **TINY)
+    got = simloop.map_drops(cfg, seeds)
+    assert not multiprocessing.active_children()
+    assert _blocks._workers() == 3
+    places = sorted(ran.get(timeout=10) for _ in seeds)
+    assert [seed for seed, _, _ in places] == list(seeds)
+    assert {cpus for _, _, cpus in places} == {share}
+    assert len({pid for _, pid, _ in places}) == len(seeds)
+    monkeypatch.setattr(engine, "build_drop_geometry", build)
+    assert _bits(got) == _bits(run_drop(cfg, s) for s in seeds)
+
+
+def test_map_drops_runs_in_spawned_workers(monkeypatch):
+    # where the OS cannot fork, the config and the results must pickle;
+    # on 2 CPUs the worker runs seeds 4 and 6, in that order
+    monkeypatch.setattr(simloop, "_START_METHOD", "spawn")
+    monkeypatch.setattr(_blocks, "_workers", lambda: 1)
+    cfg = ScenarioConfig(case=Case.RANK_AUG, traffic=Ftp3(100_000, 2.0),
+                         **TINY)
+    seeds = (3, 4, 5, 6)
+    got = simloop.map_drops(cfg, seeds)
+    assert not multiprocessing.active_children()
+    assert _bits(got) == _bits(run_drop(cfg, s) for s in seeds)
+
+
+@pytest.mark.skipif(simloop._START_METHOD != "fork",
+                    reason="the failing drop reaches workers by fork")
+@pytest.mark.parametrize("bad", [1, 0], ids=["in-worker", "in-caller"])
+def test_a_failing_drop_raises_in_the_caller_and_leaves_no_worker(
+        monkeypatch, bad):
+    monkeypatch.setattr(_blocks, "_workers", lambda: 1)
+    build = engine.build_drop_geometry
+
+    def failing(cfg, seed):
+        if seed == bad:
+            raise ConfigurationError(f"drop {seed} failed")
+        return build(cfg, seed)
+
+    monkeypatch.setattr(engine, "build_drop_geometry", failing)
+    cfg = ScenarioConfig(case=Case.BASELINE, traffic=FullBuffer(), **TINY)
+    with pytest.raises(ConfigurationError) as err:
+        simloop.map_drops(cfg, (0, 1))
+    assert err.type is ConfigurationError
+    assert str(err.value) == f"drop {bad} failed"
+    assert not multiprocessing.active_children()
 
 
 def test_served_bytes_conservation_bound():
