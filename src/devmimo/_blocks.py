@@ -44,7 +44,7 @@ def _workers() -> int:
 
 @contextlib.contextmanager
 def cpu_share(cpus: int):
-    """Run the row blocks inside the block on `cpus` CPUs."""
+    """Run the row blocks of the code inside the `with` on `cpus` CPUs."""
     global _share
     saved, _share = _share, cpus
     try:

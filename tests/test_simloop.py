@@ -170,16 +170,16 @@ def _bits(drops):
 @pytest.mark.skipif(simloop._START_METHOD != "fork",
                     reason="the drop recorder reaches workers by fork")
 @pytest.mark.parametrize("seeds,share", [((0, 1), 2), ((0, 1, 2), 1)])
-def test_map_drops_splits_the_cpus_between_its_processes(monkeypatch, seeds,
+def test_map_drops_splits_the_cpus_between_its_processes(tmp_path,
+                                                         monkeypatch, seeds,
                                                          share):
     # on 4 usable CPUs, every process's row blocks get 4 // P of them
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
                         raising=False)
-    ran = multiprocessing.get_context("fork").Queue()
     build = engine.build_drop_geometry
 
     def recorded(cfg, seed):
-        ran.put((seed, os.getpid(), _blocks._workers() + 1))
+        (tmp_path / f"{seed}-{os.getpid()}-{_blocks._workers() + 1}").touch()
         return build(cfg, seed)
 
     monkeypatch.setattr(engine, "build_drop_geometry", recorded)
@@ -188,7 +188,8 @@ def test_map_drops_splits_the_cpus_between_its_processes(monkeypatch, seeds,
     got = simloop.map_drops(cfg, seeds)
     assert not multiprocessing.active_children()
     assert _blocks._workers() == 3
-    places = sorted(ran.get(timeout=10) for _ in seeds)
+    places = sorted(tuple(map(int, p.name.split("-")))
+                    for p in tmp_path.iterdir())
     assert [seed for seed, _, _ in places] == list(seeds)
     assert {cpus for _, _, cpus in places} == {share}
     assert len({pid for _, pid, _ in places}) == len(seeds)
