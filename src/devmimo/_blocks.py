@@ -1,5 +1,5 @@
-"""Row-block map of the batched kernels, and of the localization
-spectrum, over the usable CPUs.
+"""Process map of the seed-keyed units, and row-block map of the batched
+kernels and of the localization spectrum, over the usable CPUs.
 
 A kernel whose rows are independent hands `map_rows` a private function
 of its batched arrays, which runs on the row blocks `_slices` makes;
@@ -11,14 +11,17 @@ kernels compute from them) do not depend on the CPU count or on the
 blocks.  The block functions call no public entry point, so every
 public call is still made once, from the caller's thread.
 
-`simloop.map_drops` runs drops in processes sized by the same CPU count,
-and gives each process's blocks its share of the CPUs (`cpu_share`).
+`map_items` runs units that seed their own generators (drops,
+localization trials, a calibration's channel tables) in processes sized
+by the same CPU count, and gives each process's blocks its share of the
+CPUs (`cpu_share`).
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+import sys
 import threading
 
 import numpy as np
@@ -28,7 +31,11 @@ import numpy as np
 BLOCK_ROWS = 256
 
 _pool = None          # (workers, ThreadPoolExecutor), made on first use
-_share = None         # CPUs of this process's share of a drop pool
+_share = None         # CPUs of this process's share of a process map
+# how map_items starts its workers: a forked child shares the parent's
+# imports and pages; macOS system libraries are not fork-safe
+_START_METHOD = ("fork" if hasattr(os, "fork") and sys.platform != "darwin"
+                 else "spawn")
 
 
 def _workers() -> int:
@@ -51,6 +58,95 @@ def cpu_share(cpus: int):
         yield
     finally:
         _share = saved
+
+
+def _replaced(entry) -> bool:
+    """Whether `entry` is not the function its module defines under its
+    name, i.e. a benchmark tracer or a test put a wrapper in its place."""
+    owner = sys.modules.get(entry.__module__)
+    for name in entry.__qualname__.split("."):
+        owner = getattr(owner, name, None)
+    return owner is not entry
+
+
+def _run_share(fn, cfg, items, cpus: int) -> list:
+    """fn(cfg, x) for x in items, with the row blocks on `cpus` CPUs."""
+    with cpu_share(cpus):
+        return [fn(cfg, x) for x in items]
+
+
+def _serve(conn, *share) -> None:
+    # a worker: send (None, results) or (its traceback, the exception)
+    try:
+        res = None, _run_share(*share)
+    except BaseException as exc:
+        import traceback
+        res = traceback.format_exc(), exc
+    conn.send(res)
+    conn.close()
+
+
+def map_items(fn, cfg, items, entry) -> list:
+    """[fn(cfg, x) for x in items], computed on P = min(usable CPUs,
+    len(items)) processes.
+
+    Each item seeds its generators from its own key, so its bytes do not
+    depend on the process that runs it.  The calling process runs
+    items[0::P] itself, and P - 1 worker processes that live only for
+    this call run items[k::P] for k = 1 .. P-1: forked from the calling
+    thread (the row-block pool threads then sit idle, and a child makes
+    its own), or spawned where the OS has no safe fork.  fn, cfg and the
+    items go to a worker by pickle when spawned, and the results come
+    back by pickle over a pipe that the caller reads only once its own
+    share is done, so no thread of the caller runs beside its share.  Of
+    C usable CPUs, each worker gives its row blocks C // P and the caller
+    the rest, so `taskset` limits both levels and no CPU idles.
+
+    `entry` is the public function whose calls the items make, as the
+    caller looks it up.  With P = 1, or when `entry` has been replaced (a
+    tracer or a test would not see the calls a worker makes), every item
+    runs in the calling process on every usable CPU.  An item's exception
+    reaches the caller with its type and message (a worker's traceback
+    chained to it), a worker that dies raises RuntimeError, and no worker
+    outlives the call.
+    """
+    items = list(items)
+    cpus = _workers() + 1
+    procs = min(cpus, len(items))
+    if procs < 2 or _replaced(entry):
+        return [fn(cfg, x) for x in items]
+    # imported here, so a process that never pools pays no import time
+    import multiprocessing
+    ctx = multiprocessing.get_context(_START_METHOD)
+    share = cpus // procs
+    out = [None] * len(items)
+    workers = []
+    try:
+        for k in range(1, procs):
+            recv, send = ctx.Pipe(duplex=False)
+            p = ctx.Process(target=_serve, args=(send, fn, cfg,
+                                                 items[k::procs], share))
+            p.start()
+            workers.append((recv, p))
+            send.close()              # so a dead worker reads as EOF
+        out[0::procs] = _run_share(fn, cfg, items[0::procs],
+                                   cpus - (procs - 1) * share)
+        for k, (recv, p) in enumerate(workers, 1):
+            try:
+                tb, res = recv.recv()
+            except EOFError:
+                p.join()
+                raise RuntimeError(f"a worker process exited with code "
+                                   f"{p.exitcode}") from None
+            if tb is not None:
+                raise res from RuntimeError(f"in a worker process:\n{tb}")
+            out[k::procs] = res
+    finally:
+        for recv, p in workers:
+            recv.close()
+            p.kill()
+            p.join()
+    return out
 
 
 def _forget_pool() -> None:

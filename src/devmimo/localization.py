@@ -4,7 +4,9 @@ A primary device and its nearby companions form a virtual receive array.
 Per-device spatial covariances are combined non-coherently, so unknown
 per-device timing/phase offsets and device orderings do not affect the
 spectrum.  The refined arrival direction plus a ranging estimate yields a
-position fix.
+position fix.  The experiment's trials each seed their own generator and
+the memos below never change bits, so the trials run in processes
+(`_blocks.map_items`), each process with its own memos.
 """
 
 from __future__ import annotations
@@ -305,32 +307,42 @@ def synthesize_snapshots(va: VirtualArray, az: float, el: float, f_ghz: float,
     return x + noise
 
 
+def _trial(cfg: ScenarioConfig, key: tuple) -> LocResult:
+    """One user's direction-finding and positioning trial; key is
+    (seed, user), whose generator gives the trial all its randomness."""
+    seed, u = key
+    case = cfg.case.value
+    f_ghz = cfg.f_low_ghz
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x10C, u)))
+    az = rng.uniform(-180.0, 180.0)
+    el = np.degrees(np.arcsin(rng.uniform(0.0, 1.0)))   # above horizon
+    devices = _ensemble(case, f_ghz, rng)
+    va = build_virtual_array(devices)
+    x = synthesize_snapshots(va, az, el, f_ghz, cfg.loc_snr_db, rng)
+    est_az, est_el = noncoherent_aoa(va, x, f_ghz, method=cfg.loc_method)
+    err = aoa_error_deg(az, el, est_az, est_el)
+
+    # positioning against a far anchor with noisy ranging
+    range_true = rng.uniform(50.0, 300.0)
+    anchor = range_true * ch.direction_unit(az, el)
+    rmeas = range_true + rng.normal(0.0, cfg.range_sigma_m)
+    pos = localize(anchor, est_az, est_el, rmeas)
+    return LocResult(u, case, az, el, est_az, est_el, err,
+                     float(np.linalg.norm(pos)))
+
+
 def run_loc_experiment(cfg: ScenarioConfig, seed: int = 0) -> list:
     """Monte-Carlo direction finding and positioning for one ensemble level.
 
     Trial randomness is keyed per (seed, user) so different ensemble levels
-    see the same truth directions and can be compared pairwise.
+    see the same truth directions and can be compared pairwise, and the
+    trials run in processes by `_blocks.map_items`, in strided user
+    shares, each process with its own memos; the results come back in
+    user order.  A replaced `run_loc_experiment` keeps every trial in the
+    calling process.
     """
-    case = cfg.case.value
-    if case not in ("loc1", "loc2", "loc3"):
+    if cfg.case.value not in ("loc1", "loc2", "loc3"):
         raise ConfigurationError("localization requires a loc case")
-    f_ghz = cfg.f_low_ghz
-    results = []
-    for u in range(cfg.loc_users):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 0x10C, u)))
-        az = rng.uniform(-180.0, 180.0)
-        el = np.degrees(np.arcsin(rng.uniform(0.0, 1.0)))   # above horizon
-        devices = _ensemble(case, f_ghz, rng)
-        va = build_virtual_array(devices)
-        x = synthesize_snapshots(va, az, el, f_ghz, cfg.loc_snr_db, rng)
-        est_az, est_el = noncoherent_aoa(va, x, f_ghz, method=cfg.loc_method)
-        err = aoa_error_deg(az, el, est_az, est_el)
-
-        # positioning against a far anchor with noisy ranging
-        range_true = rng.uniform(50.0, 300.0)
-        anchor = range_true * ch.direction_unit(az, el)
-        rmeas = range_true + rng.normal(0.0, cfg.range_sigma_m)
-        pos = localize(anchor, est_az, est_el, rmeas)
-        results.append(LocResult(u, case, az, el, est_az, est_el, err,
-                                 float(np.linalg.norm(pos))))
-    return results
+    return _blocks.map_items(_trial, cfg,
+                             [(seed, u) for u in range(cfg.loc_users)],
+                             run_loc_experiment)

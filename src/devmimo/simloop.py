@@ -5,15 +5,15 @@ A *drop* realizes one network geometry, then steps slots while refreshing
 fast-fading rate tables every few slots.  Each comparison arm (e.g. the
 legacy baseline and the collaborative variant) is simulated against the
 same geometry, channel randomness and traffic arrivals.  Drops share
-nothing, so `map_drops` runs a plan's drops in processes.
+nothing, so `map_drops` runs a plan's drops in processes, and a load
+calibration builds its seeds' channel tables in processes too (both by
+`_blocks.map_items`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +25,6 @@ from .scenario import Case, Ftp3, FullBuffer, ScenarioConfig
 PF_AVG_WINDOW_SLOTS = 100
 PF_RATE_FLOOR_BPS = 1.0
 CAL_LAM_INIT_PER_S = 0.25                # first λ probe of calibrate_load
-# how map_drops starts its workers: a forked child shares the parent's
-# imports and pages; macOS system libraries are not fork-safe
-_START_METHOD = ("fork" if hasattr(os, "fork") and sys.platform != "darwin"
-                 else "spawn")
 
 
 # ---------------------------------------------------------------------------
@@ -277,52 +273,12 @@ def run_drop(cfg: ScenarioConfig, seed: int) -> dict:
                              _channel_stage(geo, seed))
 
 
-_RUN_DROP = run_drop
-
-
-def _run_drops(cfg: ScenarioConfig, seeds: list, cpus: int) -> list:
-    """run_drop over seeds, with the row blocks on `cpus` CPUs."""
-    with _blocks.cpu_share(cpus):
-        return [run_drop(cfg, s) for s in seeds]
-
-
 def map_drops(cfg: ScenarioConfig, seeds) -> list:
-    """[run_drop(cfg, s) for s in seeds], computed on P = min(usable CPUs,
-    len(seeds)) processes.
-
-    Each drop seeds its generators from (seed, key), so its bytes do not
-    depend on the process that runs it.  The calling process runs
-    seeds[0::P] itself, and a process pool that lives only for this call
-    runs seeds[k::P] for k = 1 .. P-1: forked from the calling thread
-    (the row-block pool threads then sit idle, and the child makes its
-    own), or spawned where the OS has no safe fork, the config and the
-    results pickled.  Every process gives its row blocks usable CPUs // P
-    CPUs, counted by `_blocks`, so `taskset` limits both levels.
-
-    With P = 1, or when `run_drop` is not the function defined here (a
-    tracer or a test replaced it, and would not see the calls a worker
-    makes), every drop runs in the calling process.  A drop's exception
-    reaches the caller with its type and message, and no worker outlives
-    the call.
-    """
-    seeds = list(seeds)
-    cpus = _blocks._workers() + 1
-    procs = min(cpus, len(seeds))
-    if procs < 2 or run_drop is not _RUN_DROP:
-        return [run_drop(cfg, s) for s in seeds]
-    # imported here, so a process that never pools pays no import time
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    share = cpus // procs
-    out = [None] * len(seeds)
-    with ProcessPoolExecutor(procs - 1, mp_context=multiprocessing
-                             .get_context(_START_METHOD)) as pool:
-        futures = [pool.submit(_run_drops, cfg, seeds[k::procs], share)
-                   for k in range(1, procs)]
-        out[0::procs] = _run_drops(cfg, seeds[0::procs], share)
-        for k, f in enumerate(futures, 1):
-            out[k::procs] = f.result()
-    return out
+    """[run_drop(cfg, s) for s in seeds], computed on one process per
+    usable CPU, up to one per seed, by `_blocks.map_items`: each drop
+    seeds its generators from (seed, key).  A replaced `run_drop` keeps
+    every drop in the calling process."""
+    return _blocks.map_items(run_drop, cfg, seeds, run_drop)
 
 
 # ---------------------------------------------------------------------------
@@ -336,23 +292,30 @@ def measure_ru(cfg: ScenarioConfig, seeds) -> float:
     return float(np.mean(vals))
 
 
+def _drop_tables(cfg: ScenarioConfig, seed: int) -> tuple:
+    """(UEs of each cell, the cfg.n_refreshes items of `_channel_stage`)
+    of one drop."""
+    geo = engine.build_drop_geometry(cfg, seed)
+    return geo.ue_of_cell, list(itertools.islice(_channel_stage(geo, seed),
+                                                 cfg.n_refreshes))
+
+
 def _ru_of_load(cfg: ScenarioConfig, seeds):
     """measure_ru as a function of the FTP arrival rate λ.
 
     The channel stream never depends on traffic, so each seed's geometry
-    and rate tables are built once here; a call only reruns the
-    scheduling stage under Ftp3(file_bytes, λ).
+    and rate tables are built once here, in processes by
+    `_blocks.map_items` (a replaced `engine.build_drop_geometry` keeps
+    them in the calling process); a call only reruns the scheduling
+    stage under Ftp3(file_bytes, λ), in the calling process.
     """
-    drops = []
-    for s in seeds:
-        geo = engine.build_drop_geometry(cfg, s)
-        drops.append((s, geo.ue_of_cell, list(itertools.islice(
-            _channel_stage(geo, s), cfg.n_refreshes))))
+    drops = list(zip(seeds, _blocks.map_items(
+        _drop_tables, cfg, seeds, engine.build_drop_geometry)))
 
     def ru(lam: float) -> float:
         c = cfg.replace(traffic=Ftp3(cfg.traffic.file_bytes, lam))
         vals = [next(iter(_scheduling_stage(c, s, cells, tables).values()))
-                .resource_utilization for s, cells, tables in drops]
+                .resource_utilization for s, (cells, tables) in drops]
         return float(np.mean(vals))
 
     return ru

@@ -96,6 +96,25 @@ def test_traced_drops_run_in_the_calling_process(bench, name, tmp_path,
     assert calls["engine.build_drop_geometry"] == 2
 
 
+@pytest.mark.parametrize("name,calls", [
+    ("loc_ladder", {"localization.run_loc_experiment": 3,
+                    "localization.noncoherent_aoa": 3 * 4}),
+    ("calibrate_ftp", {"engine.build_drop_geometry": 2,
+                       "engine.DlEngine.refresh": 2 * 3})],
+    ids=["loc_ladder", "calibrate_ftp"])
+def test_traced_trials_and_tables_run_in_the_calling_process(
+        bench, name, calls, tmp_path, monkeypatch):
+    # likewise every localization trial (3 cases of 4 users) and every
+    # table build of a calibration (2 seeds of 3 refreshes)
+    tracing, workloads = bench
+    monkeypatch.setattr(_blocks, "_workers", lambda: 1)
+    tracer = tracing.Tracer()
+    wl = workloads.WORKLOADS[name](0, True)
+    tracer.run(lambda: wl.run(str(tmp_path)))
+    recorded = Counter(span[0] for span in tracer.spans)
+    assert {span: recorded[span] for span in calls} == calls
+
+
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_pool_threads_record_no_span(bench, name, tmp_path, monkeypatch):
     # the row blocks of the kernels and of the localization spectrum run

@@ -227,7 +227,7 @@ def test_rerun_is_byte_identical(tmp_path):
     assert out[0] == out[1]
 
 
-@pytest.mark.skipif(simloop._START_METHOD != "fork",
+@pytest.mark.skipif(_blocks._START_METHOD != "fork",
                     reason="the drop recorder reaches workers by fork")
 @pytest.mark.parametrize("case", [Case.DIVERSITY, Case.RANK_AUG],
                          ids=["diversity", "rank"])

@@ -1,6 +1,8 @@
 """Virtual arrays, non-coherent direction finding, and position fixes."""
 
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -276,6 +278,56 @@ def test_loc_experiment_does_not_depend_on_the_cpu_count(method, cold_memo,
         monkeypatch.setattr(_blocks, "_workers", lambda: cpus - 1)
         got.append(run_loc_experiment(cfg, seed=2))
     assert got[1] == got[0] and got[2] == got[0]
+
+
+def _record_bits(results):
+    return [[(type(v), np.array(v).tobytes()) for v in vars(r).values()]
+            for r in results]
+
+
+_FORK = pytest.mark.skipif(_blocks._START_METHOD != "fork",
+                           reason="the OS has no safe fork")
+
+
+@pytest.mark.parametrize("start", [pytest.param("fork", marks=_FORK),
+                                   "spawn"])
+def test_loc_experiment_does_not_depend_on_the_process_count(start,
+                                                             monkeypatch):
+    # 7 users on 3 processes run as 3 + 2 + 2, and the records come back
+    # in user order with the bits of one process
+    monkeypatch.setattr(_blocks, "_START_METHOD", start)
+    cfgs = [ScenarioConfig(loc_users=7, loc_snr_db=10.0, case=case)
+            for case in (Case.LOC1, Case.LOC3)]
+    got = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(_blocks, "_workers", lambda: cpus - 1)
+        got.append([_record_bits(run_loc_experiment(cfg, seed=1))
+                    for cfg in cfgs])
+        assert not multiprocessing.active_children()
+    assert got[1] == got[0] and got[2] == got[0]
+
+
+@_FORK
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_a_failing_trial_raises_in_the_caller_and_leaves_no_worker(
+        monkeypatch, where):
+    monkeypatch.setattr(_blocks, "_workers", lambda: 1)
+    caller = os.getpid()
+    aoa = localization.noncoherent_aoa
+
+    def failing(*args, **kwargs):
+        if (os.getpid() == caller) == (where == "caller"):
+            raise EstimationError(f"trial failed in the {where}")
+        return aoa(*args, **kwargs)
+
+    monkeypatch.setattr(localization, "noncoherent_aoa", failing)
+    with pytest.raises(EstimationError) as err:
+        run_loc_experiment(ScenarioConfig(loc_users=4, case=Case.LOC1))
+    assert err.type is EstimationError
+    assert str(err.value) == f"trial failed in the {where}"
+    assert ("in a worker process" in str(err.value.__cause__)) \
+        == (where == "worker")
+    assert not multiprocessing.active_children()
 
 
 def test_single_ray_peak_within_one_grid_cell():

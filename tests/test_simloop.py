@@ -1,5 +1,6 @@
 """Traffic, scheduling, and drop-loop statistics."""
 
+import itertools
 import math
 import multiprocessing
 import os
@@ -167,15 +168,17 @@ def _bits(drops):
              for name, st in drop.items()] for drop in drops]
 
 
-@pytest.mark.skipif(simloop._START_METHOD != "fork",
+@pytest.mark.skipif(_blocks._START_METHOD != "fork",
                     reason="the drop recorder reaches workers by fork")
-@pytest.mark.parametrize("seeds,share", [((0, 1), 2), ((0, 1, 2), 1)])
-def test_map_drops_splits_the_cpus_between_its_processes(tmp_path,
-                                                         monkeypatch, seeds,
-                                                         share):
-    # on 4 usable CPUs, every process's row blocks get 4 // P of them
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
-                        raising=False)
+@pytest.mark.parametrize("cpus,seeds,caller,worker", [
+    (4, (0, 1), 2, 2), (4, (0, 1, 2), 2, 1), (3, (0, 1), 2, 1)],
+    ids=["seeds0-2", "seeds1-1", "odd-cpus"])
+def test_map_drops_splits_the_cpus_between_its_processes(
+        tmp_path, monkeypatch, cpus, seeds, caller, worker):
+    # of C usable CPUs, each of P processes' row blocks get C // P of them
+    # and the caller takes the rest, so no CPU idles
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
     build = engine.build_drop_geometry
 
     def recorded(cfg, seed):
@@ -187,11 +190,12 @@ def test_map_drops_splits_the_cpus_between_its_processes(tmp_path,
                          traffic=Ftp3(100_000, 2.0), **TINY)
     got = simloop.map_drops(cfg, seeds)
     assert not multiprocessing.active_children()
-    assert _blocks._workers() == 3
+    assert _blocks._workers() == cpus - 1
     places = sorted(tuple(map(int, p.name.split("-")))
                     for p in tmp_path.iterdir())
     assert [seed for seed, _, _ in places] == list(seeds)
-    assert {cpus for _, _, cpus in places} == {share}
+    assert {(pid == os.getpid(), n) for _, pid, n in places} \
+        == {(True, caller), (False, worker)}
     assert len({pid for _, pid, _ in places}) == len(seeds)
     monkeypatch.setattr(engine, "build_drop_geometry", build)
     assert _bits(got) == _bits(run_drop(cfg, s) for s in seeds)
@@ -200,7 +204,7 @@ def test_map_drops_splits_the_cpus_between_its_processes(tmp_path,
 def test_map_drops_runs_in_spawned_workers(monkeypatch):
     # where the OS cannot fork, the config and the results must pickle;
     # on 2 CPUs the worker runs seeds 4 and 6, in that order
-    monkeypatch.setattr(simloop, "_START_METHOD", "spawn")
+    monkeypatch.setattr(_blocks, "_START_METHOD", "spawn")
     monkeypatch.setattr(_blocks, "_workers", lambda: 1)
     cfg = ScenarioConfig(case=Case.RANK_AUG, traffic=Ftp3(100_000, 2.0),
                          **TINY)
@@ -210,7 +214,7 @@ def test_map_drops_runs_in_spawned_workers(monkeypatch):
     assert _bits(got) == _bits(run_drop(cfg, s) for s in seeds)
 
 
-@pytest.mark.skipif(simloop._START_METHOD != "fork",
+@pytest.mark.skipif(_blocks._START_METHOD != "fork",
                     reason="the failing drop reaches workers by fork")
 @pytest.mark.parametrize("bad", [1, 0], ids=["in-worker", "in-caller"])
 def test_a_failing_drop_raises_in_the_caller_and_leaves_no_worker(
@@ -229,6 +233,24 @@ def test_a_failing_drop_raises_in_the_caller_and_leaves_no_worker(
         simloop.map_drops(cfg, (0, 1))
     assert err.type is ConfigurationError
     assert str(err.value) == f"drop {bad} failed"
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.skipif(_blocks._START_METHOD != "fork",
+                    reason="the dying drop reaches workers by fork")
+def test_a_worker_that_dies_raises_in_the_caller(monkeypatch):
+    monkeypatch.setattr(_blocks, "_workers", lambda: 1)
+    build = engine.build_drop_geometry
+
+    def dying(cfg, seed):
+        if seed == 1:
+            os._exit(3)
+        return build(cfg, seed)
+
+    monkeypatch.setattr(engine, "build_drop_geometry", dying)
+    cfg = ScenarioConfig(case=Case.BASELINE, traffic=FullBuffer(), **TINY)
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        simloop.map_drops(cfg, (0, 1))
     assert not multiprocessing.active_children()
 
 
@@ -296,12 +318,11 @@ def test_lone_file_throughput_matches_isolated_link_rate():
     # its throughput approaches the user's full-band link rate
     cfg = ScenarioConfig(num_rings=0, ues_per_cell=1, sim_duration_s=4.0,
                          case=Case.BASELINE, traffic=Ftp3(500_000, 0.3))
-    out = run_drop(cfg, 3)
-
-    geo = engine.build_drop_geometry(cfg, 3)
-    tables = simloop._channel_stage(geo, 3)
-    rate = np.mean([next(tables)[0]["baseline"][0].sum(axis=1)
-                    for _ in range(cfg.n_refreshes)], axis=0)
+    # one list of the drop's tables feeds both its slot loop and the rate
+    ue_of_cell, tables = simloop._drop_tables(cfg, 3)
+    out = simloop._scheduling_stage(cfg, 3, ue_of_cell, tables)
+    rate = np.mean([rates["baseline"][0].sum(axis=1)
+                    for rates, _ in tables], axis=0)
 
     per_ue = {}
     for r in out["baseline"].records:
@@ -386,29 +407,41 @@ def test_calibration_with_reused_tables_matches_full_drops(monkeypatch):
     assert got == calibrate_load(CAL, 0.4, tol=0.02, seeds=seeds)
 
 
-def test_calibration_refreshes_each_channel_once(monkeypatch):
+@pytest.mark.skipif(_blocks._START_METHOD != "fork",
+                    reason="the refresh recorder reaches workers by fork")
+def test_calibration_refreshes_each_channel_once(tmp_path, monkeypatch):
+    # the tables may be built in worker processes, so each refresh leaves
+    # one file, named by its process, a per-process call count and rr
     calls = Counter()
     refresh = engine.DlEngine.refresh
     stage = simloop._scheduling_stage
+    n = itertools.count()
 
     def counted_refresh(self, rr):
-        calls["refresh"] += 1
+        (tmp_path / f"{os.getpid()}-{next(n)}-{rr}").touch()
         return refresh(self, rr)
 
     def counted_stage(*args):
         calls["schedule"] += 1
         return stage(*args)
 
+    def refreshes():
+        rrs = Counter(int(p.name.split("-")[-1]) for p in tmp_path.iterdir())
+        for p in tmp_path.iterdir():
+            p.unlink()
+        return rrs
+
     monkeypatch.setattr(engine.DlEngine, "refresh", counted_refresh)
     monkeypatch.setattr(simloop, "_scheduling_stage", counted_stage)
     run_drop(CAL, 0)
-    assert calls["refresh"] == CAL.n_refreshes
+    assert refreshes() == Counter(range(CAL.n_refreshes))
 
     calls.clear()
     seeds = (0, 1)
     calibrate_load(CAL, 0.4, tol=0.02, seeds=seeds)
     assert calls["schedule"] > len(seeds)           # more than one probe
-    assert calls["refresh"] == len(seeds) * CAL.n_refreshes
+    assert refreshes() == Counter({rr: len(seeds)
+                                   for rr in range(CAL.n_refreshes)})
 
 
 @pytest.mark.parametrize("threshold_db", [-200.0, 200.0],
