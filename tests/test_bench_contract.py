@@ -41,6 +41,19 @@ SPANS = {
 }
 
 
+# spans a traced tiny iteration records on 2 CPUs: two drops of a plan,
+# 3 cases of 4 localization trials, a calibration's 2 table builds of 3
+# refreshes each
+TRACED_CALLS = {
+    "dl_diversity": {"simloop.run_drop": 2, "engine.build_drop_geometry": 2},
+    "ul_rank": {"simloop.run_drop": 2, "engine.build_drop_geometry": 2},
+    "calibrate_ftp": {"engine.build_drop_geometry": 2,
+                      "engine.DlEngine.refresh": 2 * 3},
+    "loc_ladder": {"localization.run_loc_experiment": 3,
+                   "localization.noncoherent_aoa": 3 * 4},
+}
+
+
 @pytest.fixture
 def bench(monkeypatch):
     """The harness's tracer and workloads modules, imported as run.py
@@ -59,7 +72,7 @@ def test_tracer_targets_are_attributes_of_their_owners(bench):
 
 
 def test_every_workload_has_expected_spans():
-    assert set(SPANS) == set(WORKLOADS)
+    assert set(SPANS) == set(TRACED_CALLS) == set(WORKLOADS)
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
@@ -79,40 +92,20 @@ def test_tiny_iteration_runs_under_the_tracer(bench, name, tmp_path):
     assert metrics["cli.run_experiment.busy_s"][1] == "s"
 
 
-@pytest.mark.parametrize("name", ["dl_diversity", "ul_rank"])
+@pytest.mark.parametrize("name", WORKLOADS)
 def test_traced_drops_run_in_the_calling_process(bench, name, tmp_path,
                                                   monkeypatch):
-    # a drop run in a worker process records its spans there, where the
-    # tracer never sees them, so a traced plan runs every drop in the
-    # calling process, also on 2 CPUs
-    tracing, workloads = bench
-    monkeypatch.setattr(_blocks, "_workers", lambda: 1)
-    tracer = tracing.Tracer()
-    wl = workloads.WORKLOADS[name](0, True)
-    tracer.run(lambda: wl.run(str(tmp_path)))
-    calls = Counter(span[0] for span in tracer.spans)
-    assert len(wl.inputs["drop_seeds"]) == 2
-    assert calls["simloop.run_drop"] == 2
-    assert calls["engine.build_drop_geometry"] == 2
-
-
-@pytest.mark.parametrize("name,calls", [
-    ("loc_ladder", {"localization.run_loc_experiment": 3,
-                    "localization.noncoherent_aoa": 3 * 4}),
-    ("calibrate_ftp", {"engine.build_drop_geometry": 2,
-                       "engine.DlEngine.refresh": 2 * 3})],
-    ids=["loc_ladder", "calibrate_ftp"])
-def test_traced_trials_and_tables_run_in_the_calling_process(
-        bench, name, calls, tmp_path, monkeypatch):
-    # likewise every localization trial (3 cases of 4 users) and every
-    # table build of a calibration (2 seeds of 3 refreshes)
+    # a drop, trial or table build run in a worker process records its
+    # spans there, where the tracer never sees them, so a traced iteration
+    # runs every one of them in the calling process, also on 2 CPUs
     tracing, workloads = bench
     monkeypatch.setattr(_blocks, "_workers", lambda: 1)
     tracer = tracing.Tracer()
     wl = workloads.WORKLOADS[name](0, True)
     tracer.run(lambda: wl.run(str(tmp_path)))
     recorded = Counter(span[0] for span in tracer.spans)
-    assert {span: recorded[span] for span in calls} == calls
+    assert {span: recorded[span] for span in TRACED_CALLS[name]} \
+        == TRACED_CALLS[name]
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
