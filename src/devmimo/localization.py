@@ -3,16 +3,18 @@
 A primary device and its nearby companions form a virtual receive array.
 Per-device spatial covariances are combined non-coherently, so unknown
 per-device timing/phase offsets and device orderings do not affect the
-spectrum.  The refined arrival direction plus a ranging estimate yields a
-position fix.  The experiment's trials each seed their own generator and
-the memos below never change bits, so the trials run in processes
-(`_blocks.map_items`), each process with its own memos.
+spectrum.  The direction search evaluates the spectrum only at the grid
+points whose Lipschitz bound can reach its peak, with the values and the
+argmax of the full grid.  The refined arrival direction plus a ranging
+estimate yields a position fix.  The experiment's trials each seed their
+own generator and keep no state between them, so the trials run in
+processes (`_blocks.map_items`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,95 +78,146 @@ def _device_covariances(va: VirtualArray, snapshots: np.ndarray):
     return covs
 
 
-# Search-grid memos.  Grid unit vectors are keyed by the grid bytes.  A
-# device's grid steering is keyed by its element positions, frequency and
-# grid, and is kept only from its second sighting on: devices with a fixed
-# pose (the wearable and handset) are then computed twice, while the loc3
-# units, posed at random every trial, never take a memo slot.  Each memo
-# holds a few entries and evicts the least recently used; kept arrays are
-# read-only.
-_GRID_SLOTS, _STEER_SLOTS, _SEEN_SLOTS = 2, 4, 8
-_GRID_UNITS: OrderedDict = OrderedDict()   # grid key -> (A, E, 3)
-_STEER: OrderedDict = OrderedDict()        # steering key -> (n, A, E)
-_SEEN: OrderedDict = OrderedDict()         # steering keys met once, no array
+def _devices(va: VirtualArray, covs, method: str) -> list:
+    """Per device: (element positions, evaluator weight, matrix M of the
+    quadratic form the search bounds).  Bartlett weighs with R and bounds
+    aᴴRa; MUSIC, with a single-source signal subspace, weighs with the
+    noise subspace E (conjugated) and bounds aᴴEEᴴa."""
+    devices = []
+    for d in range(va.n_devices):
+        pos = va.element_pos[va.elements_of(d)]
+        if method == "bartlett":
+            devices.append((pos, covs[d], covs[d]))
+        else:
+            en = np.linalg.eigh(covs[d])[1][:, :-1]          # noise subspace
+            devices.append((pos, en.conj(), en @ en.conj().T))
+    return devices
 
 
-def _lru_put(memo: OrderedDict, key, value, slots: int) -> None:
-    memo[key] = value
-    memo.move_to_end(key)
-    if len(memo) > slots:
-        memo.popitem(last=False)
+def _evaluate(devices, u: np.ndarray, f_ghz: float, method: str):
+    """Spectrum (P,) at unit vectors u (P, 3), and each device's term
+    (P, D) of it: Bartlett's aᴴRa / n, or MUSIC's aᴴEEᴴa, whose term is
+    n / aᴴEEᴴa.  Computed in blocks of points on the usable CPUs; a
+    point's bits do not depend on the other points evaluated with it."""
+    def rows(u_rows):
+        lone = len(u_rows) == 1
+        if lone:
+            # numpy's einsum sums a lone point's Bartlett terms of a
+            # two-element device in another order than a batch's, which
+            # changes their last bits: a lone point goes in twice
+            u_rows = np.repeat(u_rows, 2, axis=0)
+        total = np.zeros(len(u_rows))
+        terms = np.empty((len(u_rows), len(devices)))
+        for d, (pos, w, _) in enumerate(devices):
+            a = ch.plane_wave(pos, u_rows, f_ghz)
+            n = len(a)
+            if method == "bartlett":
+                terms[:, d] = np.real(np.einsum("np,nm,mp->p", a.conj(), w,
+                                                a)) / n
+                total += terms[:, d]
+            else:
+                proj = np.einsum("nk,np->kp", w, a)
+                terms[:, d] = np.einsum("kp,kp->p", proj.conj(), proj).real
+                total += n / np.maximum(terms[:, d], 1e-18)
+        return (total[:1], terms[:1]) if lone else (total, terms)
 
-
-def _grid_units(az_grid, el_grid):
-    """(key, unit vectors (A, E, 3)) of the az × el search grid."""
-    az_grid = np.asarray(az_grid, dtype=float)
-    el_grid = np.asarray(el_grid, dtype=float)
-    key = (az_grid.tobytes(), el_grid.tobytes())
-    u = _GRID_UNITS.get(key)
-    if u is None:
-        u = ch.direction_unit(*np.meshgrid(az_grid, el_grid, indexing="ij"))
-        u.flags.writeable = False
-    _lru_put(_GRID_UNITS, key, u, _GRID_SLOTS)
-    return key, u
-
-
-def _grid_steering(pos: np.ndarray, grid_key, u: np.ndarray,
-                   f_ghz: float):
-    """Kept steering (n, A, E) of elements `pos` over a grid from
-    `_grid_units`, or None for a device met the first time, whose steering
-    the spectrum blocks build and drop."""
-    key = (pos.shape, pos.tobytes(), f_ghz, grid_key)
-    a = _STEER.get(key)
-    if a is not None:
-        _STEER.move_to_end(key)
-        return a
-    if key not in _SEEN:
-        _lru_put(_SEEN, key, None, _SEEN_SLOTS)
-        return None
-    del _SEEN[key]                         # second sighting: keep it
-    a = ch.plane_wave(pos, u, f_ghz)
-    a.flags.writeable = False
-    _lru_put(_STEER, key, a, _STEER_SLOTS)
-    return a
+    return _blocks.map_rows(rows, u)
 
 
 def _spectrum(va: VirtualArray, covs, az_grid, el_grid, f_ghz: float,
               method: str) -> np.ndarray:
-    """Combined spectrum (A, E), computed in blocks of azimuth rows on
-    the usable CPUs.  The memos, and MUSIC's noise subspaces, are
-    resolved on the calling thread first."""
-    grid_key, u = _grid_units(az_grid, el_grid)
-    fresh, kept, weights = [], [], []
-    for d in range(va.n_devices):
-        pos = va.element_pos[va.elements_of(d)]
-        a = _grid_steering(pos, grid_key, u, f_ghz)
-        fresh.append(pos if a is None else None)    # built per block
-        if a is not None:
-            kept.append(np.moveaxis(a, 1, 0))   # azimuth rows lead
-        if method == "bartlett":
-            weights.append(covs[d])
-        else:  # MUSIC with a single-source signal subspace
-            en = np.linalg.eigh(covs[d])[1][:, :-1]          # noise subspace
-            weights.append(en.conj())
+    """Combined spectrum (A, E) at every point of the az × el grid."""
+    u = ch.direction_unit(*np.meshgrid(np.asarray(az_grid, dtype=float),
+                                       np.asarray(el_grid, dtype=float),
+                                       indexing="ij"))
+    spec, _ = _evaluate(_devices(va, covs, method), u.reshape(-1, 3), f_ghz,
+                        method)
+    return spec.reshape(u.shape[:-1])
 
-    def rows(u_rows, *kept_rows):
-        kept_rows = iter(kept_rows)
-        total = np.zeros(u_rows.shape[:-1])
-        for pos, w in zip(fresh, weights):
-            a = (np.moveaxis(next(kept_rows), 0, 1) if pos is None
-                 else ch.plane_wave(pos, u_rows, f_ghz))
-            n = len(a)
-            if method == "bartlett":
-                num = np.real(np.einsum("nae,nm,mae->ae", a.conj(), w, a))
-                total += num / n
-            else:
-                proj = np.einsum("nk,nae->kae", w, a)
-                denom = np.einsum("kae,kae->ae", proj.conj(), proj).real
-                total += n / np.maximum(denom, 1e-18)
-        return total
 
-    return _blocks.map_rows(rows, u, *kept)
+def _lattice(step: int) -> tuple:
+    """(nearest lattice point, distance bound r [rad]) of every search-grid
+    point, on the lattice of every `step`-th azimuth and elevation.  Grid
+    points Δi azimuth and Δj elevation steps apart are at most
+    r = |Δi| δaz + |Δj| δel apart, as the chord is no longer than the arc;
+    an azimuth index of A is the seam's 0."""
+    n_az, n_el = len(AZ_GRID), len(EL_GRID)
+    i, j = np.divmod(np.arange(n_az * n_el), n_el)
+    ci = np.round(i / step).astype(np.intp) * step
+    cj = np.round(j / step).astype(np.intp) * step
+    d_az, d_el = np.radians([AZ_GRID[1] - AZ_GRID[0], EL_GRID[1] - EL_GRID[0]])
+    return ci % n_az * n_el + cj, np.abs(i - ci) * d_az + np.abs(j - cj) * d_el
+
+
+@functools.cache
+def _search_grid() -> tuple:
+    """The search grid's directions (A·E, 3), azimuth-major, and its coarse
+    levels, lattice steps 6 and 2 (each divides the grid's 360 azimuth and
+    90 elevation steps); made once, on first use."""
+    u = ch.direction_unit(*np.meshgrid(AZ_GRID, EL_GRID, indexing="ij"))
+    u = u.reshape(-1, 3)
+    u.flags.writeable = False
+    return u, (_lattice(6), _lattice(2))
+
+
+def _search(devices, f_ghz: float, method: str) -> tuple:
+    """(spectrum (A, E) over AZ_GRID × EL_GRID, its argmax (i, j)), with
+    the spectrum evaluated only where it can hold its peak, and -inf
+    elsewhere.
+
+    Each device's quadratic form aᴴMa = Σ M_nm exp(jk (p_m − p_n)·u) is
+    Lipschitz in the unit vector u with L = k Σ |M_nm| |p_m − p_n|.  Each
+    coarse level evaluates the lattice points nearest to the remaining
+    candidates, and drops a candidate whose bound, the per-device bounds
+    from its lattice point's terms summed, falls below the best value
+    evaluated so far: Bartlett's is t + (L r + η) / n, MUSIC's
+    n / max(q − L r − η, 1e-18).  The last level evaluates the candidates
+    left.  A dropped point is below a value that was evaluated, so the
+    argmax, ties included, and every evaluated value are those of
+    `_spectrum` on the full grid, bit for bit.
+    """
+    k = 2.0 * math.pi * f_ghz * 1e9 / ch.C_LIGHT
+    lip, eta, size = np.zeros((3, len(devices)))
+    for d, (pos, _, m) in enumerate(devices):
+        gap = np.linalg.norm(pos[:, None] - pos[None], axis=-1)
+        lip[d] = k * np.sum(np.abs(m) * gap)
+        # η covers the rounding of the two computed values a bound relates
+        # and of the sums over devices: a computed phase k p·u is off by a
+        # few ulp of k |p|, so a computed aᴴMa is off by about
+        # 1e-15 (1 + k |p|) Σ |M_nm|; η is 1e6 times that, yet small beside
+        # the terms' scale Σ |M_nm|, so it keeps few points the exact
+        # bound would drop
+        eta[d] = 1e-9 * (1.0 + k * np.max(np.abs(pos))) * np.sum(np.abs(m))
+        size[d] = len(pos)
+    units, levels = _search_grid()
+    n_az, n_el = len(AZ_GRID), len(EL_GRID)
+    spec = np.full(n_az * n_el, -np.inf)
+    terms = np.empty((n_az * n_el, len(devices)))
+
+    def fill(points):
+        todo = np.zeros(n_az * n_el, bool)
+        todo[points] = True
+        new = np.flatnonzero(todo & np.isneginf(spec))
+        if new.size:
+            spec[new], terms[new] = _evaluate(devices, units[new], f_ghz,
+                                              method)
+
+    cand = np.arange(n_az * n_el)
+    for near, dist in levels:
+        at, r = near[cand], dist[cand]
+        fill(at)
+        if method == "bartlett":      # Σ_d t_d + (L_d r + η_d) / n_d
+            bound = spec[at] + r * np.sum(lip / size) + np.sum(eta / size)
+        else:
+            bound = np.sum(size / np.maximum(
+                terms[at] - (r[:, None] * lip + eta), 1e-18), axis=1)
+        cand = cand[bound >= spec.max()]
+    fill(cand)
+    i, j = np.unravel_index(np.argmax(spec), (n_az, n_el))
+    # `_refine` reads the peak's four neighbours
+    fill(np.array([(i - 1) % n_az * n_el + j, (i + 1) % n_az * n_el + j,
+                   i * n_el + max(j - 1, 0), i * n_el + min(j + 1, n_el - 1)]))
+    return spec.reshape(n_az, n_el), (i, j)
 
 
 def _refine(grid: np.ndarray, i: int, vals: np.ndarray,
@@ -186,8 +239,10 @@ def _refine(grid: np.ndarray, i: int, vals: np.ndarray,
 
 def noncoherent_aoa(va: VirtualArray, snapshots: np.ndarray, f_ghz: float,
                     method: str = "bartlett") -> tuple:
-    """Arrival direction from non-coherently combined device spectra,
-    searched over AZ_GRID × EL_GRID and refined between grid points.
+    """Arrival direction from non-coherently combined device spectra: the
+    peak of the spectrum over AZ_GRID × EL_GRID, found by a search that
+    evaluates only the grid points that can hold it (`_search`), refined
+    between grid points.
 
     Returns (az_deg, el_deg).
     """
@@ -204,9 +259,8 @@ def noncoherent_aoa(va: VirtualArray, snapshots: np.ndarray, f_ghz: float,
         raise EstimationError("non-finite snapshots")
     if np.max(np.abs(snapshots)) < 1e-15:
         raise EstimationError("all-zero snapshots")
-    covs = _device_covariances(va, snapshots)
-    spec = _spectrum(va, covs, AZ_GRID, EL_GRID, f_ghz, method)
-    i, j = np.unravel_index(np.argmax(spec), spec.shape)
+    spec, (i, j) = _search(_devices(va, _device_covariances(va, snapshots),
+                                    method), f_ghz, method)
     return (_refine(AZ_GRID, i, spec[:, j], circular=True),
             _refine(EL_GRID, j, spec[i, :]))
 
@@ -337,8 +391,8 @@ def run_loc_experiment(cfg: ScenarioConfig, seed: int = 0) -> list:
     Trial randomness is keyed per (seed, user) so different ensemble levels
     see the same truth directions and can be compared pairwise, and the
     trials run in processes by `_blocks.map_items`, in strided user
-    shares, each process with its own memos; the results come back in
-    user order.  A replaced `run_loc_experiment` keeps every trial in the
+    shares; the results come back in user order, the same bits on any
+    process count.  A replaced `run_loc_experiment` keeps every trial in the
     calling process.
     """
     if cfg.case.value not in ("loc1", "loc2", "loc3"):

@@ -147,29 +147,16 @@ def test_aoa_estimator_input_validation():
         noncoherent_aoa(va, bad, F_GHZ)
 
 
-def _clear_memos():
-    for memo in (localization._GRID_UNITS, localization._STEER,
-                 localization._SEEN):
-        memo.clear()
-
-
-@pytest.fixture
-def cold_memo():
-    _clear_memos()
-
-
 @pytest.mark.parametrize("arg, value", [
     ("method", "foo"),
     ("snapshots", np.ones(4, complex)),
     ("snapshots", np.ones((4, 0), complex)),
 ], ids=["method", "snapshots-1d", "snapshots-no-samples"])
-def test_aoa_estimator_rejects_bad_argument_by_name(arg, value, cold_memo):
+def test_aoa_estimator_rejects_bad_argument_by_name(arg, value):
     va = _two_device_array()
     kwargs = {"snapshots": np.ones((4, 8), complex), arg: value}
     with pytest.raises(EstimationError, match=arg):
         noncoherent_aoa(va, f_ghz=F_GHZ, **kwargs)
-    assert not (localization._GRID_UNITS or localization._SEEN
-                or localization._STEER)
 
 
 def _reference_spectrum(va, covs, az_grid, el_grid, f_ghz, method):
@@ -192,54 +179,150 @@ def _reference_spectrum(va, covs, az_grid, el_grid, f_ghz, method):
 
 
 @pytest.mark.parametrize("method", ["bartlett", "music"])
-def test_spectrum_memo_is_bit_exact(method, cold_memo):
+def test_spectrum_memo_is_bit_exact(method):
+    # the per-point evaluator on every grid point gives the bits of the
+    # whole-grid steering tensors, on 2° and 3° grids at both frequencies
     rng = np.random.default_rng(9)
     va = _two_device_array()
     covs = _device_covariances(va, _single_path_snapshots(va, 50.0, 30.0,
                                                           rng))
     grid = (np.arange(-180.0, 180.0, 2.0), np.arange(0.0, 90.5, 2.0))
-    ref = _reference_spectrum(va, covs, *grid, F_GHZ, method)
-    for _ in range(3):              # met once, kept, then read from the memo
-        assert np.array_equal(_spectrum(va, covs, *grid, F_GHZ, method), ref)
-    assert len(localization._STEER) == va.n_devices
     az3, el3 = np.arange(-180.0, 180.0, 3.0), np.arange(0.0, 90.5, 3.0)
-    for f_ghz, g in ((3.5, grid), (F_GHZ, (az3, grid[1])),
+    for f_ghz, g in ((F_GHZ, grid), (3.5, grid), (F_GHZ, (az3, grid[1])),
                      (F_GHZ, (grid[0], el3))):
-        fresh = _reference_spectrum(va, covs, *g, f_ghz, method)
-        for _ in range(3):
-            assert np.array_equal(_spectrum(va, covs, *g, f_ghz, method),
-                                  fresh)
+        assert np.array_equal(_spectrum(va, covs, *g, f_ghz, method),
+                              _reference_spectrum(va, covs, *g, f_ghz,
+                                                  method))
 
 
-@pytest.mark.parametrize("case", [Case.LOC2, Case.LOC3])
-def test_loc_experiment_same_with_cold_and_warm_memo(case, cold_memo):
-    cfg = ScenarioConfig(loc_users=6, loc_snr_db=10.0, case=case)
-    cold = run_loc_experiment(cfg, seed=3)
-    assert localization._STEER
-    assert run_loc_experiment(cfg, seed=3) == cold
-
-
-def test_steering_memo_keeps_only_fixed_devices(cold_memo, monkeypatch):
-    kept = []
-    put = localization._lru_put
-
-    def record(memo, key, value, slots):
-        if memo is localization._STEER:
-            kept.append(key[1])
-        put(memo, key, value, slots)
-
-    monkeypatch.setattr(localization, "_lru_put", record)
-    monkeypatch.setattr(_blocks, "BLOCK_ROWS", 7)
-    cfg = ScenarioConfig(loc_users=8, loc_snr_db=10.0, case=Case.LOC3)
-    va = build_virtual_array(_ensemble("loc2", cfg.f_low_ghz, None))
-    fixed = {va.element_pos[va.elements_of(d)].tobytes() for d in (0, 1)}
-    for cpus in (1, 3):
+@pytest.mark.parametrize("method", ["bartlett", "music"])
+def test_a_points_bits_do_not_depend_on_its_batch(method, monkeypatch):
+    # a point evaluated alone, in a short batch or split over CPUs gets
+    # the bits it gets in the full grid (numpy's einsum sums a lone
+    # point's terms in another order unless `_evaluate` pairs it)
+    rng = np.random.default_rng(11)
+    va = _two_device_array()
+    covs = _device_covariances(va, _single_path_snapshots(va, 10.0, 60.0,
+                                                          rng))
+    devices = localization._devices(va, covs, method)
+    units = localization._search_grid()[0]
+    full = localization._evaluate(devices, units, F_GHZ, method)[0]
+    for cpus in (1, 2):
         monkeypatch.setattr(_blocks, "_workers", lambda: cpus - 1)
-        _clear_memos()
-        kept.clear()
-        run_loc_experiment(cfg, seed=0)
-        assert set(kept) == fixed
-        assert {key[1] for key in localization._STEER} == fixed
+        for size in (1, 2, 3):
+            for start in range(0, len(units), 331):
+                pts = slice(start, start + size)
+                got = localization._evaluate(devices, units[pts], F_GHZ,
+                                             method)[0]
+                assert np.array_equal(got, full[pts])
+
+
+def _search_of(va, x, method):
+    return localization._search(
+        localization._devices(va, _device_covariances(va, x), method),
+        F_GHZ, method)
+
+
+def _full_grid(va, x, method):
+    return _spectrum(va, _device_covariances(va, x), localization.AZ_GRID,
+                     localization.EL_GRID, F_GHZ, method)
+
+
+def _assert_search_matches_full_grid(va, x, method):
+    spec, peak = _search_of(va, x, method)
+    full = _full_grid(va, x, method)
+    seen = np.isfinite(spec)
+    assert np.array_equal(spec[seen], full[seen])
+    assert peak == np.unravel_index(np.argmax(full), full.shape)
+    assert np.argmax(spec) == np.argmax(full)
+    i, j = peak
+    assert noncoherent_aoa(va, x, F_GHZ, method) == (
+        localization._refine(localization.AZ_GRID, i, full[:, j],
+                             circular=True),
+        localization._refine(localization.EL_GRID, j, full[i, :]))
+    return peak
+
+
+@pytest.mark.parametrize("method", ["bartlett", "music"])
+@pytest.mark.parametrize("case", ["loc1", "loc2", "loc3"])
+def test_search_matches_the_full_grid_bit_for_bit(case, method):
+    # the pruned search evaluates a share of the grid; each value it
+    # evaluates, and its argmax, are the full grid's
+    for trial in range(12):
+        rng = np.random.default_rng((trial, 0x5EA))
+        va = build_virtual_array(_ensemble(case, F_GHZ, rng))
+        az = rng.uniform(-180.0, 180.0)
+        el = math.degrees(math.asin(rng.uniform(0.0, 1.0)))
+        x = synthesize_snapshots(va, az, el, F_GHZ,
+                                 snr_db=(-10.0, 0.0, 10.0)[trial % 3],
+                                 rng=rng)
+        _assert_search_matches_full_grid(va, x, method)
+
+
+@pytest.mark.parametrize("method", ["bartlett", "music"])
+@pytest.mark.parametrize("flat", ["exact", "to-the-ulp"])
+def test_search_on_a_flat_spectrum_keeps_the_first_tie(flat, method):
+    # identity covariances make the spectrum flat: exactly with every
+    # element at the origin, where each steering entry is 1 and the argmax
+    # is the grid's first point, and to the last bits with spaced
+    # elements, where no bound can drop a point
+    va = (build_virtual_array([(np.zeros(3), np.eye(3), ula(2, 0.0))] * 2)
+          if flat == "exact" else _two_device_array())
+    covs = [np.eye(2, dtype=complex)] * 2
+    spec, peak = localization._search(localization._devices(va, covs,
+                                                             method),
+                                      F_GHZ, method)
+    full = _spectrum(va, covs, localization.AZ_GRID, localization.EL_GRID,
+                     F_GHZ, method)
+    assert np.array_equal(spec, full)
+    assert peak == np.unravel_index(np.argmax(full), full.shape)
+    if flat == "exact":
+        assert np.all(full == full[0, 0]) and peak == (0, 0)
+
+
+@pytest.mark.parametrize("method", ["bartlett", "music"])
+def test_search_azimuth_ring_peaks_at_its_first_azimuth(method):
+    # a two-element device on the z axis senses elevation only, so every
+    # azimuth of the peak elevation ties and the argmax is azimuth index 0
+    va = build_virtual_array([(np.zeros(3), np.eye(3),
+                               ula(2, LAM / 2, axis=2))])
+    x = _single_path_snapshots(va, 0.0, 35.0, np.random.default_rng(3))
+    i, j = _assert_search_matches_full_grid(va, x, method)
+    assert i == 0
+    full = _full_grid(va, x, method)
+    assert np.all(full[:, j] == full[0, j])
+
+
+@pytest.mark.parametrize("method", ["bartlett", "music"])
+def test_search_evaluates_the_peaks_neighbours(method):
+    # a 1 m wide two-element device peaks so sharply that the bounds drop
+    # grid points two steps from the peak; `_refine` still reads the four
+    # beside it
+    va = build_virtual_array([(np.zeros(3), np.eye(3), ula(2, 1.0))])
+    x = _single_path_snapshots(va, -92.4, 47.0, np.random.default_rng(0))
+    i, j = _assert_search_matches_full_grid(va, x, method)
+    spec, _ = _search_of(va, x, method)
+    assert np.isneginf(spec[i - 2:i + 3, j - 2:j + 3]).any()
+    assert np.isfinite([spec[i - 1, j], spec[i + 1, j], spec[i, j - 1],
+                        spec[i, j + 1]]).all()
+
+
+def test_search_evaluates_a_small_share_of_the_grid(monkeypatch):
+    # deterministic guard on the pruning: a Bartlett loc3 ladder step
+    # evaluates ~6% of the grid per trial
+    monkeypatch.setattr(_blocks, "_workers", lambda: 0)
+    counted = []
+    evaluate = localization._evaluate
+
+    def count(devices, u, *args):
+        counted.append(len(u))
+        return evaluate(devices, u, *args)
+
+    monkeypatch.setattr(localization, "_evaluate", count)
+    run_loc_experiment(ScenarioConfig(loc_users=20, loc_snr_db=10.0,
+                                      case=Case.LOC3), seed=0)
+    grid = len(localization.AZ_GRID) * len(localization.EL_GRID)
+    assert sum(counted) / (20 * grid) <= 0.20
 
 
 def _bits(x):
@@ -248,27 +331,28 @@ def _bits(x):
 
 @pytest.mark.parametrize("method", ["bartlett", "music"])
 def test_spectrum_bits_do_not_depend_on_the_cpu_count(method, monkeypatch):
-    # ragged blocks: blocks of at most 7 rows split 360 azimuths into 52
-    # (2 CPUs) or 54 (3 CPUs) blocks of 6 or 7; each grid is searched cold,
-    # at the second sighting and from the memo
+    # ragged blocks: blocks of at most 7 points split the grid's and the
+    # search's points on 2 or 3 CPUs; the full grids and the search give
+    # the same bits on any CPU count
     monkeypatch.setattr(_blocks, "BLOCK_ROWS", 7)
     rng = np.random.default_rng(5)
     va = build_virtual_array(_ensemble("loc3", F_GHZ, rng))
-    covs = _device_covariances(va, _single_path_snapshots(va, -40.0, 25.0,
-                                                          rng))
+    x = _single_path_snapshots(va, -40.0, 25.0, rng)
+    covs = _device_covariances(va, x)
     grids = [(localization.AZ_GRID, localization.EL_GRID),
              (np.arange(-180.0, 180.0, 4.0), np.arange(0.0, 90.5, 3.0))]
     got = []
     for cpus in (1, 2, 3):
         monkeypatch.setattr(_blocks, "_workers", lambda: cpus - 1)
-        _clear_memos()
         got.append([_bits(_spectrum(va, covs, *g, F_GHZ, method))
-                    for g in grids for _ in range(3)])
+                    for g in grids]
+                   + [_bits(_search_of(va, x, method)[0]),
+                      noncoherent_aoa(va, x, F_GHZ, method)])
     assert got[1] == got[0] and got[2] == got[0]
 
 
 @pytest.mark.parametrize("method", ["bartlett", "music"])
-def test_loc_experiment_does_not_depend_on_the_cpu_count(method, cold_memo,
+def test_loc_experiment_does_not_depend_on_the_cpu_count(method,
                                                          monkeypatch):
     monkeypatch.setattr(_blocks, "BLOCK_ROWS", 7)
     cfg = ScenarioConfig(loc_users=6, loc_snr_db=10.0, case=Case.LOC3,
