@@ -124,15 +124,19 @@ def _evaluate(devices, u: np.ndarray, f_ghz: float, method: str):
     return _blocks.map_rows(rows, u)
 
 
+def _grid_units(az_grid, el_grid) -> np.ndarray:
+    """Unit vectors (A·E, 3) of the az × el grid, azimuth-major."""
+    return ch.direction_unit(*np.meshgrid(np.asarray(az_grid, dtype=float),
+                                          np.asarray(el_grid, dtype=float),
+                                          indexing="ij")).reshape(-1, 3)
+
+
 def _spectrum(va: VirtualArray, covs, az_grid, el_grid, f_ghz: float,
               method: str) -> np.ndarray:
     """Combined spectrum (A, E) at every point of the az × el grid."""
-    u = ch.direction_unit(*np.meshgrid(np.asarray(az_grid, dtype=float),
-                                       np.asarray(el_grid, dtype=float),
-                                       indexing="ij"))
-    spec, _ = _evaluate(_devices(va, covs, method), u.reshape(-1, 3), f_ghz,
-                        method)
-    return spec.reshape(u.shape[:-1])
+    spec, _ = _evaluate(_devices(va, covs, method),
+                        _grid_units(az_grid, el_grid), f_ghz, method)
+    return spec.reshape(len(az_grid), len(el_grid))
 
 
 def _lattice(step: int) -> tuple:
@@ -151,13 +155,32 @@ def _lattice(step: int) -> tuple:
 
 @functools.cache
 def _search_grid() -> tuple:
-    """The search grid's directions (A·E, 3), azimuth-major, and its coarse
-    levels, lattice steps 6 and 2 (each divides the grid's 360 azimuth and
-    90 elevation steps); made once, on first use."""
-    u = ch.direction_unit(*np.meshgrid(AZ_GRID, EL_GRID, indexing="ij"))
-    u = u.reshape(-1, 3)
+    """The search grid's directions (A·E, 3) and its coarse levels,
+    lattice steps 6 and 2 (each divides the grid's 360 azimuth and 90
+    elevation steps); made once, on first use."""
+    u = _grid_units(AZ_GRID, EL_GRID)
     u.flags.writeable = False
     return u, (_lattice(6), _lattice(2))
+
+
+def _lipschitz(devices, f_ghz: float) -> tuple:
+    """Per device, arrays (D,): the Lipschitz constant L = k Σ |M_nm|
+    |p_m − p_n| of its quadratic form aᴴMa in the unit vector u, the
+    rounding margin η of a bound, and its element count n."""
+    k = 2.0 * math.pi * f_ghz * 1e9 / ch.C_LIGHT
+    lip, eta, size = np.zeros((3, len(devices)))
+    for d, (pos, _, m) in enumerate(devices):
+        gap = np.linalg.norm(pos[:, None] - pos[None], axis=-1)
+        lip[d] = k * np.sum(np.abs(m) * gap)
+        # η covers the rounding of the two computed values a bound relates
+        # and of the sums over devices: a computed phase k p·u is off by a
+        # few ulp of k |p|, so a computed aᴴMa is off by about
+        # 1e-15 (1 + k |p|) Σ |M_nm|; η is 1e6 times that, yet small beside
+        # the terms' scale Σ |M_nm|, so it keeps few points the exact
+        # bound would drop
+        eta[d] = 1e-9 * (1.0 + k * np.max(np.abs(pos))) * np.sum(np.abs(m))
+        size[d] = len(pos)
+    return lip, eta, size
 
 
 def _search(devices, f_ghz: float, method: str) -> tuple:
@@ -176,19 +199,7 @@ def _search(devices, f_ghz: float, method: str) -> tuple:
     argmax, ties included, and every evaluated value are those of
     `_spectrum` on the full grid, bit for bit.
     """
-    k = 2.0 * math.pi * f_ghz * 1e9 / ch.C_LIGHT
-    lip, eta, size = np.zeros((3, len(devices)))
-    for d, (pos, _, m) in enumerate(devices):
-        gap = np.linalg.norm(pos[:, None] - pos[None], axis=-1)
-        lip[d] = k * np.sum(np.abs(m) * gap)
-        # η covers the rounding of the two computed values a bound relates
-        # and of the sums over devices: a computed phase k p·u is off by a
-        # few ulp of k |p|, so a computed aᴴMa is off by about
-        # 1e-15 (1 + k |p|) Σ |M_nm|; η is 1e6 times that, yet small beside
-        # the terms' scale Σ |M_nm|, so it keeps few points the exact
-        # bound would drop
-        eta[d] = 1e-9 * (1.0 + k * np.max(np.abs(pos))) * np.sum(np.abs(m))
-        size[d] = len(pos)
+    lip, eta, size = _lipschitz(devices, f_ghz)
     units, levels = _search_grid()
     n_az, n_el = len(AZ_GRID), len(EL_GRID)
     spec = np.full(n_az * n_el, -np.inf)

@@ -217,6 +217,28 @@ def test_a_points_bits_do_not_depend_on_its_batch(method, monkeypatch):
                 assert np.array_equal(got, full[pts])
 
 
+@pytest.mark.parametrize("method", ["bartlett", "music"])
+def test_each_devices_term_is_lipschitz_between_grid_points(method):
+    # the inequality the search drops points by: a device's computed term
+    # at a grid point (aᴴRa / n, or aᴴEEᴴa) is within L r + η of its term
+    # at the point's lattice point, r the level's distance bound; the
+    # two-element devices' L is tight, so a smaller L breaks it
+    units, levels = localization._search_grid()
+    for trial in range(3):
+        rng = np.random.default_rng((trial, 0x11B))
+        va = build_virtual_array(_ensemble("loc3", F_GHZ, rng))
+        x = synthesize_snapshots(va, rng.uniform(-180.0, 180.0), 30.0,
+                                 F_GHZ, snr_db=0.0, rng=rng)
+        devices = localization._devices(va, _device_covariances(va, x),
+                                        method)
+        terms = localization._evaluate(devices, units, F_GHZ, method)[1]
+        lip, eta, size = localization._lipschitz(devices, F_GHZ)
+        scale = 1.0 / size if method == "bartlett" else 1.0
+        for near, dist in levels:
+            assert np.all(np.abs(terms - terms[near])
+                          <= (dist[:, None] * lip + eta) * scale)
+
+
 def _search_of(va, x, method):
     return localization._search(
         localization._devices(va, _device_covariances(va, x), method),
