@@ -14,8 +14,6 @@ import math
 
 import numpy as np
 
-from ._blocks import map_rows
-
 C_LIGHT = 3e8
 
 # Dense-urban heights; pathloss and the drop geometry read them at call time.
@@ -204,21 +202,14 @@ def realize_links(rng: np.random.Generator, f_ghz: float, subc_hz: np.ndarray,
     phases = np.concatenate([zero, rng.uniform(-math.pi, math.pi,
                                                (L, n_c))], axis=1)
 
-    # the draws above keep their order; only the per-link algebra runs in
-    # row blocks
-    def rows(tx_rot, rx_rot, dep_az, dep_el, arr_az, arr_el, powers, phases,
-             delays, amp):
-        a_tx = _response(tx_elem, tx_rot, dep_az, dep_el, f_ghz, tx_sector)
-        a_rx = _response(rx_elem, rx_rot, arr_az, arr_el, f_ghz, rx_sector)
-        coef = (np.sqrt(powers) * np.exp(1j * phases))[:, :, None] * np.exp(
-            -2j * math.pi * delays[:, :, None] * subc_hz[None, None, :])  # (L,R,S)
-        h = np.einsum("lnr,lrs,lmr->lsnm", a_rx, coef, a_tx.conj(),
-                      optimize=True)
-        h *= amp[:, None, None, None]      # in place: no second link tensor
-        return h
-
-    return map_rows(rows, tx_rot, rx_rot, r_dep_az, r_dep_el, r_arr_az,
-                    r_arr_el, powers, phases, delays, amp)
+    a_tx = _response(tx_elem, tx_rot, r_dep_az, r_dep_el, f_ghz, tx_sector)
+    a_rx = _response(rx_elem, rx_rot, r_arr_az, r_arr_el, f_ghz, rx_sector)
+    coef = (np.sqrt(powers) * np.exp(1j * phases))[:, :, None] * np.exp(
+        -2j * math.pi * delays[:, :, None] * subc_hz[None, None, :])  # (L,R,S)
+    h = np.einsum("lnr,lrs,lmr->lsnm", a_rx, coef, a_tx.conj(),
+                  optimize=True)
+    h *= amp[:, None, None, None]          # in place: no second link tensor
+    return h
 
 
 def local_link(tx_pos: np.ndarray, tx_rot: np.ndarray, tx_elem: np.ndarray,

@@ -8,8 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blocks import map_rows
-
 
 @dataclass
 class EffectiveLink:
@@ -37,22 +35,12 @@ def relay_rx_beamformer(h_first: np.ndarray, r_int: np.ndarray,
     if r.ndim == 2:
         r = r[None]
     hw = np.concatenate(list(np.moveaxis(h, -3, 0)), axis=-1)  # (..., m, S*n)
-    r = r.mean(axis=-3)
-    # one row per beamformer
-    lead = np.broadcast_shapes(hw.shape[:-2], r.shape[:-2])
-    hw = np.broadcast_to(hw, lead + hw.shape[-2:]).reshape(-1, *hw.shape[-2:])
-    r = np.broadcast_to(r, lead + r.shape[-2:]).reshape(-1, *r.shape[-2:])
-
-    def rows(r, hw):
-        ev, evec = np.linalg.eigh(r)
-        ev = np.maximum(ev, 1e-18 * np.maximum(ev[..., -1:], 1e-300))
-        r_isqrt = np.einsum("...ab,...b,...cb->...ac", evec,
-                            1.0 / np.sqrt(ev), evec.conj())
-        u, _, _ = np.linalg.svd(r_isqrt @ hw, full_matrices=False)
-        return np.swapaxes(u[..., :n_out].conj(), -1, -2) @ r_isqrt
-
-    out = map_rows(rows, r, hw)
-    return out.reshape(lead + out.shape[1:])
+    ev, evec = np.linalg.eigh(r.mean(axis=-3))
+    ev = np.maximum(ev, 1e-18 * np.maximum(ev[..., -1:], 1e-300))
+    r_isqrt = np.einsum("...ab,...b,...cb->...ac", evec,
+                        1.0 / np.sqrt(ev), evec.conj())
+    u, _, _ = np.linalg.svd(r_isqrt @ hw, full_matrices=False)
+    return np.swapaxes(u[..., :n_out].conj(), -1, -2) @ r_isqrt
 
 
 def relay_gain(input_power_dbm: float, cap_dbm: float) -> float:

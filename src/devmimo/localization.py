@@ -97,31 +97,28 @@ def _devices(va: VirtualArray, covs, method: str) -> list:
 def _evaluate(devices, u: np.ndarray, f_ghz: float, method: str):
     """Spectrum (P,) at unit vectors u (P, 3), and each device's term
     (P, D) of it: Bartlett's aᴴRa / n, or MUSIC's aᴴEEᴴa, whose term is
-    n / aᴴEEᴴa.  Computed in blocks of points on the usable CPUs; a
-    point's bits do not depend on the other points evaluated with it."""
-    def rows(u_rows):
-        lone = len(u_rows) == 1
-        if lone:
-            # numpy's einsum sums a lone point's Bartlett terms of a
-            # two-element device in another order than a batch's, which
-            # changes their last bits: a lone point goes in twice
-            u_rows = np.repeat(u_rows, 2, axis=0)
-        total = np.zeros(len(u_rows))
-        terms = np.empty((len(u_rows), len(devices)))
-        for d, (pos, w, _) in enumerate(devices):
-            a = ch.plane_wave(pos, u_rows, f_ghz)
-            n = len(a)
-            if method == "bartlett":
-                terms[:, d] = np.real(np.einsum("np,nm,mp->p", a.conj(), w,
-                                                a)) / n
-                total += terms[:, d]
-            else:
-                proj = np.einsum("nk,np->kp", w, a)
-                terms[:, d] = np.einsum("kp,kp->p", proj.conj(), proj).real
-                total += n / np.maximum(terms[:, d], 1e-18)
-        return (total[:1], terms[:1]) if lone else (total, terms)
-
-    return _blocks.map_rows(rows, u)
+    n / aᴴEEᴴa.  A point's bits do not depend on the other points
+    evaluated with it."""
+    lone = len(u) == 1
+    if lone:
+        # numpy's einsum sums a lone point's Bartlett terms of a
+        # two-element device in another order than a batch's, which
+        # changes their last bits: a lone point goes in twice
+        u = np.repeat(u, 2, axis=0)
+    total = np.zeros(len(u))
+    terms = np.empty((len(u), len(devices)))
+    for d, (pos, w, _) in enumerate(devices):
+        a = ch.plane_wave(pos, u, f_ghz)
+        n = len(a)
+        if method == "bartlett":
+            terms[:, d] = np.real(np.einsum("np,nm,mp->p", a.conj(), w,
+                                            a)) / n
+            total += terms[:, d]
+        else:
+            proj = np.einsum("nk,np->kp", w, a)
+            terms[:, d] = np.einsum("kp,kp->p", proj.conj(), proj).real
+            total += n / np.maximum(terms[:, d], 1e-18)
+    return (total[:1], terms[:1]) if lone else (total, terms)
 
 
 def _grid_units(az_grid, el_grid) -> np.ndarray:
@@ -129,14 +126,6 @@ def _grid_units(az_grid, el_grid) -> np.ndarray:
     return ch.direction_unit(*np.meshgrid(np.asarray(az_grid, dtype=float),
                                           np.asarray(el_grid, dtype=float),
                                           indexing="ij")).reshape(-1, 3)
-
-
-def _spectrum(va: VirtualArray, covs, az_grid, el_grid, f_ghz: float,
-              method: str) -> np.ndarray:
-    """Combined spectrum (A, E) at every point of the az × el grid."""
-    spec, _ = _evaluate(_devices(va, covs, method),
-                        _grid_units(az_grid, el_grid), f_ghz, method)
-    return spec.reshape(len(az_grid), len(el_grid))
 
 
 def _lattice(step: int) -> tuple:
@@ -197,7 +186,8 @@ def _search(devices, f_ghz: float, method: str) -> tuple:
     n / max(q − L r − η, 1e-18).  The last level evaluates the candidates
     left.  A dropped point is below a value that was evaluated, so the
     argmax, ties included, and every evaluated value are those of
-    `_spectrum` on the full grid, bit for bit.
+    `_evaluate` on the full grid (`tests/reference.py::grid_spectrum`),
+    bit for bit.
     """
     lip, eta, size = _lipschitz(devices, f_ghz)
     units, levels = _search_grid()

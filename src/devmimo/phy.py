@@ -4,11 +4,8 @@ efficiency."""
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
-
-from ._blocks import map_rows
 
 SE_CAP_BPS_HZ = 7.4        # per-layer cap (~256-QAM max efficiency)
 _RANK_TOL = 1e-10
@@ -69,11 +66,6 @@ def batched_rank_select(h: np.ndarray, power: np.ndarray, noise_w: float,
     """
     if max_rank < 1:
         raise ValueError("max_rank must be >= 1")
-    return map_rows(partial(_rank_select_rows, noise_w=noise_w,
-                            max_rank=max_rank), h, power)
-
-
-def _rank_select_rows(h, power, noise_w, max_rank):
     u_n, s_n, m, n = h.shape
     hw = h.reshape(u_n, s_n * m, n)
     _, sv, vh = np.linalg.svd(hw, full_matrices=False)
@@ -107,13 +99,6 @@ def batched_beam_precoder(h: np.ndarray, ranks: np.ndarray,
     n_tx = hw.shape[-1]
     rmax = int(ranks.max())
     bases = np.stack([_dft_beams(n_tx, q) for q in range(OVERSAMPLING)])
-    rows = partial(_beam_precoder_rows, rmax=rmax, bases=bases)
-    return map_rows(rows, hw, ranks) if v is None \
-        else map_rows(rows, hw, ranks, v)
-
-
-def _beam_precoder_rows(hw, ranks, v=None, *, rmax, bases):
-    u_n, _, n_tx = hw.shape
     n_beams = min(N_BEAMS, n_tx)
     if v is None:
         _, _, vh = np.linalg.svd(hw, full_matrices=False)
@@ -159,18 +144,10 @@ def interference_cov(h: np.ndarray, q: np.ndarray, p_layer: np.ndarray,
     victim's K interferers, q (V,K,n,r) their precoders, p_layer (V,K)
     their per-layer powers (0 for a silent interferer), noise_w one noise
     power or (V,) one per victim.  Returns (V,S,m,m)."""
-    m = h.shape[3]
-    # a broadcast view: one noise power stays a stride-0 axis
-    noise = np.broadcast_to(np.reshape(noise_w, (-1, 1, 1, 1)) * np.eye(m),
-                            (h.shape[0], 1, m, m))
-    return map_rows(_cov_rows, h, q, p_layer, noise)
-
-
-def _cov_rows(h, q, p_layer, noise):
     b = np.einsum("vksmn,vknr->vksmr", h, q, optimize=True)
     r = np.einsum("vk,vksmr,vkslr->vsml", p_layer, b, b.conj(),
                   optimize=True)
-    return r + noise
+    return r + np.reshape(noise_w, (-1, 1, 1, 1)) * np.eye(h.shape[3])
 
 
 def batched_mmse_sinr(h: np.ndarray, p: np.ndarray, p_layer: np.ndarray,
@@ -200,15 +177,9 @@ def batched_mmse_sinr(h: np.ndarray, p: np.ndarray, p_layer: np.ndarray,
     c_n = r_nn.shape[0]
     rhs = np.zeros((c_n, s_n, m, width, r_n), dtype=complex)
     rhs[owner, :, :, slot] = a
-    # one system per (covariance, subband); LAPACK solves each on its own,
-    # so any split gives the same bytes
-    x = map_rows(np.linalg.solve, r_nn.reshape((c_n * s_n, m, m)),
-                 rhs.reshape((c_n * s_n, m, width * r_n)))
+    # one system per (covariance, subband), solved in r_nn's own layout
+    x = np.linalg.solve(r_nn, rhs.reshape((c_n, s_n, m, width * r_n)))
     ra = x.reshape(rhs.shape)[owner, :, :, slot]              # (U, S, m, r)
-    return map_rows(_mmse_layer_sinr, a, ra)
-
-
-def _mmse_layer_sinr(a, ra):
     return _layer_sinr(a.conj().transpose(0, 1, 3, 2) @ ra)
 
 

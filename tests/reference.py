@@ -9,6 +9,10 @@ sector-pattern helpers are shared with the code under test.
 `mutual_information` is the exact-covariance capacity that the MIMO
 tests and acceptance criteria 1 and 2 compare against, and
 `median_aoa_error` the per-case median of criterion 6.
+
+`grid_spectrum` is the localization spectrum on every point of a grid,
+which the direction search must match where it evaluates, and which
+criterion 7 checks for phase and ordering invariance.
 """
 
 import math
@@ -16,6 +20,7 @@ import math
 import numpy as np
 
 from devmimo import channel as ch
+from devmimo import localization
 
 
 def _array_response(positions, rotation, az_deg, el_deg, f_ghz, sector):
@@ -84,3 +89,12 @@ def mutual_information(a: np.ndarray, r_nn: np.ndarray) -> float:
 def median_aoa_error(results) -> float:
     """Median AoA error [deg] of localization results."""
     return float(np.median([r.aoa_err_deg for r in results]))
+
+
+def grid_spectrum(va, covs, az_grid, el_grid, f_ghz: float,
+                  method: str) -> np.ndarray:
+    """Combined spectrum (A, E) at every point of the az × el grid."""
+    spec, _ = localization._evaluate(
+        localization._devices(va, covs, method),
+        localization._grid_units(az_grid, el_grid), f_ghz, method)
+    return spec.reshape(len(az_grid), len(el_grid))

@@ -18,12 +18,12 @@ from devmimo import (Case, Ftp3, FullBuffer, ScenarioConfig,
                      friis_db, pathloss)
 from devmimo.cli import ExperimentPlan, run_experiment
 from devmimo.collab import EffectiveLink
-from devmimo.localization import (_device_covariances, _ensemble, _spectrum,
+from devmimo.localization import (_device_covariances, _ensemble,
                                   build_virtual_array)
 from devmimo.phy import batched_mmse_sinr
 from devmimo.scenario import rot_z, ula
 from devmimo.simloop import SchedulerState, upt_stats
-from reference import median_aoa_error, mutual_information
+from reference import grid_spectrum, median_aoa_error, mutual_information
 
 
 def _check(num: int, label: str, ok: bool, detail: str) -> None:
@@ -202,12 +202,12 @@ def test_criterion_7_noncoherent_phase_and_order_invariance():
     x += 0.05 * (rng.standard_normal(x.shape)
                  + 1j * rng.standard_normal(x.shape))
     grids = (np.arange(-180.0, 180.0, 5.0), np.arange(0.0, 90.0, 5.0))
-    base = _spectrum(va, _device_covariances(va, x), *grids, f_ghz,
-                     "bartlett")
+    base = grid_spectrum(va, _device_covariances(va, x), *grids, f_ghz,
+                         "bartlett")
     peak = np.argmax(base)
     max_dev = 0.0
     order_dev = np.max(np.abs(
-        _spectrum(va_sw, _device_covariances(
+        grid_spectrum(va_sw, _device_covariances(
             va_sw, np.concatenate([x[2:], x[:2]])), *grids, f_ghz, "bartlett")
         - base))
     ok_arg = True
@@ -215,8 +215,8 @@ def test_criterion_7_noncoherent_phase_and_order_invariance():
         y = x.copy()
         y[:2] *= np.exp(1j * rng.uniform(0, 2 * np.pi))
         y[2:] *= np.exp(1j * rng.uniform(0, 2 * np.pi))
-        s = _spectrum(va, _device_covariances(va, y), *grids, f_ghz,
-                      "bartlett")
+        s = grid_spectrum(va, _device_covariances(va, y), *grids, f_ghz,
+                          "bartlett")
         max_dev = max(max_dev, float(np.max(np.abs(s - base))))
         ok_arg = ok_arg and (np.argmax(s) == peak)
     scale = float(np.max(base))

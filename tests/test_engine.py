@@ -4,19 +4,16 @@ from the stacked primary-side channels h_local (x) w H_sh, the first-hop
 gain as w (H_sh p), the f_H interference covariance as one einsum, and
 the relayed link written out entry by entry with the forwarded noise
 w R1 w^H of every subband.  A drop's bytes do not depend on how many
-CPUs its kernels' row blocks run on, and a forked child runs them too."""
+processes a plan's drops run in, and no kernel starts a thread."""
 
-import importlib.util
-import multiprocessing
 import os
+import subprocess
 import sys
-import threading
-import time
 
 import numpy as np
 import pytest
 
-from devmimo import Case, ScenarioConfig, _blocks, engine, phy, simloop
+from devmimo import Case, ScenarioConfig, _blocks, engine, simloop
 from devmimo.collab import relay_rx_beamformer
 from devmimo.phy import (batched_beam_precoder, batched_mmse_se,
                          batched_rank_select)
@@ -160,10 +157,10 @@ def test_refresh_contract(case):
         assert np.array_equal(relayed, snr_db < cfg.semistatic_threshold_db)
 
 
-def _drop_bits(cfg):
-    return [(name, st.records, st.resource_utilization,
-             st.served_bytes.tobytes(), st.path_share_relayed)
-            for name, st in simloop.run_drop(cfg, 1).items()]
+def _drop_bits(drops):
+    return [[(name, st.records, st.resource_utilization,
+              st.served_bytes.tobytes(), st.path_share_relayed)
+             for name, st in drop.items()] for drop in drops]
 
 
 @pytest.mark.parametrize("case,threshold_db", [
@@ -172,158 +169,55 @@ def _drop_bits(cfg):
                                  "rank-no-weak-user"])
 def test_drop_bytes_do_not_depend_on_the_cpu_count(case, threshold_db,
                                                    monkeypatch):
+    # three seeds' drops on 1, 2 and 3 CPUs run in 1, 2 and 3 processes
+    # and give the bytes of one process
     cfg = ScenarioConfig(num_rings=0, ues_per_cell=4, sim_duration_s=0.02,
                          case=case, semistatic_threshold_db=threshold_db)
     geo = engine.build_drop_geometry(cfg, 1)
     if case is Case.RANK_AUG:
         assert engine.make_ul_engine(geo, 1).weak.any() == (threshold_db > 0)
-    monkeypatch.setattr(_blocks, "BLOCK_ROWS", 5)
-    got = []
+    seeds = (0, 1, 2)
+    want = _drop_bits(simloop.run_drop(cfg, s) for s in seeds)
     for cpus in (1, 2, 3):
         monkeypatch.setattr(_blocks, "_workers", lambda: cpus - 1)
-        got.append(_drop_bits(cfg))
-    assert got[1] == got[0] and got[2] == got[0]
+        assert _drop_bits(simloop.map_drops(cfg, seeds)) == want
 
 
-def test_a_1_ring_refresh_splits_its_solves_per_matrix(monkeypatch):
-    # the solves split per (covariance, subband) system, so the 1-ring
-    # UL's 126 systems of order 32 and the DL's 1 260 per-UE 4x4 systems
-    # both reach the pool thread
-    monkeypatch.setattr(_blocks, "_workers", lambda: 1)
-    caller = threading.get_ident()
-    solves = []
-    rows = _blocks._rows
-
-    def record(fn, arrays, b):
-        if fn is np.linalg.solve:
-            if threading.get_ident() == caller:
-                time.sleep(0.02)      # a started pool thread takes a block
-            solves.append((arrays[0].shape[1:], threading.get_ident()))
-        return rows(fn, arrays, b)
-
-    monkeypatch.setattr(_blocks, "_rows", record)
-    cfg = ScenarioConfig(num_rings=1, case=Case.RANK_AUG)
-    engine.make_ul_engine(engine.build_drop_geometry(cfg, 0), 0).refresh(0)
-    assert {shape for shape, _ in solves} == {(32, 32)}
-    assert {t for _, t in solves} - {caller}
-
-    solves.clear()
-    cfg = cfg.replace(case=Case.BASELINE)
-    engine.make_dl_engine(engine.build_drop_geometry(cfg, 0), 0).refresh(0)
-    assert {shape for shape, _ in solves} == {(4, 4)}
-    assert {t for _, t in solves} - {caller}
+def _pid_and_double(cfg, item):
+    return os.getpid(), cfg * item
 
 
-def test_a_1_ring_refresh_splits_its_per_ue_batches(monkeypatch):
-    # on 2 CPUs the DL's 210 UE rows split in two, so the rank selection's
-    # SVD and the beam precoder reach the pool thread, and so does the
-    # UL's stacked rank selection of its weak users
-    monkeypatch.setattr(_blocks, "_workers", lambda: 1)
-    caller = threading.get_ident()
-    pooled = set()
-    rows = _blocks._rows
-
-    def record(fn, arrays, b):
-        if threading.get_ident() == caller:
-            time.sleep(0.02)          # a started pool thread takes a block
-        else:
-            pooled.add(getattr(fn, "func", fn).__name__)
-        return rows(fn, arrays, b)
-
-    monkeypatch.setattr(_blocks, "_rows", record)
-    cfg = ScenarioConfig(num_rings=1, case=Case.BASELINE)
-    engine.make_dl_engine(engine.build_drop_geometry(cfg, 0), 0).refresh(0)
-    assert {"_rank_select_rows", "_beam_precoder_rows"} <= pooled
-
-    calls = []
-    rank_rows = phy._rank_select_rows
-
-    def rank_record(h, *args, **kwargs):
-        calls.append((h.shape, threading.get_ident()))
-        return rank_rows(h, *args, **kwargs)
-
-    monkeypatch.setattr(phy, "_rank_select_rows", rank_record)
-    cfg = cfg.replace(case=Case.RANK_AUG)
-    eng = engine.make_ul_engine(engine.build_drop_geometry(cfg, 0), 0)
-    eng.refresh(0)
-    n_tx = 2 * cfg.ue_ul_config[0]         # direct plus relayed columns
-    stacked = [(shape[0], t) for shape, t in calls if shape[-1] == n_tx]
-    assert sum(n for n, _ in stacked) == eng.weak.sum()
-    assert {t for _, t in stacked} - {caller}
-
-
-def _fork_child():
-    """A tiny refresh, then exit 1 unless row blocks reach a pool thread."""
-    cfg = ScenarioConfig(num_rings=0, ues_per_cell=4, case=Case.DIVERSITY)
-    engine.make_dl_engine(engine.build_drop_geometry(cfg, 0), 0).refresh(0)
-    threads = set()
-
-    def body(rows):
-        threads.add(threading.get_ident())
-        time.sleep(0.01)
-        return rows
-
-    _blocks.map_rows(body, np.arange(20))
-    sys.exit(0 if len(threads) > 1 else 1)
-
-
-def test_a_forked_child_runs_the_kernels_on_its_own_pool(monkeypatch):
-    # a forked child has none of the parent's pool threads, so it must
-    # make its own pool
-    monkeypatch.setattr(_blocks, "BLOCK_ROWS", 5)
-    monkeypatch.setattr(_blocks, "_workers", lambda: 1)
-    cfg = ScenarioConfig(num_rings=0, ues_per_cell=4, case=Case.DIVERSITY)
-    engine.make_dl_engine(engine.build_drop_geometry(cfg, 0), 0).refresh(0)
-    assert _blocks._pool is not None
-    child = multiprocessing.get_context("fork").Process(target=_fork_child)
-    child.start()
-    child.join(timeout=30)
-    if child.is_alive():
-        child.kill()
-        child.join()
-    assert child.exitcode == 0
-
-
-def test_the_row_map_runs_where_os_reports_no_affinity(monkeypatch):
-    # os.sched_getaffinity exists only on Linux; elsewhere the pool takes
-    # one thread per further CPU of os.cpu_count()
-    cfg = ScenarioConfig(num_rings=0, ues_per_cell=4, case=Case.DIVERSITY)
-    geo = engine.build_drop_geometry(cfg, 0)
-    with monkeypatch.context() as one_cpu:
-        one_cpu.setattr(_blocks, "_workers", lambda: 0)
-        want = engine.make_dl_engine(geo, 0).refresh(0)
+def test_the_process_map_runs_where_os_reports_no_affinity(monkeypatch):
+    # os.sched_getaffinity exists only on Linux; elsewhere the map takes
+    # one process per CPU that os.cpu_count() counts
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(_blocks, "BLOCK_ROWS", 5)
     assert _blocks._workers() == 2
-    threads = set()
-
-    def body(rows):
-        threads.add(threading.get_ident())
-        time.sleep(0.01)
-        return rows
-
-    assert np.array_equal(_blocks.map_rows(body, np.arange(20)),
-                          np.arange(20))
-    assert len(threads) > 1
-    arms, relayed = engine.make_dl_engine(geo, 0).refresh(0)
-    assert arms.keys() == want[0].keys() and all(
-        np.array_equal(a, b) for name in arms
-        for a, b in zip(arms[name], want[0][name]))
-    assert np.array_equal(relayed, want[1])
+    got = _blocks.map_items(_pid_and_double, 2, range(5), _pid_and_double)
+    assert [x for _, x in got] == [0, 2, 4, 6, 8]
+    pids = [pid for pid, _ in got]
+    assert pids[0::3] == [os.getpid()] * 2
+    assert len(set(pids)) == 3
 
 
-def test_the_row_map_imports_where_os_cannot_fork(monkeypatch):
-    # Windows has no os.register_at_fork, and no forked child to reset
-    monkeypatch.delattr(os, "register_at_fork")
-    spec = importlib.util.spec_from_file_location("rows_without_fork",
-                                                  _blocks.__file__)
-    rows = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(rows)
-    monkeypatch.setattr(rows, "_workers", lambda: 1)
-    try:
-        assert np.array_equal(rows.map_rows(lambda r: 2 * r, np.arange(600)),
-                              2 * np.arange(600))
-    finally:
-        if rows._pool is not None:
-            rows._pool[1].shutdown()
+# a one-seed drop and a localization trial in a fresh interpreter, on 3
+# usable CPUs: no earlier test has left a thread there
+_NO_THREAD = """
+import os, threading
+os.sched_getaffinity = lambda pid: {0, 1, 2}
+from devmimo import Case, ScenarioConfig, run_drop, run_loc_experiment
+before = threading.enumerate()
+run_drop(ScenarioConfig(num_rings=0, ues_per_cell=4, sim_duration_s=0.02,
+                        case=Case.DIVERSITY), 0)
+run_loc_experiment(ScenarioConfig(loc_users=1, case=Case.LOC3), 0)
+after = threading.enumerate()
+assert after == before, after
+"""
+
+
+def test_a_drop_and_a_trial_start_no_thread():
+    # every kernel runs its batch in one call in the calling thread
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    res = subprocess.run([sys.executable, "-c", _NO_THREAD], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr

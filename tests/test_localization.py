@@ -11,11 +11,11 @@ from devmimo import (Case, EstimationError, ScenarioConfig,
                      build_virtual_array, localize, noncoherent_aoa,
                      run_loc_experiment, steering_vector)
 from devmimo import _blocks, localization
-from devmimo.localization import (VirtualArray, _ensemble, _spectrum,
-                                  _device_covariances, aoa_error_deg,
+from devmimo.localization import (VirtualArray, _device_covariances,
+                                  _ensemble, aoa_error_deg,
                                   synthesize_snapshots)
 from devmimo.scenario import rot_z, ula
-from reference import median_aoa_error
+from reference import grid_spectrum, median_aoa_error
 
 
 F_GHZ = 2.0
@@ -109,13 +109,13 @@ def test_spectrum_invariant_to_device_phases():
     x = _single_path_snapshots(va, -40.0, 35.0, rng)
     az_grid = np.arange(-180.0, 180.0, 10.0)
     el_grid = np.arange(0.0, 90.0, 10.0)
-    base = _spectrum(va, _device_covariances(va, x), az_grid, el_grid,
-                     F_GHZ, "bartlett")
+    base = grid_spectrum(va, _device_covariances(va, x), az_grid, el_grid,
+                         F_GHZ, "bartlett")
     y = x.copy()
     for d in range(va.n_devices):
         y[va.elements_of(d)] *= np.exp(1j * rng.uniform(0, 2 * math.pi))
-    rot = _spectrum(va, _device_covariances(va, y), az_grid, el_grid,
-                    F_GHZ, "bartlett")
+    rot = grid_spectrum(va, _device_covariances(va, y), az_grid, el_grid,
+                        F_GHZ, "bartlett")
     assert np.max(np.abs(rot - base)) <= 1e-12 * np.max(base)
 
 
@@ -128,10 +128,10 @@ def test_spectrum_invariant_to_device_order():
     x = _single_path_snapshots(va_a, 70.0, 10.0, rng)
     x_sw = np.concatenate([x[2:], x[:2]])
     grids = (np.arange(-180.0, 180.0, 15.0), np.arange(0.0, 90.0, 15.0))
-    s_a = _spectrum(va_a, _device_covariances(va_a, x), *grids, F_GHZ,
-                    "bartlett")
-    s_b = _spectrum(va_b, _device_covariances(va_b, x_sw), *grids, F_GHZ,
-                    "bartlett")
+    s_a = grid_spectrum(va_a, _device_covariances(va_a, x), *grids, F_GHZ,
+                        "bartlett")
+    s_b = grid_spectrum(va_b, _device_covariances(va_b, x_sw), *grids, F_GHZ,
+                        "bartlett")
     assert np.allclose(s_a, s_b, atol=1e-12 * np.max(s_a))
 
 
@@ -190,16 +190,16 @@ def test_spectrum_memo_is_bit_exact(method):
     az3, el3 = np.arange(-180.0, 180.0, 3.0), np.arange(0.0, 90.5, 3.0)
     for f_ghz, g in ((F_GHZ, grid), (3.5, grid), (F_GHZ, (az3, grid[1])),
                      (F_GHZ, (grid[0], el3))):
-        assert np.array_equal(_spectrum(va, covs, *g, f_ghz, method),
+        assert np.array_equal(grid_spectrum(va, covs, *g, f_ghz, method),
                               _reference_spectrum(va, covs, *g, f_ghz,
                                                   method))
 
 
 @pytest.mark.parametrize("method", ["bartlett", "music"])
-def test_a_points_bits_do_not_depend_on_its_batch(method, monkeypatch):
-    # a point evaluated alone, in a short batch or split over CPUs gets
-    # the bits it gets in the full grid (numpy's einsum sums a lone
-    # point's terms in another order unless `_evaluate` pairs it)
+def test_a_points_bits_do_not_depend_on_its_batch(method):
+    # a point evaluated alone or in a short batch gets the bits it gets in
+    # the full grid (numpy's einsum sums a lone point's terms in another
+    # order unless `_evaluate` pairs it)
     rng = np.random.default_rng(11)
     va = _two_device_array()
     covs = _device_covariances(va, _single_path_snapshots(va, 10.0, 60.0,
@@ -207,14 +207,12 @@ def test_a_points_bits_do_not_depend_on_its_batch(method, monkeypatch):
     devices = localization._devices(va, covs, method)
     units = localization._search_grid()[0]
     full = localization._evaluate(devices, units, F_GHZ, method)[0]
-    for cpus in (1, 2):
-        monkeypatch.setattr(_blocks, "_workers", lambda: cpus - 1)
-        for size in (1, 2, 3):
-            for start in range(0, len(units), 331):
-                pts = slice(start, start + size)
-                got = localization._evaluate(devices, units[pts], F_GHZ,
-                                             method)[0]
-                assert np.array_equal(got, full[pts])
+    for size in (1, 2, 3):
+        for start in range(0, len(units), 331):
+            pts = slice(start, start + size)
+            got = localization._evaluate(devices, units[pts], F_GHZ,
+                                         method)[0]
+            assert np.array_equal(got, full[pts])
 
 
 @pytest.mark.parametrize("method", ["bartlett", "music"])
@@ -246,8 +244,8 @@ def _search_of(va, x, method):
 
 
 def _full_grid(va, x, method):
-    return _spectrum(va, _device_covariances(va, x), localization.AZ_GRID,
-                     localization.EL_GRID, F_GHZ, method)
+    return grid_spectrum(va, _device_covariances(va, x), localization.AZ_GRID,
+                         localization.EL_GRID, F_GHZ, method)
 
 
 def _assert_search_matches_full_grid(va, x, method):
@@ -294,8 +292,8 @@ def test_search_on_a_flat_spectrum_keeps_the_first_tie(flat, method):
     spec, peak = localization._search(localization._devices(va, covs,
                                                              method),
                                       F_GHZ, method)
-    full = _spectrum(va, covs, localization.AZ_GRID, localization.EL_GRID,
-                     F_GHZ, method)
+    full = grid_spectrum(va, covs, localization.AZ_GRID, localization.EL_GRID,
+                         F_GHZ, method)
     assert np.array_equal(spec, full)
     assert peak == np.unravel_index(np.argmax(full), full.shape)
     if flat == "exact":
@@ -351,32 +349,37 @@ def _bits(x):
     return x.dtype, x.shape, x.strides, x.tobytes()
 
 
-@pytest.mark.parametrize("method", ["bartlett", "music"])
-def test_spectrum_bits_do_not_depend_on_the_cpu_count(method, monkeypatch):
-    # ragged blocks: blocks of at most 7 points split the grid's and the
-    # search's points on 2 or 3 CPUs; the full grids and the search give
-    # the same bits on any CPU count
-    monkeypatch.setattr(_blocks, "BLOCK_ROWS", 7)
-    rng = np.random.default_rng(5)
+def _spectrum_bits(method, seed):
+    """Bits of a loc3 ensemble's spectrum on two full grids, of its search
+    and of its direction estimate, all drawn from `seed`."""
+    rng = np.random.default_rng((seed, 5))
     va = build_virtual_array(_ensemble("loc3", F_GHZ, rng))
     x = _single_path_snapshots(va, -40.0, 25.0, rng)
     covs = _device_covariances(va, x)
     grids = [(localization.AZ_GRID, localization.EL_GRID),
              (np.arange(-180.0, 180.0, 4.0), np.arange(0.0, 90.5, 3.0))]
-    got = []
+    return ([_bits(grid_spectrum(va, covs, *g, F_GHZ, method))
+             for g in grids]
+            + [_bits(_search_of(va, x, method)[0]),
+               noncoherent_aoa(va, x, F_GHZ, method)])
+
+
+@pytest.mark.parametrize("method", ["bartlett", "music"])
+def test_spectrum_bits_do_not_depend_on_the_cpu_count(method, monkeypatch):
+    # three seeds' spectra and searches through the process map on 1, 2
+    # and 3 CPUs give the bits of one process
+    seeds = (0, 1, 2)
+    want = [_spectrum_bits(method, s) for s in seeds]
     for cpus in (1, 2, 3):
         monkeypatch.setattr(_blocks, "_workers", lambda: cpus - 1)
-        got.append([_bits(_spectrum(va, covs, *g, F_GHZ, method))
-                    for g in grids]
-                   + [_bits(_search_of(va, x, method)[0]),
-                      noncoherent_aoa(va, x, F_GHZ, method)])
-    assert got[1] == got[0] and got[2] == got[0]
+        assert _blocks.map_items(_spectrum_bits, method, seeds,
+                                 _spectrum_bits) == want
 
 
 @pytest.mark.parametrize("method", ["bartlett", "music"])
 def test_loc_experiment_does_not_depend_on_the_cpu_count(method,
                                                          monkeypatch):
-    monkeypatch.setattr(_blocks, "BLOCK_ROWS", 7)
+    # 6 users on 1, 2 and 3 CPUs run in 1, 2 and 3 processes
     cfg = ScenarioConfig(loc_users=6, loc_snr_db=10.0, case=Case.LOC3,
                          loc_method=method)
     got = []
@@ -500,9 +503,9 @@ def test_azimuth_peak_on_the_minus_180_bin_wraps_toward_179():
     rng = np.random.default_rng(9)
     va = _two_device_array()
     x = _single_path_snapshots(va, 179.7, 20.0, rng)
-    spec = _spectrum(va, _device_covariances(va, x),
-                     np.arange(-180.0, 180.0, 1.0), np.arange(0.0, 90.5, 1.0),
-                     F_GHZ, "bartlett")
+    spec = grid_spectrum(va, _device_covariances(va, x),
+                         np.arange(-180.0, 180.0, 1.0),
+                         np.arange(0.0, 90.5, 1.0), F_GHZ, "bartlett")
     assert np.unravel_index(np.argmax(spec), spec.shape)[0] == 0
     az, el = noncoherent_aoa(va, x, F_GHZ)
     assert 179.0 < az < 180.0

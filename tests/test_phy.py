@@ -1,16 +1,10 @@
 """Precoding, combining, and link-adaptation closed-form checks, and the
-row-block map the batched kernels run on."""
+batched kernels' bits through the process map."""
 
 import math
-import sys
-import threading
-import time
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from devmimo import _blocks, effective_se, sinr_to_se
 from devmimo.channel import realize_links
@@ -246,11 +240,11 @@ def test_interference_cov_matches_a_loop_over_interferers():
                        rtol=1e-12, atol=1e-12)
 
 
-def _kernel_calls():
-    """One call of each row-blocked kernel on 23 random rows (ragged in
-    blocks of 5), keyed by name, and the MMSE kernel also on UL-shaped
-    and empty batches; each returns an array or a tuple."""
-    rng = np.random.default_rng(17)
+def _kernel_calls(seed):
+    """One call of each batched kernel on 23 random rows drawn from
+    `seed`, keyed by name, and the MMSE kernel also on UL-shaped and
+    empty batches; each returns an array or a tuple."""
+    rng = np.random.default_rng((seed, 17))
     n = 23
 
     def crandn(*shape):
@@ -267,8 +261,7 @@ def _kernel_calls():
     rot = np.broadcast_to(rot_z(30.0), (n, 3, 3))
     amp, los = rng.uniform(1e-6, 1e-4, n), rng.uniform(size=n) < 0.5
     ranks, v = batched_rank_select(h, np.full(n, 2.0), 1.0, 2)
-    # UL-shaped: 9 links share 3 covariances of order 32 over 2 subbands,
-    # whose 6 systems the solve splits into several blocks
+    # UL-shaped: 9 links share 3 covariances of order 32 over 2 subbands
     h_ul = crandn(9, 2, 32, 3)
     a_ul = crandn(3, 2, 32, 32)
     r_ul = a_ul @ a_ul.conj().transpose(0, 1, 3, 2) + np.eye(32)
@@ -305,93 +298,17 @@ def _bits(out):
     return out.dtype, out.shape, out.strides, out.tobytes()
 
 
-@pytest.mark.parametrize("kernel", list(_kernel_calls()))
+def _kernel_bits(kernel, seed):
+    return _bits(_kernel_calls(seed)[kernel]())
+
+
+@pytest.mark.parametrize("kernel", list(_kernel_calls(0)))
 def test_kernel_bits_do_not_depend_on_the_cpu_count(kernel, monkeypatch):
-    monkeypatch.setattr(_blocks, "BLOCK_ROWS", 5)
-    got = []
+    # three seeds' calls through the process map on 1, 2 and 3 CPUs give
+    # the bits of one process
+    seeds = (0, 1, 2)
+    want = [_kernel_bits(kernel, s) for s in seeds]
     for cpus in (1, 2, 3):
         monkeypatch.setattr(_blocks, "_workers", lambda: cpus - 1)
-        got.append(_bits(_kernel_calls()[kernel]()))
-    assert got[1] == got[0] and got[2] == got[0]
-
-
-def test_row_blocks_run_on_the_pool_and_wait_for_every_block(monkeypatch):
-    monkeypatch.setattr(_blocks, "BLOCK_ROWS", 2)
-    monkeypatch.setattr(_blocks, "_workers", lambda: 2)
-    caller = threading.get_ident()
-    seen = []
-
-    def body(rows):
-        seen.append((rows[0], threading.get_ident()))
-        time.sleep(0.01)
-        return rows[:, None] * np.ones(3), -rows
-
-    out, neg = _blocks.map_rows(body, np.arange(11))
-    assert np.array_equal(out, np.arange(11)[:, None] * np.ones(3))
-    assert np.array_equal(neg, -np.arange(11))
-    assert sorted(s for s, _ in seen) == list(range(0, 11, 2))
-    assert {t for _, t in seen} - {caller}
-    # an error is raised only once every started block has finished
-    done = []
-
-    def failing(rows):
-        time.sleep(0.02)
-        done.append(rows[0])
-        if rows[0] == 2:
-            raise ValueError("block 2")
-        return rows
-
-    with pytest.raises(ValueError, match="block 2"):
-        _blocks.map_rows(failing, np.arange(11))
-    n_done = len(done)
-    time.sleep(0.1)
-    assert len(done) == n_done
-
-
-def test_row_blocks_take_each_row_once_under_thread_switching(monkeypatch):
-    # more pool threads than CPUs and a short switch interval: a block
-    # taken twice, or a row written by two blocks, changes the counts
-    monkeypatch.setattr(_blocks, "BLOCK_ROWS", 1)
-    monkeypatch.setattr(_blocks, "_workers", lambda: 4)
-    taken = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(20):
-            out = _blocks.map_rows(lambda rows: taken.extend(rows) or 2 * rows,
-                                   np.arange(200))
-            assert np.array_equal(out, 2 * np.arange(200))
-    finally:
-        sys.setswitchinterval(interval)
-    assert sorted(taken) == sorted(list(range(200)) * 20)
-
-
-@settings(max_examples=150, deadline=None)
-@given(n=st.integers(0, 1500), block_rows=st.integers(1, 300),
-       cpus=st.integers(1, 5))
-@example(n=126, block_rows=256, cpus=2)     # the 1-ring UL's solves
-def test_row_blocks_balance_a_default_batch_over_the_cpus(n, block_rows,
-                                                          cpus):
-    # a batch runs in k = min(n, cpus * ceil(n / (BLOCK_ROWS * cpus)))
-    # blocks whose sizes differ by at most 1, the longer first
-    blocks = []
-    lock = threading.Lock()
-
-    def body(rows):
-        with lock:
-            blocks.append(rows.copy())
-        return 2 * rows
-
-    with mock.patch.object(_blocks, "BLOCK_ROWS", block_rows), \
-            mock.patch.object(_blocks, "_workers", lambda: cpus - 1):
-        out = _blocks.map_rows(body, np.arange(n))
-    assert np.array_equal(out, 2 * np.arange(n))
-    blocks.sort(key=lambda b: b[0] if len(b) else -1)
-    # every row once, each block a run of consecutive rows
-    assert np.array_equal(np.concatenate(blocks), np.arange(n))
-    k = min(n, cpus * -(-n // (block_rows * cpus)))
-    size, longer = divmod(n, k) if k else (0, 0)
-    want = [size + 1] * longer + [size] * (k - longer)
-    if cpus == 1 or len(want) < 2:
-        want = [n]                    # one call
-    assert [len(b) for b in blocks] == want
+        assert _blocks.map_items(_kernel_bits, kernel, seeds,
+                                 _kernel_bits) == want

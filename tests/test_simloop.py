@@ -170,33 +170,27 @@ def _bits(drops):
 
 @pytest.mark.skipif(_blocks._START_METHOD != "fork",
                     reason="the drop recorder reaches workers by fork")
-@pytest.mark.parametrize("cpus,seeds,caller,worker", [
-    (4, (0, 1), 2, 2), (4, (0, 1, 2), 2, 1), (3, (0, 1), 2, 1)],
-    ids=["seeds0-2", "seeds1-1", "odd-cpus"])
-def test_map_drops_splits_the_cpus_between_its_processes(
-        tmp_path, monkeypatch, cpus, seeds, caller, worker):
-    # of C usable CPUs, each of P processes' row blocks get C // P of them
-    # and the caller takes the rest, so no CPU idles
+def test_map_drops_runs_each_seed_in_its_own_process(tmp_path, monkeypatch):
+    # three seeds on 4 usable CPUs run in 3 processes, the caller's first,
+    # and come back in seed order with the bytes of one process
     monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(cpus)), raising=False)
+                        lambda pid: set(range(4)), raising=False)
     build = engine.build_drop_geometry
 
     def recorded(cfg, seed):
-        (tmp_path / f"{seed}-{os.getpid()}-{_blocks._workers() + 1}").touch()
+        (tmp_path / f"{seed}-{os.getpid()}").touch()
         return build(cfg, seed)
 
     monkeypatch.setattr(engine, "build_drop_geometry", recorded)
     cfg = ScenarioConfig(case=Case.DIVERSITY,
                          traffic=Ftp3(100_000, 2.0), **TINY)
+    seeds = (0, 1, 2)
     got = simloop.map_drops(cfg, seeds)
     assert not multiprocessing.active_children()
-    assert _blocks._workers() == cpus - 1
-    places = sorted(tuple(map(int, p.name.split("-")))
-                    for p in tmp_path.iterdir())
-    assert [seed for seed, _, _ in places] == list(seeds)
-    assert {(pid == os.getpid(), n) for _, pid, n in places} \
-        == {(True, caller), (False, worker)}
-    assert len({pid for _, pid, _ in places}) == len(seeds)
+    pid_of = dict(map(int, p.name.split("-")) for p in tmp_path.iterdir())
+    assert sorted(pid_of) == list(seeds)
+    assert pid_of[0] == os.getpid()
+    assert len(set(pid_of.values())) == len(seeds)
     monkeypatch.setattr(engine, "build_drop_geometry", build)
     assert _bits(got) == _bits(run_drop(cfg, s) for s in seeds)
 
