@@ -170,11 +170,16 @@ def _bits(drops):
 
 @pytest.mark.skipif(_blocks._START_METHOD != "fork",
                     reason="the drop recorder reaches workers by fork")
-def test_map_drops_runs_each_seed_in_its_own_process(tmp_path, monkeypatch):
-    # three seeds on 4 usable CPUs run in 3 processes, the caller's first,
-    # and come back in seed order with the bytes of one process
+@pytest.mark.parametrize("cpus,seeds,procs", [
+    (4, (0, 1), 2), (4, (0, 1, 2), 3), (3, (0, 1, 2, 3), 3)],
+    ids=["seeds0-2", "seeds1-1", "odd-cpus"])
+def test_map_drops_splits_the_cpus_between_its_processes(
+        tmp_path, monkeypatch, cpus, seeds, procs):
+    # of C usable CPUs, P = min(C, len(seeds)) processes each take one:
+    # the caller runs seeds[0::P], each worker one seeds[k::P], and the
+    # drops come back in seed order with the bytes of one process
     monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(4)), raising=False)
+                        lambda pid: set(range(cpus)), raising=False)
     build = engine.build_drop_geometry
 
     def recorded(cfg, seed):
@@ -184,13 +189,17 @@ def test_map_drops_runs_each_seed_in_its_own_process(tmp_path, monkeypatch):
     monkeypatch.setattr(engine, "build_drop_geometry", recorded)
     cfg = ScenarioConfig(case=Case.DIVERSITY,
                          traffic=Ftp3(100_000, 2.0), **TINY)
-    seeds = (0, 1, 2)
     got = simloop.map_drops(cfg, seeds)
     assert not multiprocessing.active_children()
-    pid_of = dict(map(int, p.name.split("-")) for p in tmp_path.iterdir())
-    assert sorted(pid_of) == list(seeds)
-    assert pid_of[0] == os.getpid()
-    assert len(set(pid_of.values())) == len(seeds)
+    places = sorted(tuple(map(int, p.name.split("-")))
+                    for p in tmp_path.iterdir())
+    assert [seed for seed, _ in places] == list(seeds)
+    runs = {}
+    for seed, pid in places:
+        runs.setdefault(pid, []).append(seed)
+    assert runs.pop(os.getpid()) == list(seeds[0::procs])
+    assert sorted(runs.values()) == [list(seeds[k::procs])
+                                     for k in range(1, procs)]
     monkeypatch.setattr(engine, "build_drop_geometry", build)
     assert _bits(got) == _bits(run_drop(cfg, s) for s in seeds)
 
