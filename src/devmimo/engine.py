@@ -53,6 +53,12 @@ class DeviceTables:
     bs_eff: np.ndarray            # (C, U, 3) wraparound BS position per link
     los: np.ndarray               # (C, U) bool
     loss: dict                    # "fl"/"fh" -> (C, U) dB: pathloss+shadowing+penetration
+    pat_db: np.ndarray = field(init=False)  # (C, U) dB sector gain, geometric dir
+
+    def coupling(self, band: str) -> np.ndarray:
+        """(C, U) large-scale coupling [dB] of each cell to each device in
+        band "fl" or "fh": sector gain less the loss."""
+        return -self.loss[band] + self.pat_db
 
 
 @dataclass
@@ -62,15 +68,8 @@ class DropGeometry:
     cell_rot: np.ndarray          # (C, 3, 3) sector orientation + downtilt
     prim: DeviceTables
     help: DeviceTables
-    pat_db_prim: np.ndarray       # (C, U) sector element gain, geometric dir
     serving: np.ndarray           # (U,)
     ue_of_cell: list              # cell -> array of UE indices
-    interf_prim: np.ndarray       # (U, K) strongest non-serving cells, f_L
-    interf_help: np.ndarray
-    interf_fh_prim: np.ndarray    # (U, K) strongest cells in f_H (any)
-    res_fl_prim: np.ndarray       # (U,) residual linear coupling sum
-    res_fl_help: np.ndarray
-    res_fh_prim: np.ndarray
 
     @property
     def n_ues(self) -> int:
@@ -146,36 +145,31 @@ def build_drop_geometry(cfg: ScenarioConfig, seed: int) -> DropGeometry:
 
     vp, prim = _device_tables(layout, cfg, prim_pos, prim_rot, rng)
     vh, help_ = _device_tables(layout, cfg, help_pos, help_rot, rng)
-    pat_p = _pattern_gain_db(vp * -1.0, cell_rot)
-    pat_h = _pattern_gain_db(vh * -1.0, cell_rot)
-
-    coupling = -prim.loss["fl"] + pat_p                    # (C, U) dB
-    serving = np.argmax(coupling, axis=0)
+    # the gains come after both tables, the order calibrate_ftp's peak RSS
+    # was measured with: it is bimodal in the glibc heap layout, and
+    # computing them inside _device_tables (same bits) read its ~13 MB
+    # higher mode in 10 of 10 runs from one checkout (2 vCPUs)
+    prim.pat_db = _pattern_gain_db(vp * -1.0, cell_rot)
+    help_.pat_db = _pattern_gain_db(vh * -1.0, cell_rot)
+    serving = np.argmax(prim.coupling("fl"), axis=0)
     ue_of_cell = [np.flatnonzero(serving == c) for c in range(layout.n_cells)]
+    return DropGeometry(cfg, layout, cell_rot, prim, help_, serving,
+                        ue_of_cell)
 
-    k = min(cfg.max_interferers, layout.n_cells - 1)
 
-    def interferers(coup, serv=None):
-        c2 = coup.copy()
-        if serv is not None:
-            c2[serv, np.arange(c2.shape[1])] = -np.inf
-        order = np.argsort(-c2, axis=0)                    # (C, U)
-        top = order[:k].T                                  # (U, K)
-        lin = 10.0 ** (c2 / 10.0)
-        lin[~np.isfinite(c2)] = 0.0
-        total = lin.sum(axis=0)
-        taken = np.take_along_axis(lin.T, top, axis=1).sum(axis=1)
-        return top, np.maximum(total - taken, 0.0)
-
-    interf_p, res_p = interferers(coupling, serving)
-    coup_help = -help_.loss["fl"] + pat_h
-    interf_h, res_h = interferers(coup_help, serving)      # helper also hears its serving cell's signal as useful
-    coup_fh = -prim.loss["fh"] + pat_p
-    interf_fh, res_fh = interferers(coup_fh)               # all cells interfere in f_H
-
-    return DropGeometry(
-        cfg, layout, cell_rot, prim, help_, pat_p, serving, ue_of_cell,
-        interf_p, interf_h, interf_fh, res_p, res_h, res_fh)
+def _strongest(coup: np.ndarray, k: int, exclude=None) -> tuple:
+    """Interferers by large-scale coupling coup (C, N) [dB] of C cells to
+    N victims: per victim, the k strongest cells in descending order (N, k)
+    and the linear sum of the others (N,).  Victim n never counts cell
+    exclude[n]."""
+    c2 = coup.copy()
+    if exclude is not None:
+        c2[exclude, np.arange(c2.shape[1])] = -np.inf
+    top = np.argsort(-c2, axis=0)[:k].T
+    lin = 10.0 ** (c2 / 10.0)
+    lin[~np.isfinite(c2)] = 0.0
+    taken = np.take_along_axis(lin.T, top, axis=1).sum(axis=1)
+    return top, np.maximum(lin.sum(axis=0) - taken, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +217,19 @@ class DlEngine(_Engine):
     noise_ue_w: float
     noise_help_w: float
     h_local: np.ndarray = field(init=False)     # (U, 1, n_prim_rx, 1)
+    # (cells (U, K), residual (U,)) of `_strongest` per victim link
+    interf_prim: tuple = field(init=False)      # primaries, f_L
+    interf_help: tuple = field(init=False)      # helpers, f_L
+    interf_fh: tuple = field(init=False)        # primaries, f_H
 
     def __post_init__(self):
         geo, cfg = self.geo, self.geo.cfg
+        k = min(cfg.max_interferers, geo.n_cells - 1)
+        self.interf_prim = _strongest(geo.prim.coupling("fl"), k, geo.serving)
+        # the helper hears its primary's serving cell as signal
+        self.interf_help = _strongest(geo.help.coupling("fl"), k, geo.serving)
+        # every cell interferes in f_H
+        self.interf_fh = _strongest(geo.prim.coupling("fh"), k)
         # static local links from the helper's first element (pure LOS at
         # the helper distance), flat over subbands
         self.h_local = ch.local_link(
@@ -259,11 +263,10 @@ class DlEngine(_Engine):
 
         # the interferer links are needed only for their covariance, so
         # each tensor is freed as soon as it is built
+        cells, res = self.interf_prim
         r_prim = interference_cov(
-            self._links(geo.prim, geo.interf_prim, all_u[:, None], "fl",
-                        self.ue_elem),
-            q_cell[geo.interf_prim], ql_cell[geo.interf_prim],
-            self.noise_ue_w + geo.res_fl_prim * self.p_sb_w)
+            self._links(geo.prim, cells, all_u[:, None], "fl", self.ue_elem),
+            q_cell[cells], ql_cell[cells], self.noise_ue_w + res * self.p_sb_w)
         rate_direct = batched_mmse_se(h_serv, pmat, p_layer, r_prim) \
             * cfg.subband_hz
 
@@ -273,11 +276,11 @@ class DlEngine(_Engine):
 
         # --- relayed arm: BS -> helper (f_L) -> AF -> primary (f_H) ---
         h_sh = self._links(geo.help, serving, all_u, "fl", self.help_elem)
+        cells, res = self.interf_help
         r_help = interference_cov(
-            self._links(geo.help, geo.interf_help, all_u[:, None], "fl",
-                        self.help_elem),
-            q_cell[geo.interf_help], ql_cell[geo.interf_help],
-            self.noise_help_w + geo.res_fl_help * self.p_sb_w)
+            self._links(geo.help, cells, all_u[:, None], "fl", self.help_elem),
+            q_cell[cells], ql_cell[cells],
+            self.noise_help_w + res * self.p_sb_w)
 
         # whitened-MRC combiner per helper (wideband); each output stream is
         # forwarded on its own spare f_H chunk, so the streams' signals stay
@@ -326,13 +329,14 @@ class DlEngine(_Engine):
         primaries: legacy co-channel transmissions at the configured duty
         cycle.  Its links live only in this frame."""
         geo, cfg = self.geo, self.geo.cfg
-        x = np.moveaxis(self._links(geo.prim, geo.interf_fh_prim,
+        cells, res = self.interf_fh
+        x = np.moveaxis(self._links(geo.prim, cells,
                                     np.arange(geo.n_ues)[:, None], "fh",
                                     self.ue_elem), 1, 3)
         x = x.reshape(*x.shape[:3], -1)                  # (U, S, m, K n)
         r_fh = x @ x.conj().transpose(0, 1, 3, 2) \
             * (self.p_sb_w * cfg.fh_activity / cfg.bs_ports)
-        return r_fh + (self.noise_ue_w + geo.res_fh_prim * cfg.fh_activity
+        return r_fh + (self.noise_ue_w + res * cfg.fh_activity
                        * self.p_sb_w)[:, None, None, None] \
             * np.eye(self.ue_elem.shape[0])
 
@@ -366,19 +370,15 @@ class UlEngine(_Engine):
         geo, cfg = self.geo, self.geo.cfg
         self.local_amp = 10.0 ** (
             -ch.friis_db(cfg.helper_distance_m, cfg.f_high_ghz) / 20.0)
-        # strongest interfering cells per victim cell by mean UE coupling
+        # strongest interfering cells per victim cell by the mean coupling
+        # to the victim's UEs; an empty cell's column is -inf
+        coup = geo.prim.coupling("fl")
         c_n = geo.n_cells
+        score = np.stack([coup[:, ues].mean(axis=1) if len(ues)
+                          else np.full(c_n, -np.inf)
+                          for ues in geo.ue_of_cell], axis=1)   # (C, C)
         k = min(cfg.max_interferers, c_n - 1)
-        mean_coup = -geo.prim.loss["fl"] + geo.pat_db_prim      # (C, U)
-        score = np.zeros((c_n, c_n))
-        for c in range(c_n):
-            ues = geo.ue_of_cell[c]
-            if len(ues):
-                score[:, c] = mean_coup[:, ues].mean(axis=1)
-            else:
-                score[:, c] = -np.inf
-        np.fill_diagonal(score, -np.inf)
-        self.neighbor_cells = np.argsort(-score.T, axis=1)[:, :k]
+        self.neighbor_cells = _strongest(score, k, np.arange(c_n))[0]
 
     def refresh(self, rr: int):
         """New channel realizations; returns ({arm: (f_L, f_H) (U, S) rates
@@ -387,7 +387,6 @@ class UlEngine(_Engine):
         all_u = np.arange(geo.n_ues)
         serving = geo.serving
         p_tot = dbm_to_w(cfg.ue_max_tx_dbm) / cfg.n_subbands
-        max_ul = cfg.ue_ul_config[0]
 
         weak = np.flatnonzero(self.weak)
         strong = np.flatnonzero(~self.weak)
@@ -448,13 +447,15 @@ class UlEngine(_Engine):
         # relay-forwarded helper columns in f_L and leave f_H; the others
         # keep their legacy f_L rates and use f_H without the weak users'
         # interference
-        h_rel = h_hb[:, :, :, :max_ul]                  # helper tx subset
+        # the helper forwards as many primary streams as it has antennas
+        n_rel = min(cfg.ue_ul_config[0], self.help_elem.shape[0])
+        h_rel = h_hb[:, :, :, :n_rel]                   # helper tx subset
         p_split = p_tot / 2.0
         noise_help_w = thermal_noise_w(cfg.subband_hz, NF_HELPER_DB)
-        p_in = self.local_amp ** 2 * p_split + max_ul * noise_help_w
+        p_in = self.local_amp ** 2 * p_split + n_rel * noise_help_w
         g = relay_gain(10.0 * math.log10(p_in * 1e3), cfg.relay_max_tx_dbm)
-        # local hop: each primary stream reaches its own helper antenna
-        eye_ul = np.eye(max_ul)
+        # local hop: each forwarded stream reaches its own helper antenna
+        eye_ul = np.eye(n_rel)
         relayed = compose_af_link(self.local_amp * eye_ul, eye_ul, g, h_rel,
                                   noise_help_w * eye_ul, r_fl[serving[weak]])
         stacked = stack_tx(h_fl[weak], relayed)

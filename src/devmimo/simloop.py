@@ -12,7 +12,6 @@ calibration builds its seeds' channel tables in processes too (both by
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -177,24 +176,26 @@ def upt_stats(records) -> dict:
 # drop driver: channel stage, then one scheduling loop
 # ---------------------------------------------------------------------------
 
-def _channel_stage(geo: engine.DropGeometry, seed: int):
-    """Refresh the channel once per call to next(); yields the engine's
-    ({arm: per-band (U, S) rate tables [bps]}, relayed), reference arm
-    first, `relayed` (U,) marking the treatment arm's relay-path users."""
-    eng = (engine.make_ul_engine if geo.cfg.case is Case.RANK_AUG
+def _channel_stage(cfg: ScenarioConfig, seed: int) -> tuple:
+    """Build drop `seed`'s geometry and its case's engine; returns (each
+    cell's UEs, [engine.refresh(rr) for rr < cfg.n_refreshes]), a refresh
+    being ({arm: per-band (U, S) rate tables [bps]}, relayed), reference
+    arm first, `relayed` (U,) marking the treatment arm's relay-path
+    users."""
+    geo = engine.build_drop_geometry(cfg, seed)
+    eng = (engine.make_ul_engine if cfg.case is Case.RANK_AUG
            else engine.make_dl_engine)(geo, seed)
-    for rr in itertools.count():
-        yield eng.refresh(rr)
+    return geo.ue_of_cell, [eng.refresh(rr) for rr in range(cfg.n_refreshes)]
 
 
 def _scheduling_stage(cfg: ScenarioConfig, seed: int, ue_of_cell,
                       tables) -> dict:
     """Run the slot loop of one drop against per-refresh rate tables.
 
-    `ue_of_cell` lists each cell's UEs (from the drop geometry) and
-    `tables` yields at least cfg.n_refreshes items of `_channel_stage`;
-    arrivals come from the drop's traffic stream.  Returns {arm_name:
-    DropStats}, reference arm first.
+    `ue_of_cell` lists each cell's UEs and `tables` the cfg.n_refreshes
+    refreshes, as `_channel_stage` returns them; slot t uses refresh
+    t // cfg.channel_update_slots.  Arrivals come from the drop's traffic
+    stream.  Returns {arm_name: DropStats}, reference arm first.
     """
     n_ues = sum(map(len, ue_of_cell))
     full_buffer = isinstance(cfg.traffic, FullBuffer)
@@ -208,9 +209,7 @@ def _scheduling_stage(cfg: ScenarioConfig, seed: int, ue_of_cell,
         pad[c, :len(ues)] = ues
         valid[c, :len(ues)] = True
 
-    tables = iter(tables)
-    rates, relayed = next(tables)
-    arms = {name: _ArmState(n_ues, full_buffer) for name in rates}
+    arms = {name: _ArmState(n_ues, full_buffer) for name in tables[0][0]}
     rng_tr = np.random.default_rng(np.random.SeedSequence((seed, 0x7A)))
     events = [] if full_buffer else ftp3_arrivals(
         cfg.traffic, n_ues, cfg.sim_duration_s, rng_tr)
@@ -219,8 +218,7 @@ def _scheduling_stage(cfg: ScenarioConfig, seed: int, ue_of_cell,
     slot_bytes = cfg.slot_s / 8.0
 
     for slot in range(cfg.n_slots):
-        if slot and slot % cfg.channel_update_slots == 0:
-            rates, relayed = next(tables)
+        rates, relayed = tables[slot // cfg.channel_update_slots]
         t_end = (slot + 1) * cfg.slot_s
         while ev_i < len(events) and events[ev_i].t_arrival_s <= slot * cfg.slot_s:
             for arm in arms.values():
@@ -268,9 +266,7 @@ def run_drop(cfg: ScenarioConfig, seed: int) -> dict:
     allocation, so its per-user dominance over the baseline is exact.
     """
     _check_case(cfg)
-    geo = engine.build_drop_geometry(cfg, seed)
-    return _scheduling_stage(cfg, seed, geo.ue_of_cell,
-                             _channel_stage(geo, seed))
+    return _scheduling_stage(cfg, seed, *_channel_stage(cfg, seed))
 
 
 def map_drops(cfg: ScenarioConfig, seeds) -> list:
@@ -292,14 +288,6 @@ def measure_ru(cfg: ScenarioConfig, seeds) -> float:
     return float(np.mean(vals))
 
 
-def _drop_tables(cfg: ScenarioConfig, seed: int) -> tuple:
-    """(UEs of each cell, the cfg.n_refreshes items of `_channel_stage`)
-    of one drop."""
-    geo = engine.build_drop_geometry(cfg, seed)
-    return geo.ue_of_cell, list(itertools.islice(_channel_stage(geo, seed),
-                                                 cfg.n_refreshes))
-
-
 def _ru_of_load(cfg: ScenarioConfig, seeds):
     """measure_ru as a function of the FTP arrival rate λ.
 
@@ -310,7 +298,7 @@ def _ru_of_load(cfg: ScenarioConfig, seeds):
     stage under Ftp3(file_bytes, λ), in the calling process.
     """
     drops = list(zip(seeds, _blocks.map_items(
-        _drop_tables, cfg, seeds, engine.build_drop_geometry)))
+        _channel_stage, cfg, seeds, engine.build_drop_geometry)))
 
     def ru(lam: float) -> float:
         c = cfg.replace(traffic=Ftp3(cfg.traffic.file_bytes, lam))

@@ -28,7 +28,7 @@ def _reference_refresh(eng, rr):
     all_u = np.arange(u_n)
 
     h_serv = eng._links(geo.prim, serving, all_u, "fl", eng.ue_elem)
-    h_int = eng._links(geo.prim, geo.interf_prim, all_u[:, None], "fl",
+    h_int = eng._links(geo.prim, eng.interf_prim[0], all_u[:, None], "fl",
                        eng.ue_elem)
     ranks, v = batched_rank_select(
         h_serv, np.full(u_n, eng.p_sb_w), eng.noise_ue_w,
@@ -40,28 +40,28 @@ def _reference_refresh(eng, rr):
     q_cell = np.where(on[:, None, None], pmat[tx], 0.0)
     ql_cell = np.where(on, p_layer[tx], 0.0)
 
-    def victim_r(h_i, interf, res, noise_w):
+    def victim_r(h_i, pair, noise_w):
+        interf, res = pair
         b = np.einsum("ukswn,uknr->ukswr", h_i, q_cell[interf], optimize=True)
         r = np.einsum("uk,ukswr,uksvr->uswv", ql_cell[interf], b, b.conj(),
                       optimize=True)
         eye = np.eye(h_i.shape[3])
         return r + (noise_w + res * eng.p_sb_w)[:, None, None, None] * eye
 
-    r_prim = victim_r(h_int, geo.interf_prim, geo.res_fl_prim, eng.noise_ue_w)
+    r_prim = victim_r(h_int, eng.interf_prim, eng.noise_ue_w)
     direct = batched_mmse_se(h_serv, pmat, p_layer, r_prim) * cfg.subband_hz
 
     h_sh = eng._links(geo.help, serving, all_u, "fl", eng.help_elem)
-    h_ih = eng._links(geo.help, geo.interf_help, all_u[:, None], "fl",
+    h_ih = eng._links(geo.help, eng.interf_help[0], all_u[:, None], "fl",
                       eng.help_elem)
-    r_help = victim_r(h_ih, geo.interf_help, geo.res_fl_help,
-                      eng.noise_help_w)
+    r_help = victim_r(h_ih, eng.interf_help, eng.noise_help_w)
     n_str = min(cfg.relay_streams, eng.help_elem.shape[0], cfg.bs_ports)
     w = relay_rx_beamformer(h_sh, r_help, n_str)
-    h_fh = eng._links(geo.prim, geo.interf_fh_prim, all_u[:, None], "fh",
+    h_fh = eng._links(geo.prim, eng.interf_fh[0], all_u[:, None], "fh",
                       eng.ue_elem)
     r_fh = np.einsum("ukswn,uksvn->uswv", h_fh, h_fh.conj(), optimize=True) \
         * (eng.p_sb_w * cfg.fh_activity / cfg.bs_ports)
-    r_fh = r_fh + (eng.noise_ue_w + geo.res_fh_prim * cfg.fh_activity
+    r_fh = r_fh + (eng.noise_ue_w + eng.interf_fh[1] * cfg.fh_activity
                    * eng.p_sb_w)[:, None, None, None] \
         * np.eye(eng.ue_elem.shape[0])
     wh = np.einsum("uom,usmn->uson", w, h_sh, optimize=True)
@@ -115,6 +115,50 @@ def test_relay_arm_matches_composite_reference(rings, seed):
         want_div = np.where(want["relayed"] > want["direct"],
                             want["relayed"], want["direct"])
         np.testing.assert_allclose(got_div, want_div, rtol=1e-9, atol=0.0)
+
+
+def test_each_engine_picks_its_interferers_by_coupling():
+    # one UE per cell leaves cells empty: the UL rule skips them as victims.
+    # Co-sited sectors can tie (shared shadowing, pattern floor), so the
+    # picks are checked by their couplings, ties in any order
+    cfg = ScenarioConfig(num_rings=1, ues_per_cell=1, case=Case.DIVERSITY)
+    geo = engine.build_drop_geometry(cfg, 0)
+    assert any(len(ues) == 0 for ues in geo.ue_of_cell)
+    k = min(cfg.max_interferers, geo.n_cells - 1)
+
+    def coupling(dev, band):
+        return -dev.loss[band] + dev.pat_db
+
+    dl = engine.make_dl_engine(geo, 0)
+    for (cells, res), dev, band, skip_serving in [
+            (dl.interf_prim, geo.prim, "fl", True),
+            (dl.interf_help, geo.help, "fl", True),
+            (dl.interf_fh, geo.prim, "fh", False)]:
+        coup = coupling(dev, band)
+        assert cells.shape == (geo.n_ues, k) and res.shape == (geo.n_ues,)
+        for u in range(geo.n_ues):
+            cand = [c for c in range(geo.n_cells)
+                    if not (skip_serving and c == geo.serving[u])]
+            assert len(set(cells[u])) == k and set(cells[u]) <= set(cand)
+            assert list(coup[cells[u], u]) == sorted(coup[cand, u],
+                                                     reverse=True)[:k]
+            lin = {c: 10.0 ** (coup[c, u] / 10.0) for c in cand}
+            rest = sum(lin[c] for c in cand if c not in cells[u])
+            # a difference of sums: rounding scales with the whole sum
+            assert res[u] == pytest.approx(rest, rel=0.0,
+                                           abs=1e-12 * sum(lin.values()))
+
+    ul = engine.make_ul_engine(geo, 0)
+    coup = coupling(geo.prim, "fl")
+    assert ul.neighbor_cells.shape == (geo.n_cells, k)
+    for c, ues in enumerate(geo.ue_of_cell):
+        if len(ues):
+            score = {j: np.mean(coup[j, ues]) for j in range(geo.n_cells)
+                     if j != c}
+            row = ul.neighbor_cells[c]
+            assert len(set(row)) == k and c not in row
+            assert [score[j] for j in row] == sorted(score.values(),
+                                                     reverse=True)[:k]
 
 
 ARMS = {Case.BASELINE: ["baseline"], Case.DIVERSITY: ["baseline", "diversity"],

@@ -303,6 +303,34 @@ def test_single_port_diversity_drop_runs():
         assert np.all(np.isfinite(served)) and served.sum() > 0
 
 
+@pytest.mark.parametrize("antennas", [1, 2, 4])
+def test_rank_drop_runs_with_any_helper_antenna_count(antennas):
+    # every user is weak, so every refresh relays min(2, antennas) streams
+    cfg = ScenarioConfig(case=Case.RANK_AUG, helper_rx_antennas=antennas,
+                         semistatic_threshold_db=200.0, **TINY)
+    stats_ = run_drop(cfg, 0)
+    for arm in ("legacy_2ca", "collab"):
+        assert np.all(np.isfinite(stats_[arm].served_bytes))
+    assert stats_["collab"].served_bytes.sum() > 0
+
+
+def test_slot_t_reads_refresh_t_over_the_update_period():
+    # refresh i gives a rate only to UE i mod 2, over 2 slots each
+    cfg = ScenarioConfig(num_rings=0, channel_update_slots=2,
+                         sim_duration_s=6 * 0.0005, case=Case.BASELINE)
+    assert cfg.n_slots == 6 and cfg.n_refreshes == 3
+    rate = 8e6                                    # 1 byte per us
+    tables = []
+    for i in range(cfg.n_refreshes):
+        tab = np.zeros((2, cfg.n_subbands))
+        tab[i % 2] = rate
+        tables.append(({"baseline": (tab,)}, np.zeros(2, dtype=bool)))
+    out = simloop._scheduling_stage(cfg, 0, [np.array([0, 1])], tables)
+    per_slot = rate * cfg.slot_s / 8.0 * cfg.n_subbands
+    assert out["baseline"].served_bytes == pytest.approx(
+        [4 * per_slot, 2 * per_slot], rel=1e-12)
+
+
 def test_round_robin_serves_each_cell_in_turn():
     geo = engine.build_drop_geometry(ScenarioConfig(**TINY), 0)
     ue_of_cell = [np.array([4, 1, 3]), np.array([], dtype=int),
@@ -322,7 +350,7 @@ def test_lone_file_throughput_matches_isolated_link_rate():
     cfg = ScenarioConfig(num_rings=0, ues_per_cell=1, sim_duration_s=4.0,
                          case=Case.BASELINE, traffic=Ftp3(500_000, 0.3))
     # one list of the drop's tables feeds both its slot loop and the rate
-    ue_of_cell, tables = simloop._drop_tables(cfg, 3)
+    ue_of_cell, tables = simloop._channel_stage(cfg, 3)
     out = simloop._scheduling_stage(cfg, 3, ue_of_cell, tables)
     rate = np.mean([rates["baseline"][0].sum(axis=1)
                     for rates, _ in tables], axis=0)
@@ -456,8 +484,7 @@ def test_rank_drop_with_uniform_collaboration_decision(threshold_db):
     out = run_drop(cfg, 0)
     assert list(out) == ["legacy_2ca", "collab"]
 
-    geo = engine.build_drop_geometry(cfg, 0)
-    tables, weak = next(simloop._channel_stage(geo, 0))
+    tables, weak = simloop._channel_stage(cfg, 0)[1][0]
     (leg_fl, leg_fh), (col_fl, col_fh) = tables["legacy_2ca"], tables["collab"]
     if threshold_db < 0:
         assert not weak.any()
