@@ -53,7 +53,7 @@ class DeviceTables:
     bs_eff: np.ndarray            # (C, U, 3) wraparound BS position per link
     los: np.ndarray               # (C, U) bool
     loss: dict                    # "fl"/"fh" -> (C, U) dB: pathloss+shadowing+penetration
-    pat_db: np.ndarray = field(init=False)  # (C, U) dB sector gain, geometric dir
+    pat_db: np.ndarray            # (C, U) dB sector gain, geometric dir
 
     def coupling(self, band: str) -> np.ndarray:
         """(C, U) large-scale coupling [dB] of each cell to each device in
@@ -85,13 +85,13 @@ class DropGeometry:
                          for ues in self.ue_of_cell])
 
 
-def _device_tables(layout: SiteLayout, cfg: ScenarioConfig, pos: np.ndarray,
-                   rot: np.ndarray, rng: np.random.Generator):
-    """Per (cell, device) wraparound geometry, LOS states and losses.
+def _device_tables(layout: SiteLayout, cfg: ScenarioConfig,
+                   cell_rot: np.ndarray, pos: np.ndarray, rot: np.ndarray,
+                   rng: np.random.Generator) -> DeviceTables:
+    """Per (cell, device) wraparound geometry, LOS, losses, sector gains.
 
     LOS and shadowing are drawn per (site, device) so co-sited sectors
     share them; links are otherwise independent (no cross-correlation).
-    Returns the device-to-BS horizontal vectors (C, N, 2) and the tables.
     """
     pos_xy = pos[:, :2]
     cell_xy = layout.site_positions[layout.cell_site]
@@ -122,7 +122,8 @@ def _device_tables(layout: SiteLayout, cfg: ScenarioConfig, pos: np.ndarray,
     bs_eff = np.concatenate(
         [pos_xy[None, :, :] + vec,
          np.full((layout.n_cells, n_dev, 1), ch.BS_HEIGHT_M)], axis=-1)
-    return vec, DeviceTables(pos, rot, bs_eff, los, loss)
+    return DeviceTables(pos, rot, bs_eff, los, loss,
+                        _pattern_gain_db(vec * -1.0, cell_rot))
 
 
 def _pattern_gain_db(vec: np.ndarray, cell_rot: np.ndarray) -> np.ndarray:
@@ -143,14 +144,8 @@ def build_drop_geometry(cfg: ScenarioConfig, seed: int) -> DropGeometry:
     cell_rot = np.array([rot_z(az) @ rot_y(BS_DOWNTILT_DEG)
                          for az in layout.cell_azimuth_deg])
 
-    vp, prim = _device_tables(layout, cfg, prim_pos, prim_rot, rng)
-    vh, help_ = _device_tables(layout, cfg, help_pos, help_rot, rng)
-    # the gains come after both tables, the order calibrate_ftp's peak RSS
-    # was measured with: it is bimodal in the glibc heap layout, and
-    # computing them inside _device_tables (same bits) read its ~13 MB
-    # higher mode in 10 of 10 runs from one checkout (2 vCPUs)
-    prim.pat_db = _pattern_gain_db(vp * -1.0, cell_rot)
-    help_.pat_db = _pattern_gain_db(vh * -1.0, cell_rot)
+    prim = _device_tables(layout, cfg, cell_rot, prim_pos, prim_rot, rng)
+    help_ = _device_tables(layout, cfg, cell_rot, help_pos, help_rot, rng)
     serving = np.argmax(prim.coupling("fl"), axis=0)
     ue_of_cell = [np.flatnonzero(serving == c) for c in range(layout.n_cells)]
     return DropGeometry(cfg, layout, cell_rot, prim, help_, serving,

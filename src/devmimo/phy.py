@@ -144,7 +144,12 @@ def interference_cov(h: np.ndarray, q: np.ndarray, p_layer: np.ndarray,
     victim's K interferers, q (V,K,n,r) their precoders, p_layer (V,K)
     their per-layer powers (0 for a silent interferer), noise_w one noise
     power or (V,) one per victim.  Returns (V,S,m,m)."""
-    b = np.einsum("vksmn,vknr->vksmr", h, q, optimize=True)
+    # name (S, m) in h's memory order (realize_links' depends on the array
+    # sizes), so einsum's matmul reshape is a view, not a copy of the links
+    if h.strides[3] > h.strides[2]:
+        b = np.einsum("vkmsn,vknr->vksmr", h.swapaxes(2, 3), q, optimize=True)
+    else:
+        b = np.einsum("vksmn,vknr->vksmr", h, q, optimize=True)
     r = np.einsum("vk,vksmr,vkslr->vsml", p_layer, b, b.conj(),
                   optimize=True)
     return r + np.reshape(noise_w, (-1, 1, 1, 1)) * np.eye(h.shape[3])

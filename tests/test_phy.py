@@ -2,6 +2,7 @@
 batched kernels' bits through the process map."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,6 +239,37 @@ def test_interference_cov_matches_a_loop_over_interferers():
     assert np.allclose(interference_cov(h, masked, p_layer, noise),
                        interference_cov(h, q[..., :1], p_layer, noise),
                        rtol=1e-12, atol=1e-12)
+
+
+def test_interference_cov_reads_realize_links_output_in_place():
+    # DL interferer links (4 receive, 32 transmit elements) as the engine
+    # passes them: realize_links stores each link's (S, m) axes as (m, S)
+    rng = np.random.default_rng(12)
+    v_n, k_n, r = 20, 6, 2
+    n_l = v_n * k_n
+    tx = np.column_stack([rng.uniform(-300, 300, (n_l, 2)),
+                          np.full(n_l, 25.0)])
+    rx = np.column_stack([rng.uniform(-300, 300, (n_l, 2)),
+                          np.full(n_l, 1.5)])
+    rot = np.broadcast_to(rot_z(30.0), (n_l, 3, 3))
+    h = realize_links(rng, 2.0, np.linspace(-5e6, 5e6, 6), tx, rx, rot, rot,
+                      bs_port_array(32, 2.0), ue_array(4, 2.0),
+                      rng.uniform(1e-6, 1e-4, n_l), rng.uniform(size=n_l) < 0.5,
+                      tx_sector=True).reshape(v_n, k_n, 6, 4, 32)
+    assert h.strides[3] > h.strides[2]
+    q = rng.standard_normal((v_n, k_n, 32, r)) \
+        + 1j * rng.standard_normal((v_n, k_n, 32, r))
+    p_layer = rng.uniform(0.5, 2.0, (v_n, k_n))
+    tracemalloc.start()
+    try:
+        out = interference_cov(h, q, p_layer, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # no transient copy of the links; the same bits as from a C-order copy
+    assert peak < h.nbytes / 2
+    assert np.array_equal(
+        out, interference_cov(np.ascontiguousarray(h), q, p_layer, 0.1))
 
 
 def _kernel_calls(seed):
