@@ -163,21 +163,43 @@ def _response(elem: np.ndarray, rot: np.ndarray, az, el, f_ghz: float,
     return a
 
 
-def realize_links(rng: np.random.Generator, f_ghz: float, subc_hz: np.ndarray,
+def draw_rays(rng: np.random.Generator, n_links: int) -> np.ndarray:
+    """Draw the small-scale parameters of n_links clustered links.
+
+    Returns (7, L, N_CLUSTERS): the clusters' excess delays [s], their
+    powers before normalization, the departure azimuth and elevation
+    offsets, the arrival azimuth and elevation offsets [deg] and the
+    phases.  These are all the random draws of a batch, seven generator
+    calls in this order; the module constants are read at call time.
+    """
+    shape = (n_links, N_CLUSTERS)
+    excess = rng.exponential(DELAY_RMS_S, shape)
+    w = np.exp(-excess / DELAY_RMS_S) * 10.0 ** (
+        rng.normal(0.0, CLUSTER_SHADOW_STD_DB, shape) / 10.0)
+    lap = lambda s: rng.laplace(0.0, s / math.sqrt(2.0), shape)
+    return np.stack([excess, w, lap(AZ_SPREAD_DEG), lap(EL_SPREAD_DEG),
+                     lap(AZ_SPREAD_DEG), lap(EL_SPREAD_DEG),
+                     rng.uniform(-math.pi, math.pi, shape)])
+
+
+def realize_links(rays: np.ndarray, f_ghz: float, subc_hz: np.ndarray,
                   tx_pos: np.ndarray, rx_pos: np.ndarray,
                   tx_rot: np.ndarray, rx_rot: np.ndarray,
                   tx_elem: np.ndarray, rx_elem: np.ndarray,
                   amp: np.ndarray, los: np.ndarray,
                   tx_sector: bool = False, rx_sector: bool = False
                   ) -> np.ndarray:
-    """Realize L clustered channels at once.
+    """Realize L clustered channels at once from their `draw_rays` rays
+    (7, L, N_CLUSTERS).
 
     Returns (L, S, n_rx, n_tx); `amp` is the linear amplitude of the total
     link loss excluding element patterns (those enter per ray).  Each link
     has a LOS ray (zero power when not `los`) and N_CLUSTERS clusters;
-    the module constants are read at call time.
+    `K_FACTOR_DB` is read at call time.  Every link is computed on its own,
+    so the links of any subset of a batch's rows are that batch's rows.
     """
-    L, n_c = tx_pos.shape[0], N_CLUSTERS
+    excess, w, dep_az_off, dep_el_off, arr_az_off, arr_el_off, phi = rays
+    L = tx_pos.shape[0]
     d = rx_pos - tx_pos
     dist = np.linalg.norm(d, axis=-1)
     dep_az, dep_el = angles_from_vector(d)
@@ -185,22 +207,18 @@ def realize_links(rng: np.random.Generator, f_ghz: float, subc_hz: np.ndarray,
 
     k_lin = 10.0 ** (K_FACTOR_DB / 10.0)
     p0 = np.where(los, k_lin / (k_lin + 1.0), 0.0)
-    excess = rng.exponential(DELAY_RMS_S, (L, n_c))
-    w = np.exp(-excess / DELAY_RMS_S) * 10.0 ** (
-        rng.normal(0.0, CLUSTER_SHADOW_STD_DB, (L, n_c)) / 10.0)
-    w *= (1.0 - p0)[:, None] / w.sum(axis=1, keepdims=True)
+    # not in place: the rays stay as drawn, for any other rows' call
+    w = w * ((1.0 - p0)[:, None] / w.sum(axis=1, keepdims=True))
     powers = np.concatenate([p0[:, None], w], axis=1)          # (L, R)
     delays = np.concatenate([np.zeros((L, 1)), excess], axis=1)
     delays += (dist / C_LIGHT)[:, None]
 
-    lap = lambda s: rng.laplace(0.0, s / math.sqrt(2.0), (L, n_c))
     zero = np.zeros((L, 1))
-    r_dep_az = np.concatenate([zero, lap(AZ_SPREAD_DEG)], axis=1) + dep_az[:, None]
-    r_dep_el = np.concatenate([zero, lap(EL_SPREAD_DEG)], axis=1) + dep_el[:, None]
-    r_arr_az = np.concatenate([zero, lap(AZ_SPREAD_DEG)], axis=1) + arr_az[:, None]
-    r_arr_el = np.concatenate([zero, lap(EL_SPREAD_DEG)], axis=1) + arr_el[:, None]
-    phases = np.concatenate([zero, rng.uniform(-math.pi, math.pi,
-                                               (L, n_c))], axis=1)
+    r_dep_az = np.concatenate([zero, dep_az_off], axis=1) + dep_az[:, None]
+    r_dep_el = np.concatenate([zero, dep_el_off], axis=1) + dep_el[:, None]
+    r_arr_az = np.concatenate([zero, arr_az_off], axis=1) + arr_az[:, None]
+    r_arr_el = np.concatenate([zero, arr_el_off], axis=1) + arr_el[:, None]
+    phases = np.concatenate([zero, phi], axis=1)
 
     a_tx = _response(tx_elem, tx_rot, r_dep_az, r_dep_el, f_ghz, tx_sector)
     a_rx = _response(rx_elem, rx_rot, r_arr_az, r_arr_el, f_ghz, rx_sector)

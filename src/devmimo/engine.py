@@ -180,11 +180,13 @@ class _Engine:
     ue_elem: np.ndarray           # primary array (DL rx, UL tx)
     help_elem: np.ndarray
 
-    def _links(self, dev: DeviceTables, cells, devs, band: str,
-               dev_elem: np.ndarray, uplink: bool = False) -> np.ndarray:
+    def _links(self, rays: np.ndarray, dev: DeviceTables, cells, devs,
+               band: str, dev_elem: np.ndarray,
+               uplink: bool = False) -> np.ndarray:
         """Realize the links between cells[b] and device devs[b] of `dev`
         in band "fl" or "fh", BS to device or, with `uplink`, device to
-        BS.  Indices broadcast to a batch shape B; returns
+        BS, from their rays (one `draw_rays` row per link, in the flattened
+        batch order).  Indices broadcast to a batch shape B; returns
         (*B, S, n_rx, n_tx)."""
         cells, devs = np.broadcast_arrays(cells, devs)
         c, u = cells.reshape(-1), devs.reshape(-1)
@@ -194,11 +196,28 @@ class _Engine:
         (tx_pos, tx_rot, tx_elem), (rx_pos, rx_rot, rx_elem) = \
             (ue, bs) if uplink else (bs, ue)
         h = realize_links(
-            self.rng, cfg.f_low_ghz if band == "fl" else cfg.f_high_ghz,
+            rays, cfg.f_low_ghz if band == "fl" else cfg.f_high_ghz,
             self.subc, tx_pos, rx_pos, tx_rot, rx_rot, tx_elem, rx_elem,
             10.0 ** (-dev.loss[band][c, u] / 20.0), dev.los[c, u],
             tx_sector=not uplink, rx_sector=uplink)
         return h.reshape(cells.shape + h.shape[1:])
+
+    def _rank_links(self, rays: np.ndarray, dev: DeviceTables,
+                    cells: np.ndarray, band: str, dev_elem: np.ndarray):
+        """The links from each device u of `dev` to its interferers
+        cells[u, k] (U, K), BS to device, from the family's rays (row
+        u K + k per link), realized one rank k at a time: a generator of
+        K tensors (U, S, n_rx, n_tx), so only one rank of the family is
+        held at once, and each rank gathers only its own geometry.  With
+        K = 0 it is the empty family (0, U, S, n_rx, n_tx), whose shape
+        `phy.interference_cov` reads."""
+        u_n, k_n = cells.shape
+        victims = np.arange(u_n)
+        if k_n == 0:
+            return self._links(rays, dev, cells, victims[:, None], band,
+                               dev_elem).swapaxes(0, 1)
+        return (self._links(rays[:, k::k_n], dev, cells[:, k], victims, band,
+                            dev_elem) for k in range(k_n))
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +251,18 @@ class DlEngine(_Engine):
             geo.prim.rot, self.ue_elem, cfg.f_high_ghz,
             cfg.helper_distance_m)[:, None]
 
+    def draw(self) -> list:
+        """Every ray of one refresh, one `draw_rays` batch per link family
+        in the order `refresh` uses them: the serving links and the
+        primaries' interferers, then in a diversity drop the helpers'
+        serving links, their interferers and the primaries' f_H
+        interferers.  A refresh draws the same counts whatever its index."""
+        u_n, k_n = self.interf_prim[0].shape
+        counts = [u_n, u_n * k_n]
+        if self.geo.cfg.case is Case.DIVERSITY:
+            counts += [u_n, u_n * k_n, u_n * k_n]
+        return [ch.draw_rays(self.rng, n) for n in counts]
+
     def refresh(self, rr: int):
         """New channel realizations; returns ({arm: ((U, S) rates [bps],)},
         relayed): the baseline arm (direct link) and, in a diversity drop,
@@ -242,8 +273,10 @@ class DlEngine(_Engine):
         u_n = geo.n_ues
         serving = geo.serving
         all_u = np.arange(u_n)
+        rays_serv, rays_prim, *rays_relay = self.draw()
 
-        h_serv = self._links(geo.prim, serving, all_u, "fl", self.ue_elem)
+        h_serv = self._links(rays_serv, geo.prim, serving, all_u, "fl",
+                             self.ue_elem)
         ranks, v = batched_rank_select(
             h_serv, np.full(u_n, self.p_sb_w), self.noise_ue_w,
             min(cfg.ue_dl_config[1], cfg.bs_ports))
@@ -257,10 +290,10 @@ class DlEngine(_Engine):
         ql_cell = np.where(on, p_layer[tx], 0.0)
 
         # the interferer links are needed only for their covariance, so
-        # each tensor is freed as soon as it is built
+        # they are realized one rank at a time as the covariance reads them
         cells, res = self.interf_prim
         r_prim = interference_cov(
-            self._links(geo.prim, cells, all_u[:, None], "fl", self.ue_elem),
+            self._rank_links(rays_prim, geo.prim, cells, "fl", self.ue_elem),
             q_cell[cells], ql_cell[cells], self.noise_ue_w + res * self.p_sb_w)
         rate_direct = batched_mmse_se(h_serv, pmat, p_layer, r_prim) \
             * cfg.subband_hz
@@ -270,10 +303,13 @@ class DlEngine(_Engine):
             return arms, np.zeros(u_n, dtype=bool)
 
         # --- relayed arm: BS -> helper (f_L) -> AF -> primary (f_H) ---
-        h_sh = self._links(geo.help, serving, all_u, "fl", self.help_elem)
+        rays_sh, rays_help, rays_fh = rays_relay
+        h_sh = self._links(rays_sh, geo.help, serving, all_u, "fl",
+                           self.help_elem)
         cells, res = self.interf_help
         r_help = interference_cov(
-            self._links(geo.help, cells, all_u[:, None], "fl", self.help_elem),
+            self._rank_links(rays_help, geo.help, cells, "fl",
+                             self.help_elem),
             q_cell[cells], ql_cell[cells],
             self.noise_help_w + res * self.p_sb_w)
 
@@ -284,7 +320,7 @@ class DlEngine(_Engine):
         n_str = min(cfg.relay_streams, self.help_elem.shape[0], cfg.bs_ports)
         w = relay_rx_beamformer(h_sh, r_help, n_str)                # (U,o,4)
 
-        r_fh = self._fh_cov()
+        r_fh = self._fh_cov(rays_fh)
         wh = np.einsum("uom,usmn->uson", w, h_sh, optimize=True)    # (U,S,o,n)
         # forwarded first-hop noise per output: w whitens with the mean of
         # R1 over subbands, so this is 1 on average, not on every subband
@@ -319,21 +355,27 @@ class DlEngine(_Engine):
         arms["diversity"] = (np.where(sel, rate_relayed, rate_direct),)
         return arms, sel.any(axis=1)
 
-    def _fh_cov(self) -> np.ndarray:
+    def _fh_cov(self, rays: np.ndarray) -> np.ndarray:
         """(U, S, m, m) f_H interference-plus-noise covariance at the
-        primaries: legacy co-channel transmissions at the configured duty
-        cycle.  Its links live only in this frame."""
+        primaries from their interferers' rays: legacy co-channel
+        transmissions at the configured duty cycle."""
         geo, cfg = self.geo, self.geo.cfg
         cells, res = self.interf_fh
-        x = np.moveaxis(self._links(geo.prim, cells,
-                                    np.arange(geo.n_ues)[:, None], "fh",
-                                    self.ue_elem), 1, 3)
-        x = x.reshape(*x.shape[:3], -1)                  # (U, S, m, K n)
-        r_fh = x @ x.conj().transpose(0, 1, 3, 2) \
-            * (self.p_sb_w * cfg.fh_activity / cfg.bs_ports)
+        u_n, k_n = cells.shape
+        s_n, m, n = len(self.subc), self.ue_elem.shape[0], self.bs_elem.shape[0]
+        # every rank's links side by side, (U, S, m, K n), so each
+        # covariance is one product over all K n columns
+        x = np.empty((u_n, s_n, m, k_n, n), dtype=complex)
+        links = self._rank_links(rays, geo.prim, cells, "fh", self.ue_elem)
+        for k in range(k_n):
+            x[:, :, :, k] = next(links)
+        x = x.reshape(u_n, s_n, m, k_n * n)
+        r_fh = np.empty((u_n, s_n, m, m), dtype=complex)
+        for s in range(s_n):                 # one subband's conj at a time
+            r_fh[:, s] = x[:, s] @ x[:, s].conj().transpose(0, 2, 1)
+        r_fh *= self.p_sb_w * cfg.fh_activity / cfg.bs_ports
         return r_fh + (self.noise_ue_w + res * cfg.fh_activity
-                       * self.p_sb_w)[:, None, None, None] \
-            * np.eye(self.ue_elem.shape[0])
+                       * self.p_sb_w)[:, None, None, None] * np.eye(m)
 
 
 def make_dl_engine(geo: DropGeometry, seed: int) -> DlEngine:
@@ -375,6 +417,15 @@ class UlEngine(_Engine):
         k = min(cfg.max_interferers, c_n - 1)
         self.neighbor_cells = _strongest(score, k, np.arange(c_n))[0]
 
+    def draw(self) -> list:
+        """Every ray of one refresh, one `draw_rays` batch per link family
+        in the order `refresh` uses them: the primaries' f_L and f_H
+        links, the weak users' helper links, then the interferers' f_L and
+        f_H links.  A refresh draws the same counts whatever its index."""
+        u_n, n_int = self.geo.n_ues, self.neighbor_cells.size
+        return [ch.draw_rays(self.rng, n) for n in
+                (u_n, u_n, np.count_nonzero(self.weak), n_int, n_int)]
+
     def refresh(self, rr: int):
         """New channel realizations; returns ({arm: (f_L, f_H) (U, S) rates
         [bps]}, weak): the legacy 2CA arm, then the collaboration arm."""
@@ -382,14 +433,15 @@ class UlEngine(_Engine):
         all_u = np.arange(geo.n_ues)
         serving = geo.serving
         p_tot = dbm_to_w(cfg.ue_max_tx_dbm) / cfg.n_subbands
+        rays_fl, rays_fh, rays_hb, rays_int_fl, rays_int_fh = self.draw()
 
         weak = np.flatnonzero(self.weak)
         strong = np.flatnonzero(~self.weak)
-        h_fl = self._links(geo.prim, serving, all_u, "fl", self.ue_elem,
-                           uplink=True)
-        h_fh = self._links(geo.prim, serving, all_u, "fh", self.ue_elem,
-                           uplink=True)
-        h_hb = self._links(geo.help, serving[weak], weak, "fl",
+        h_fl = self._links(rays_fl, geo.prim, serving, all_u, "fl",
+                           self.ue_elem, uplink=True)
+        h_fh = self._links(rays_fh, geo.prim, serving, all_u, "fh",
+                           self.ue_elem, uplink=True)
+        h_hb = self._links(rays_hb, geo.help, serving[weak], weak, "fl",
                            self.help_elem, uplink=True)
 
         def precode(h, power):
@@ -410,17 +462,17 @@ class UlEngine(_Engine):
         tx = geo.round_robin(rr)[nbr]
         tx_ues = np.maximum(tx, 0)
         cells = np.arange(geo.n_cells)[:, None]
-        h_int_fl = self._links(geo.prim, cells, tx_ues, "fl", self.ue_elem,
-                               uplink=True)
-        h_int_fh = self._links(geo.prim, cells, tx_ues, "fh", self.ue_elem,
-                               uplink=True)
+        h_int_fl = self._links(rays_int_fl, geo.prim, cells, tx_ues, "fl",
+                               self.ue_elem, uplink=True)
+        h_int_fh = self._links(rays_int_fh, geo.prim, cells, tx_ues, "fh",
+                               self.ue_elem, uplink=True)
 
         def interference(h_links, prec, exclude_weak):
             """Interferer covariance plus noise per (victim cell, subband);
             empty cells and, with `exclude_weak`, weak users are silent."""
             p, p_layer = prec
             live = (tx >= 0) & ~(exclude_weak & self.weak[tx_ues])
-            return interference_cov(h_links, p[tx_ues],
+            return interference_cov(h_links.swapaxes(0, 1), p[tx_ues],
                                     np.where(live, p_layer[tx_ues], 0.0),
                                     self.noise_bs_w)
 

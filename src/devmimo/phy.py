@@ -137,22 +137,36 @@ def batched_beam_precoder(h: np.ndarray, ranks: np.ndarray,
     return qm
 
 
-def interference_cov(h: np.ndarray, q: np.ndarray, p_layer: np.ndarray,
+def interference_cov(links, q: np.ndarray, p_layer: np.ndarray,
                      noise_w) -> np.ndarray:
     """Covariance sum_k p_layer[k] (H_k Q_k)(H_k Q_k)^H + noise_w I of
-    precoded interferers plus white noise: h (V,K,S,m,n) links of each
-    victim's K interferers, q (V,K,n,r) their precoders, p_layer (V,K)
+    precoded interferers plus white noise.  `links` gives the links of each
+    victim's K interferers rank by rank: an iterable of K tensors (V,S,m,n),
+    each read once and in turn, so a caller may realize a rank only when
+    the sum reaches it, or an array (K,V,S,m,n) (required when K = 0, for
+    its shape).  q (V,K,n,r) are the interferers' precoders, p_layer (V,K)
     their per-layer powers (0 for a silent interferer), noise_w one noise
     power or (V,) one per victim.  Returns (V,S,m,m)."""
-    # name (S, m) in h's memory order (realize_links' depends on the array
-    # sizes), so einsum's matmul reshape is a view, not a copy of the links
-    if h.strides[3] > h.strides[2]:
-        b = np.einsum("vkmsn,vknr->vksmr", h.swapaxes(2, 3), q, optimize=True)
-    else:
-        b = np.einsum("vksmn,vknr->vksmr", h, q, optimize=True)
+    v_n, k_n, _, r_n = q.shape
+    if k_n == 0:
+        b = np.zeros((v_n, 0) + links.shape[2:4] + (r_n,), dtype=complex)
+    links = iter(links)
+    for k in range(k_n):
+        h = next(links)
+        if k == 0:
+            b = np.empty((v_n, k_n) + h.shape[1:3] + (r_n,), dtype=complex)
+        # name (S, m) in h's memory order (realize_links' depends on the
+        # array sizes), so einsum's matmul reshape is a view, not a copy of
+        # the rank's links; b (V, K, S, m, r) is C-ordered either way
+        if h.strides[2] > h.strides[1]:
+            b[:, k] = np.einsum("vmsn,vnr->vsmr", h.swapaxes(1, 2), q[:, k],
+                                optimize=True)
+        else:
+            b[:, k] = np.einsum("vsmn,vnr->vsmr", h, q[:, k], optimize=True)
+        del h                   # before the next rank's links are made
     r = np.einsum("vk,vksmr,vkslr->vsml", p_layer, b, b.conj(),
                   optimize=True)
-    return r + np.reshape(noise_w, (-1, 1, 1, 1)) * np.eye(h.shape[3])
+    return r + np.reshape(noise_w, (-1, 1, 1, 1)) * np.eye(b.shape[3])
 
 
 def batched_mmse_sinr(h: np.ndarray, p: np.ndarray, p_layer: np.ndarray,

@@ -2,7 +2,7 @@
 
 `ray_channel` is a single-link reference for the clustered channel of
 `channel.realize_links`: it draws one link's rays from the generator in
-the order `realize_links` draws a batch of one and sums their outer
+the order `channel.draw_rays` draws a batch of one and sums their outer
 products subband by subband, ray by ray.  Only the angle and
 sector-pattern helpers are shared with the code under test.
 

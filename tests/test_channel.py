@@ -12,7 +12,7 @@ from reference import ray_channel
 
 from devmimo import (channel, friis_db, los_probability, o2i_penetration,
                      o2i_wall_loss_db, pathloss)
-from devmimo.channel import local_link, realize_links
+from devmimo.channel import draw_rays, local_link, realize_links
 from devmimo.scenario import bs_port_array, rot_y, rot_z, ue_array, ula
 
 
@@ -91,8 +91,8 @@ def _realize(seed, n, tx_elem, rx_elem, los=True):
     rx = np.column_stack([rng.uniform(-300, 300, (n, 2)), np.full(n, 1.5)])
     rots = Rotation.random(2 * n, rng).as_matrix().reshape(2, n, 3, 3)
     amp = 10.0 ** (-rng.uniform(60.0, 160.0, n) / 20.0)
-    h = realize_links(rng, 2.0, SUBC, tx, rx, *rots, tx_elem, rx_elem, amp,
-                      np.broadcast_to(los, n))
+    h = realize_links(draw_rays(rng, n), 2.0, SUBC, tx, rx, *rots, tx_elem,
+                      rx_elem, amp, np.broadcast_to(los, n))
     ray = local_link(tx, rots[0], tx_elem, rx, rots[1], rx_elem, 2.0, 1.0)
     ray *= (amp * 10.0 ** (friis_db(1.0, 2.0) / 20.0))[:, None, None]
     tau = np.linalg.norm(rx - tx, axis=1) / channel.C_LIGHT
@@ -127,8 +127,9 @@ def test_ray_powers_normalized():
     rx = np.tile([50.0, 10.0, 1.5], (n, 1))
     rot = np.broadcast_to(np.eye(3), (n, 3, 3))
     for seed, los in enumerate((True, False)):
-        h = realize_links(_SharedDraws(seed), 2.0, SUBC, tx, rx, rot, rot,
-                          BS, UE, np.full(n, 1e-4), np.full(n, los))
+        h = realize_links(draw_rays(_SharedDraws(seed), n), 2.0, SUBC, tx,
+                          rx, rot, rot, BS, UE, np.full(n, 1e-4),
+                          np.full(n, los))
         power = np.mean(np.abs(h) ** 2, axis=0) / 1e-8
         assert power.shape == (3, 4, 8)
         assert np.allclose(power, 1.0, rtol=0.0, atol=1e-12)
@@ -154,7 +155,7 @@ def test_single_ray_scalar_channel_magnitude(monkeypatch):
     h, _, _, amp = _realize(3, 32, ONE, ONE)
     assert np.allclose(np.abs(h), amp, rtol=1e-12, atol=0.0)
     # on boresight a sector element adds its 8 dBi maximum gain
-    h = realize_links(np.random.default_rng(3), 2.0, SUBC,
+    h = realize_links(draw_rays(np.random.default_rng(3), 1), 2.0, SUBC,
                       np.array([[0.0, 0.0, 1.5]]), np.array([[5.0, 0, 1.5]]),
                       np.eye(3)[None], np.eye(3)[None], ONE, ONE,
                       np.array([1e-4]), np.array([True]), tx_sector=True)
@@ -175,9 +176,9 @@ def test_channel_normalization_monte_carlo():
     rot = np.broadcast_to(np.eye(3), (n_mc, 3, 3))
     amp = 10.0 ** (-70.0 / 20.0)
     for seed, los in enumerate((False, True)):
-        h = realize_links(np.random.default_rng(5 + seed), 2.0, SUBC, tx, rx,
-                          rot, rot, BS, UE, np.full(n_mc, amp),
-                          np.full(n_mc, los))
+        h = realize_links(draw_rays(np.random.default_rng(5 + seed), n_mc),
+                          2.0, SUBC, tx, rx, rot, rot, BS, UE,
+                          np.full(n_mc, amp), np.full(n_mc, los))
         assert 0.95 <= np.mean(np.abs(h) ** 2) / amp ** 2 <= 1.05
 
 
@@ -226,11 +227,47 @@ def test_batched_realization_matches_ray_assembly(seed, los, uplink, bs_xy,
         (ue, bs) if uplink else (bs, ue)
     sector = dict(tx_sector=not uplink, rx_sector=uplink)
 
-    h = realize_links(np.random.default_rng(seed), 2.0, subc, tx_pos[None],
-                      rx_pos[None], tx_rot[None], rx_rot[None], tx_elem,
-                      rx_elem, np.array([10.0 ** (-loss_db / 20.0)]),
+    h = realize_links(draw_rays(np.random.default_rng(seed), 1), 2.0, subc,
+                      tx_pos[None], rx_pos[None], tx_rot[None], rx_rot[None],
+                      tx_elem, rx_elem, np.array([10.0 ** (-loss_db / 20.0)]),
                       np.array([los]), **sector)[0]
     ref = ray_channel(np.random.default_rng(seed), 2.0, subc, tx_pos, rx_pos,
                       tx_rot, rx_rot, tx_elem, rx_elem, loss_db, los, **sector)
     assert h.shape == ref.shape == (6, len(rx_elem), len(tx_elem))
     assert np.linalg.norm(h - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 60),
+       uplink=st.booleans(), n_sub=st.integers(1, 6), data=st.data())
+def test_any_subset_of_a_batch_realizes_that_batchs_rows(seed, n, uplink,
+                                                          n_sub, data):
+    """realize_links on a subset of a batch's rays and geometry gives that
+    batch's rows bit for bit, so a caller may realize a batch in pieces
+    (one interferer rank at a time) from one draw.  Downlink links (32
+    sector ports to 4 elements) over 6 subbands are stored with their
+    (S, m) axes as (m, S); the uplink reverses the link direction."""
+    rng = np.random.default_rng(seed)
+    tx = np.column_stack([rng.uniform(-300, 300, (n, 2)), np.full(n, 25.0)])
+    rx = np.column_stack([rng.uniform(-300, 300, (n, 2)), np.full(n, 1.5)])
+    rots = Rotation.random(2 * n, rng).as_matrix().reshape(2, n, 3, 3)
+    if uplink:
+        tx, rx = rx, tx
+    elem = (UE, BS) if uplink else (BS, UE)
+    amp = 10.0 ** (-rng.uniform(60.0, 160.0, n) / 20.0)
+    los = rng.uniform(size=n) < 0.5
+    subc = (np.arange(n_sub) - 2.5) * 1.44e6
+    sector = dict(tx_sector=not uplink, rx_sector=uplink)
+    rays = draw_rays(rng, n)
+    h = realize_links(rays, 2.0, subc, tx, rx, *rots, *elem, amp, los,
+                      **sector)
+    if n_sub == 6 and not uplink:
+        assert h.strides[2] > h.strides[1]
+    k_n = data.draw(st.integers(1, n), label="stride")
+    picks = [slice(k, None, k_n) for k in range(k_n)] + [data.draw(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=n), label="rows")]
+    for rows in picks:
+        part = realize_links(rays[:, rows], 2.0, subc, tx[rows], rx[rows],
+                             rots[0][rows], rots[1][rows], *elem, amp[rows],
+                             los[rows], **sector)
+        assert np.array_equal(part, h[rows])

@@ -3,12 +3,16 @@ reference that keeps the composite relay formulas: the relay precoder
 from the stacked primary-side channels h_local (x) w H_sh, the first-hop
 gain as w (H_sh p), the f_H interference covariance as one einsum, and
 the relayed link written out entry by entry with the forwarded noise
-w R1 w^H of every subband.  A drop's bytes do not depend on how many
-processes a plan's drops run in, and no kernel starts a thread."""
+w R1 w^H of every subband; the reference realizes each interferer family
+whole, where the engine contracts it rank by rank.  A refresh replays
+from the draws before it, and never holds an interferer family whole.  A
+drop's bytes do not depend on how many processes a plan's drops run in,
+and no kernel starts a thread."""
 
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,15 +25,17 @@ from devmimo.phy import (batched_beam_precoder, batched_mmse_se,
 
 def _reference_refresh(eng, rr):
     """The direct and best relayed rates of a diversity DlEngine.refresh(rr)
-    with the composite relay formulas; the links are drawn in the engine's
-    order from the engine's generator."""
+    with the composite relay formulas; the links are realized whole, family
+    by family, from the engine's draw step."""
     geo, cfg = eng.geo, eng.geo.cfg
     u_n, serving = geo.n_ues, geo.serving
     all_u = np.arange(u_n)
+    rays_serv, rays_prim, rays_sh, rays_help, rays_fh = eng.draw()
 
-    h_serv = eng._links(geo.prim, serving, all_u, "fl", eng.ue_elem)
-    h_int = eng._links(geo.prim, eng.interf_prim[0], all_u[:, None], "fl",
-                       eng.ue_elem)
+    h_serv = eng._links(rays_serv, geo.prim, serving, all_u, "fl",
+                        eng.ue_elem)
+    h_int = eng._links(rays_prim, geo.prim, eng.interf_prim[0],
+                       all_u[:, None], "fl", eng.ue_elem)
     ranks, v = batched_rank_select(
         h_serv, np.full(u_n, eng.p_sb_w), eng.noise_ue_w,
         min(cfg.ue_dl_config[1], cfg.bs_ports))
@@ -51,14 +57,14 @@ def _reference_refresh(eng, rr):
     r_prim = victim_r(h_int, eng.interf_prim, eng.noise_ue_w)
     direct = batched_mmse_se(h_serv, pmat, p_layer, r_prim) * cfg.subband_hz
 
-    h_sh = eng._links(geo.help, serving, all_u, "fl", eng.help_elem)
-    h_ih = eng._links(geo.help, eng.interf_help[0], all_u[:, None], "fl",
-                      eng.help_elem)
+    h_sh = eng._links(rays_sh, geo.help, serving, all_u, "fl", eng.help_elem)
+    h_ih = eng._links(rays_help, geo.help, eng.interf_help[0],
+                      all_u[:, None], "fl", eng.help_elem)
     r_help = victim_r(h_ih, eng.interf_help, eng.noise_help_w)
     n_str = min(cfg.relay_streams, eng.help_elem.shape[0], cfg.bs_ports)
     w = relay_rx_beamformer(h_sh, r_help, n_str)
-    h_fh = eng._links(geo.prim, eng.interf_fh[0], all_u[:, None], "fh",
-                      eng.ue_elem)
+    h_fh = eng._links(rays_fh, geo.prim, eng.interf_fh[0], all_u[:, None],
+                      "fh", eng.ue_elem)
     r_fh = np.einsum("ukswn,uksvn->uswv", h_fh, h_fh.conj(), optimize=True) \
         * (eng.p_sb_w * cfg.fh_activity / cfg.bs_ports)
     r_fh = r_fh + (eng.noise_ue_w + eng.interf_fh[1] * cfg.fh_activity
@@ -199,6 +205,75 @@ def test_refresh_contract(case):
         loss = geo.prim.loss["fh"][geo.serving, np.arange(geo.n_ues)]
         snr_db = cfg.ue_max_tx_dbm - loss - noise_dbm
         assert np.array_equal(relayed, snr_db < cfg.semistatic_threshold_db)
+
+
+def _refresh_bits(out):
+    arms, relayed = out
+    return [(name, [t.tobytes() for t in tables])
+            for name, tables in arms.items()], relayed.tobytes()
+
+
+@pytest.mark.parametrize("case", list(ARMS), ids=lambda c: c.value)
+def test_a_refresh_replays_from_the_draws_before_it(case):
+    # the seam a chunked drop needs: a worker that runs only the draw step
+    # of refreshes 0..i-1 and then refresh(i) gets the sequential refresh i
+    cfg = ScenarioConfig(num_rings=0, ues_per_cell=4, case=case)
+    geo = engine.build_drop_geometry(cfg, 1)
+    make = engine.make_ul_engine if case is Case.RANK_AUG \
+        else engine.make_dl_engine
+    if case is Case.RANK_AUG:
+        assert make(geo, 1).weak.any()
+    seq = make(geo, 1)
+    want = [_refresh_bits(seq.refresh(rr)) for rr in range(3)]
+    for i in range(3):
+        eng = make(geo, 1)
+        for _ in range(i):
+            eng.draw()
+        assert _refresh_bits(eng.refresh(i)) == want[i]
+    # the draw step makes every draw of a refresh
+    drawn, refreshed = make(geo, 1), make(geo, 1)
+    for rr in range(3):
+        drawn.draw()
+        refreshed.refresh(rr)
+        assert drawn.rng.bit_generator.state == \
+            refreshed.rng.bit_generator.state
+
+
+def test_a_refresh_never_holds_an_interferer_family_whole():
+    # a 1-ring baseline refresh contracts its interferers rank by rank, so
+    # its traced peak stays below one family's (U, K, S, m, n) link tensor
+    cfg = ScenarioConfig(num_rings=1, case=Case.BASELINE)
+    eng = engine.make_dl_engine(engine.build_drop_geometry(cfg, 0), 0)
+    u_n, k_n = eng.interf_prim[0].shape
+    family = u_n * k_n * cfg.n_subbands * eng.ue_elem.shape[0] \
+        * eng.bs_elem.shape[0] * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        eng.refresh(0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < family
+
+
+@pytest.mark.parametrize("case", list(ARMS), ids=lambda c: c.value)
+def test_no_exact_interferer_leaves_only_the_residual_power(case):
+    # max_interferers = 0: every family is empty, and each covariance is
+    # the noise plus every other cell's large-scale power
+    cfg = ScenarioConfig(num_rings=0, ues_per_cell=2, case=case,
+                         max_interferers=0)
+    geo = engine.build_drop_geometry(cfg, 0)
+    if case is Case.RANK_AUG:
+        eng = engine.make_ul_engine(geo, 0)
+        assert eng.neighbor_cells.shape == (geo.n_cells, 0)
+    else:
+        eng = engine.make_dl_engine(geo, 0)
+        assert eng.interf_prim[0].shape == (geo.n_ues, 0)
+    arms, _ = eng.refresh(0)
+    assert list(arms) == ARMS[case]
+    for tables in arms.values():
+        for t in tables:
+            assert np.all(np.isfinite(t)) and np.all(t >= 0.0)
 
 
 def _drop_bits(drops):

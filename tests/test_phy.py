@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from devmimo import _blocks, effective_se, sinr_to_se
-from devmimo.channel import realize_links
+from devmimo.channel import draw_rays, realize_links
 from devmimo.collab import relay_rx_beamformer
 from devmimo.phy import (SE_CAP_BPS_HZ, _dft_beams, batched_beam_precoder,
                          batched_mmse_se, batched_mmse_sinr,
@@ -217,7 +217,8 @@ def test_interference_cov_matches_a_loop_over_interferers():
         a = h[:, k] @ q[:, k, None]                        # (V, S, m, r)
         ref += p_layer[:, k, None, None, None] \
             * (a @ a.conj().transpose(0, 1, 3, 2))
-    out = interference_cov(h, q, p_layer, 0.0)
+    h = [h[:, k] for k in range(k_n)]                  # rank by rank
+    out = interference_cov(iter(h), q, p_layer, 0.0)
     assert out.shape == (v_n, s_n, m, m)
     assert np.allclose(out, ref, rtol=1e-12, atol=1e-12)
     # white noise: one power for every victim, or one per victim
@@ -233,7 +234,7 @@ def test_interference_cov_matches_a_loop_over_interferers():
     silent[:, 0] = 0.0
     masked[..., 1:] = 0.0
     assert np.allclose(interference_cov(h, q, silent, noise),
-                       interference_cov(h[:, 1:], q[:, 1:], p_layer[:, 1:],
+                       interference_cov(h[1:], q[:, 1:], p_layer[:, 1:],
                                         noise),
                        rtol=1e-12, atol=1e-12)
     assert np.allclose(interference_cov(h, masked, p_layer, noise),
@@ -243,7 +244,8 @@ def test_interference_cov_matches_a_loop_over_interferers():
 
 def test_interference_cov_reads_realize_links_output_in_place():
     # DL interferer links (4 receive, 32 transmit elements) as the engine
-    # passes them: realize_links stores each link's (S, m) axes as (m, S)
+    # passes them, one rank at a time: realize_links stores each link's
+    # (S, m) axes as (m, S)
     rng = np.random.default_rng(12)
     v_n, k_n, r = 20, 6, 2
     n_l = v_n * k_n
@@ -252,24 +254,38 @@ def test_interference_cov_reads_realize_links_output_in_place():
     rx = np.column_stack([rng.uniform(-300, 300, (n_l, 2)),
                           np.full(n_l, 1.5)])
     rot = np.broadcast_to(rot_z(30.0), (n_l, 3, 3))
-    h = realize_links(rng, 2.0, np.linspace(-5e6, 5e6, 6), tx, rx, rot, rot,
-                      bs_port_array(32, 2.0), ue_array(4, 2.0),
-                      rng.uniform(1e-6, 1e-4, n_l), rng.uniform(size=n_l) < 0.5,
-                      tx_sector=True).reshape(v_n, k_n, 6, 4, 32)
-    assert h.strides[3] > h.strides[2]
+    rays = draw_rays(rng, n_l)
+    amp, los = rng.uniform(1e-6, 1e-4, n_l), rng.uniform(size=n_l) < 0.5
+    h = [realize_links(rays[:, k::k_n], 2.0, np.linspace(-5e6, 5e6, 6),
+                       tx[k::k_n], rx[k::k_n], rot[k::k_n], rot[k::k_n],
+                       bs_port_array(32, 2.0), ue_array(4, 2.0), amp[k::k_n],
+                       los[k::k_n], tx_sector=True) for k in range(k_n)]
+    assert all(h_k.strides[2] > h_k.strides[1] for h_k in h)
     q = rng.standard_normal((v_n, k_n, 32, r)) \
         + 1j * rng.standard_normal((v_n, k_n, 32, r))
     p_layer = rng.uniform(0.5, 2.0, (v_n, k_n))
+    peaks = []
+
+    def ranks():
+        # the traced peak while the call reads each rank
+        for h_k in h:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            yield h_k
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+
     tracemalloc.start()
     try:
-        out = interference_cov(h, q, p_layer, 0.1)
-        peak = tracemalloc.get_traced_memory()[1]
+        out = interference_cov(ranks(), q, p_layer, 0.1)
     finally:
         tracemalloc.stop()
-    # no transient copy of the links; the same bits as from a C-order copy
-    assert peak < h.nbytes / 2
+    # no transient copy of any rank's links; the same bits as from C-order
+    # copies
+    assert len(peaks) == k_n - 1
+    assert max(peaks) < h[0].nbytes / 2
     assert np.array_equal(
-        out, interference_cov(np.ascontiguousarray(h), q, p_layer, 0.1))
+        out, interference_cov([np.ascontiguousarray(h_k) for h_k in h], q,
+                              p_layer, 0.1))
 
 
 def _kernel_calls(seed):
@@ -302,7 +318,8 @@ def _kernel_calls(seed):
     empty = np.zeros((0, 2, 32, 3), dtype=complex)
     return {
         "realize_links": lambda: realize_links(
-            np.random.default_rng(3), 2.0, np.array([-1e6, 0.0, 2e6]), tx,
+            draw_rays(np.random.default_rng(3), n), 2.0,
+            np.array([-1e6, 0.0, 2e6]), tx,
             rx, rot, rot, bs_port_array(8, 2.0), ue_array(4, 2.0), amp, los,
             tx_sector=True),
         "batched_rank_select": lambda: batched_rank_select(
@@ -311,8 +328,8 @@ def _kernel_calls(seed):
             batched_beam_precoder(h, ranks),
             batched_beam_precoder(h, ranks, v=v)),
         "interference_cov": lambda: (
-            interference_cov(h_int, q, p_layer, 0.3),
-            interference_cov(h_int, q, p_layer, noise)),
+            interference_cov(h_int.swapaxes(0, 1), q, p_layer, 0.3),
+            interference_cov(h_int.swapaxes(0, 1), q, p_layer, noise)),
         "batched_mmse_sinr": lambda: (
             batched_mmse_sinr(h, p, p_layer[:, 0], r_nn),
             batched_mmse_sinr(h, p, p_layer[:, 0], r_nn[:7], owner),
